@@ -244,14 +244,16 @@ def train(samples, labels, config: TrainConfig,
     start = time.perf_counter()
     solution = lp.solve(problem, options)
     seconds = time.perf_counter() - start
+    # an exhausted iteration budget certifies nothing, whatever the status says
+    if solution.limit_exceeded:
+        raise SolverFailure(f"solver returned {solution.status.value} (iteration limit)")
     if solution.status is lp.LpStatus.INFEASIBLE:
         if config.variant == HARD_LINEAR:
             raise HardMarginInfeasible(
                 "hard-margin program is infeasible; the data is not separable")
         raise SolverFailure("soft-margin program reported infeasible")
-    if solution.status is not lp.LpStatus.OPTIMAL or solution.limit_exceeded:
-        raise SolverFailure(f"solver returned {solution.status.value}"
-                            + (" (iteration limit)" if solution.limit_exceeded else ""))
+    if solution.status is not lp.LpStatus.OPTIMAL:
+        raise SolverFailure(f"solver returned {solution.status.value}")
     if config.variant == SOFT_KERNEL:
         model = extract_kernel(solution, layout, config, X)
     else:

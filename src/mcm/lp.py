@@ -7,8 +7,10 @@ artificial variables where no slack can seed the basis, then phase 2 on the
 original costs.  Pivoting prices by steepest edge and evicts on the largest
 pivot element among near-tied ratios; Bland's rule takes over whenever the
 objective stalls, so the solver terminates on degenerate (cycling-prone)
-instances.  Optimal bases are re-solved against the original data, giving
-exact vertex coordinates with true zeros in the degenerate positions.
+instances.  Each pivot updates only the tableau columns where the pivot row
+is nonzero, and refreshes the cached edge norms of just those columns.
+Optimal bases are re-solved against the original data, giving exact vertex
+coordinates with true zeros in the degenerate positions.
 """
 
 from __future__ import annotations
@@ -186,23 +188,55 @@ class _Tableau:
         self.T = np.hstack([A, b[:, None]])
         self.basis = basis
         self.pivot_tol = pivot_tol
+        self._norms = None  # squared column norms of T[:, :-1]; None until read
 
     @property
     def rhs(self) -> np.ndarray:
         return self.T[:, -1]
 
+    @property
+    def norms(self) -> np.ndarray:
+        """Squared steepest-edge norms of every column except the rhs.
+
+        Computed in full on first read and kept current by ``pivot``; callers
+        must not modify the returned array.
+        """
+        if self._norms is None:
+            body = self.T[:, :-1]
+            self._norms = np.einsum("ij,ij->j", body, body)
+        return self._norms
+
     def pivot(self, row: int, col: int) -> None:
+        """Rank-one update restricted to the support of the pivot row.
+
+        A column whose pivot-row entry is zero keeps its values, so only the
+        other columns are gathered, updated as ``T[i, j] - f_i * p_j`` and
+        scattered back.  The gather keeps T's memory order (phase 2 starts
+        from a column selection, which numpy returns Fortran-ordered), so
+        einsum sums each touched column in the same order as over the whole
+        tableau and the refreshed norms are bit-identical to a full
+        recomputation.
+        """
         T = self.T
         T[row] /= T[row, col]
+        cols = np.flatnonzero(T[row])
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row])
-        T[:, col] = 0.0
-        T[row, col] = 1.0
+        block = T[:, cols] if T.flags.f_contiguous else T.take(cols, axis=1)
+        block -= np.multiply.outer(factors, block[row])
+        entering = np.searchsorted(cols, col)
+        block[:, entering] = 0.0
+        block[row, entering] = 1.0
+        T[:, cols] = block
         # keep the rhs from drifting into tiny negatives after degenerate pivots
         rhs = T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
         self.basis[row] = col
+        if self._norms is not None:
+            structural = cols.size - int(cols[-1] == T.shape[1] - 1)
+            body = block[:, :structural]
+            self._norms[cols[:structural]] = np.einsum("ij,ij->j", body, body)
+            self._norms[col] = 1.0
 
     def refactor(self) -> None:
         stacked = np.hstack([self.A0, self.b0[:, None]])
@@ -210,8 +244,17 @@ class _Tableau:
             self.T = np.linalg.solve(self.A0[:, self.basis], stacked)
         except np.linalg.LinAlgError:
             return  # keep the iterated tableau; the basis matrix went singular
+        self._norms = None
         rhs = self.T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop every row not listed in keep (redundant constraints)."""
+        self.T = self.T[keep]
+        self.basis = self.basis[keep]
+        self.A0 = self.A0[keep]
+        self.b0 = self.b0[keep]
+        self._norms = None
 
     def basic_values(self) -> np.ndarray:
         """Solve B x_B = b fresh off the original data for an exact vertex."""
@@ -246,11 +289,12 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
                  budget: _Budget, artificial_start: int | None = None) -> str:
     """Iterate to optimality or unboundedness. Returns 'optimal' or 'unbounded'.
 
-    Pricing is steepest-edge (most negative reduced cost per unit edge length,
-    with the edge norms read off the dense tableau).  The ratio test accepts a
-    tiny Harris-style window of near-tied rows and evicts on the largest pivot
-    element, which keeps the basis well conditioned; when artificial_start is
-    given, artificial columns win those ties so phase 1 sheds them quickly.
+    Pricing is steepest-edge (most negative reduced cost per unit edge length;
+    the tableau caches the edge norms and refreshes those of the columns each
+    pivot touches).  The ratio test accepts a tiny Harris-style window of
+    near-tied rows and evicts on the largest pivot element, which keeps the
+    basis well conditioned; when artificial_start is given, artificial columns
+    win those ties so phase 1 sheds them quickly.
     The reduced-cost row is carried through the pivots and refreshed
     periodically, and the tableau itself is refactorized from the original
     data at intervals; unboundedness is certified only on a fresh tableau.
@@ -289,8 +333,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
             negative = np.nonzero(reduced < -tol)[0]
             entering = int(negative[0]) if negative.size else -1
         else:
-            norms = np.einsum("ij,ij->j", tab.T[:, :ncols], tab.T[:, :ncols])
-            score = np.where(reduced < -tol, reduced / np.sqrt(1.0 + norms), 0.0)
+            score = np.where(reduced < -tol, reduced / np.sqrt(1.0 + tab.norms), 0.0)
             entering = int(np.argmin(score))
             if score[entering] >= 0.0:
                 entering = -1
@@ -444,11 +487,7 @@ def _drive_out_artificials(tab: _Tableau, n_struct: int, tol: float) -> None:
         else:
             drop.append(row)
     if drop:
-        keep = np.setdiff1d(np.arange(tab.T.shape[0]), drop)
-        tab.T = tab.T[keep]
-        tab.basis = tab.basis[keep]
-        tab.A0 = tab.A0[keep]
-        tab.b0 = tab.b0[keep]
+        tab.keep_rows(np.setdiff1d(np.arange(tab.T.shape[0]), drop))
 
 
 def _finish(problem: LpProblem, std: StandardForm, x_std: np.ndarray,

@@ -8,6 +8,7 @@ from mcm.errors import (
     McmError,
     NotOptimal,
     SingleClass,
+    SolverFailure,
 )
 from mcm.kernels import KernelSpec, gram
 from mcm.model import decision_many, predict_many
@@ -71,6 +72,18 @@ def test_hard_linear_identical_points_infeasible():
     assert lp.solve(problem).status is lp.LpStatus.INFEASIBLE
     with pytest.raises(HardMarginInfeasible):
         formulations.train(X, y, formulations.TrainConfig("hard-linear"))
+
+
+def test_iteration_limit_on_separable_data_is_solver_failure():
+    # phase 1 runs out of iterations before it finds the (existing) feasible
+    # point; that certifies nothing about separability
+    options = lp.SolverOptions(max_iterations=2)
+    problem, _ = formulations.build_hard_linear(SIX_POINTS, SIX_LABELS)
+    solution = lp.solve(problem, options)
+    assert solution.status is lp.LpStatus.INFEASIBLE and solution.limit_exceeded
+    with pytest.raises(SolverFailure, match="iteration limit"):
+        formulations.train(SIX_POINTS, SIX_LABELS,
+                           formulations.TrainConfig("hard-linear"), options)
 
 
 def test_single_class_rejected():

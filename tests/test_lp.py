@@ -184,3 +184,111 @@ def test_lp_text_round_trip():
     a = lp.solve(problem)
     b = lp.solve(reparsed)
     assert b.objective_value == pytest.approx(a.objective_value, abs=1e-6)
+
+
+def _dense_pivot(tab, row, col):
+    """Reference rank-one update over the whole tableau."""
+    T = tab.T
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    rhs = T[:, -1]
+    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+    tab.basis[row] = col
+
+
+def _same_bits(a, b):
+    # adding 0.0 turns -0.0 into +0.0: the dense update may flip the sign of
+    # a zero in a column the sparse update leaves alone, and the solver only
+    # compares, adds and multiplies such zeros, so no pivot can depend on it
+    return (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def _full_norms(tab):
+    return np.einsum("ij,ij->j", tab.T[:, :-1], tab.T[:, :-1])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sparse_pivot_matches_dense_update_bitwise(order):
+    rng = np.random.default_rng(29)
+    m, n = 14, 40
+    S = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.2)
+    S[0] = 0.0
+    S[0, 3] = 2.5  # pivoting on (0, 3) touches column 3 and row 0's slack only
+    b = rng.uniform(0.5, 2.0, m) * (rng.random(m) < 0.5)
+    b[0] = 0.0
+    b[1] = 1.5     # a pivot row whose rhs entry is nonzero
+    S[1, 7] = -0.75
+    A = np.hstack([S, np.eye(m)])
+    tabs = [lp._Tableau(A, b, np.arange(n, n + m), 1e-10) for _ in range(2)]
+    for tab in tabs:
+        tab.T = np.asarray(tab.T, order=order)
+    sparse, dense = tabs
+
+    def step(row, col):
+        cached = sparse.norms
+        sparse.pivot(row, col)
+        _dense_pivot(dense, row, col)
+        assert sparse.norms is cached  # updated in place, not recomputed
+        assert np.array_equal(sparse.basis, dense.basis)
+        assert _same_bits(sparse.T, dense.T)
+        assert sparse.norms.tobytes() == _full_norms(sparse).tobytes()
+        assert sparse.norms[col] == 1.0
+
+    step(0, 3)
+    assert np.count_nonzero(sparse.T[0, :-1]) == 2
+    step(1, 7)
+    assert sparse.T[1, -1] != 0.0
+    for k in range(24):
+        if k == 10:
+            sparse.refactor()
+            dense.refactor()
+            assert _same_bits(sparse.T, dense.T)
+        nonbasic = np.setdiff1d(np.arange(n + m), sparse.basis)
+        col = int(rng.choice(nonbasic))
+        row = int(np.argmax(np.abs(sparse.T[:, col])))
+        if abs(sparse.T[row, col]) < 1e-3:
+            continue
+        step(row, col)
+
+
+def _solve_with_dense_pivots(problem, monkeypatch):
+    def pivot(tab, row, col):
+        _dense_pivot(tab, row, col)
+        tab._norms = None  # no cache: every read recomputes the full einsum
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp._Tableau, "pivot", pivot)
+        return lp.solve(problem)
+
+
+def _two_blobs(rng, m, d, gap):
+    half = m // 2
+    X = np.vstack([rng.normal(size=(half, d)), rng.normal(size=(m - half, d)) + gap])
+    y = np.concatenate([-np.ones(half), np.ones(m - half)])
+    return X, y
+
+
+@pytest.mark.parametrize("variant", ["soft-linear", "kernel"])
+def test_sparse_pivot_solve_matches_dense_solve(variant, monkeypatch):
+    from mcm import formulations
+    from mcm.kernels import KernelSpec, gram
+
+    rng = np.random.default_rng(31)
+    if variant == "soft-linear":
+        X, y = _two_blobs(rng, 120, 5, 1.0)
+        problem, _ = formulations.build_soft_linear(X, y, C=1.0)
+    else:
+        X, y = _two_blobs(rng, 40, 3, 1.5)
+        problem, _ = formulations.build_soft_kernel(
+            gram(KernelSpec("rbf", gamma=0.5), X), y, C=1.0)
+    sparse = lp.solve(problem)
+    dense = _solve_with_dense_pivots(problem, monkeypatch)
+    assert sparse.status is dense.status is lp.LpStatus.OPTIMAL
+    assert sparse.iterations > 100
+    assert sparse.iterations == dense.iterations
+    assert sparse.objective_value == dense.objective_value
+    assert sparse.primal_values.tobytes() == dense.primal_values.tobytes()
