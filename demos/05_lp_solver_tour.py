@@ -1,7 +1,7 @@
 """A tour of the dense two-phase simplex solver the trainers run on.
 
-Problems mix <=, >= and = rows with nonnegative or free variables; the solver
-standardizes, finds a feasible basis with artificial variables, then walks
+Problems mix <=, >= and = rows with nonnegative or free variables, held as
+arrays (objective, A, senses, rhs, free); the solver standardizes, finds a feasible basis with artificial variables, then walks
 vertices under steepest-edge pricing.  It certifies infeasibility (positive
 phase-1 optimum) and unboundedness (an improving ray), and it survives the
 classic degenerate instances that make naive pivoting cycle.
@@ -12,6 +12,8 @@ from mcm.lp import make_problem, write_lp_text
 
 # a garden-variety LP: minimize -x - 2y inside the triangle x + y <= 1
 problem = make_problem([-1.0, -2.0], [([1.0, 1.0], "<=", 1.0)], ["nonneg"] * 2)
+print(f"array form: A = {problem.A.tolist()}, senses = {problem.senses.tolist()}, "
+      f"rhs = {problem.rhs.tolist()}, free = {problem.free.tolist()}")
 solution = solve(problem)
 print(f"triangle: {solution.status.value}, x = {solution.primal_values}, "
       f"objective = {solution.objective_value}")
@@ -28,7 +30,7 @@ free = make_problem([1.0], [([1.0], ">=", -3.0)], ["free"])
 print(f"free variable: x = {solve(free).primal_values[0]:.1f}")
 std = standardize(free)
 print(f"  standardized to {std.problem.n_vars} nonnegative columns, "
-      f"{len(std.problem.constraints)} equality rows")
+      f"{std.problem.n_constraints} equality rows")
 
 # Beale's cycling example: degenerate enough to trap greedy pivoting forever
 beale = make_problem(
@@ -40,6 +42,9 @@ beale = make_problem(
 solution = solve(beale, SolverOptions())
 print(f"\nBeale instance: {solution.status.value} at objective "
       f"{solution.objective_value} after {solution.iterations} pivots")
+# a budget that runs out certifies nothing, so no point comes back
+capped = solve(beale, SolverOptions(max_iterations=1))
+print(f"with a one-pivot budget: {capped.status.value}, x = {capped.primal_values}")
 
 print("\nthe same LP in CPLEX-LP text (what the CLI's --dump-lp writes):")
 print(write_lp_text(problem, names=["x", "y"]))

@@ -33,10 +33,7 @@ from .formulations import (
     McmLpLayout,
     TrainConfig,
     TrainResult,
-    build_hard_linear,
     build_problem,
-    build_soft_kernel,
-    build_soft_linear,
     extract_kernel,
     extract_linear,
     train,
@@ -66,8 +63,7 @@ __all__ = [
     "cross_validate", "fit_minmax", "grid_search", "load_csv", "load_libsvm",
     "make_folds", "minmax_scale", "train_ovr",
     "HARD_LINEAR", "SOFT_KERNEL", "SOFT_LINEAR", "McmLpLayout", "TrainConfig",
-    "TrainResult", "build_hard_linear", "build_problem", "build_soft_kernel",
-    "build_soft_linear", "extract_kernel", "extract_linear", "train",
+    "TrainResult", "build_problem", "extract_kernel", "extract_linear", "train",
     "GramMatrix", "KernelSpec", "cross_gram", "gram", "kernel_eval",
     "LpProblem", "LpSolution", "LpStatus", "SolverOptions", "solve", "standardize",
     "KernelModel", "LinearModel", "OvrModel", "decision", "decision_many",

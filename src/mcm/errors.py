@@ -17,10 +17,6 @@ class DimensionMismatch(McmError):
     """Vectors or matrices with incompatible shapes were combined."""
 
 
-class GramShapeMismatch(McmError):
-    """A Gram matrix does not match the label vector it is paired with."""
-
-
 class ParseError(McmError):
     """A file could not be parsed; the message carries line/field context."""
 

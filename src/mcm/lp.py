@@ -1,14 +1,17 @@
 """Dense two-phase primal simplex solver for small and medium linear programs.
 
-Problems are stated as ``minimize c.x`` over constraints ``a.x {<=,>=,=} rhs``
-with each variable either nonnegative or free.  ``solve`` standardizes the
-problem (free variables split, inequalities slacked), runs phase 1 with
-artificial variables where no slack can seed the basis, then phase 2 on the
-original costs.  Pivoting prices by steepest edge and evicts on the largest
-pivot element among near-tied ratios; Bland's rule takes over whenever the
-objective stalls, so the solver terminates on degenerate (cycling-prone)
-instances.  Each pivot updates only the tableau columns where the pivot row
-is nonzero, and refreshes the cached edge norms of just those columns.
+An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
+``A x {<=,>=,=} rhs`` row by row (one sense per row), with each variable
+either nonnegative or free (a boolean mask).  ``solve`` standardizes the
+problem in one vectorized fill (free variables split, inequalities slacked),
+runs phase 1 with artificial variables where no slack can seed the basis,
+then phase 2 on the original costs.  Pivoting prices by steepest edge and
+evicts on the largest pivot element among near-tied ratios; Bland's rule
+takes over whenever the objective stalls, so the solver terminates on
+degenerate (cycling-prone) instances.  A run that exhausts its iteration
+budget in either phase ends in ``ITERATION_LIMIT`` with no point.  Each
+pivot updates only the tableau columns where the pivot row is nonzero, and
+refreshes the cached edge norms of just those columns.
 Optimal bases are re-solved against the original data, giving exact vertex
 coordinates with true zeros in the degenerate positions.
 """
@@ -36,33 +39,26 @@ class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: np.ndarray
-    relation: str
-    rhs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "rhs", float(self.rhs))
-        if self.relation not in _RELATIONS:
-            raise MalformedProblem(f"unknown relation {self.relation!r}")
+    ITERATION_LIMIT = "iteration_limit"  # budget ran out first; nothing is certified
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective.x subject to the listed constraints and sign bounds."""
+    """minimize objective.x subject to A x (senses) rhs, row by row, with
+    x_j >= 0 unless free[j]."""
 
-    objective: np.ndarray
-    constraints: tuple[Constraint, ...]
-    variable_bounds: tuple[str, ...]
+    objective: np.ndarray  # (n,)
+    A: np.ndarray          # (m, n)
+    senses: np.ndarray     # (m,) of LESS_EQUAL, GREATER_EQUAL, EQUAL
+    rhs: np.ndarray        # (m,)
+    free: np.ndarray       # (n,) bool
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "variable_bounds", tuple(self.variable_bounds))
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "senses", np.asarray(self.senses))
+        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+        object.__setattr__(self, "free", np.asarray(self.free, dtype=bool))
 
     @property
     def n_vars(self) -> int:
@@ -70,32 +66,43 @@ class LpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.rhs.shape[0]
 
     def validate(self) -> None:
-        n = self.n_vars
+        n, m = self.n_vars, self.n_constraints
         if self.objective.ndim != 1 or not np.all(np.isfinite(self.objective)):
             raise MalformedProblem("objective must be a finite 1-d vector")
-        if len(self.variable_bounds) != n:
+        if self.free.shape != (n,):
+            raise MalformedProblem(f"{self.free.size} bounds for {n} variables")
+        if self.A.shape != (m, n) or self.senses.shape != (m,):
             raise MalformedProblem(
-                f"{len(self.variable_bounds)} bounds for {n} variables"
-            )
-        for kind in self.variable_bounds:
-            if kind not in _BOUNDS:
-                raise MalformedProblem(f"unknown variable bound {kind!r}")
-        for i, con in enumerate(self.constraints):
-            if con.coeffs.shape != (n,):
-                raise MalformedProblem(
-                    f"constraint {i} has {con.coeffs.shape[0]} coefficients, expected {n}"
-                )
-            if not np.all(np.isfinite(con.coeffs)) or not np.isfinite(con.rhs):
-                raise MalformedProblem(f"constraint {i} has non-finite entries")
+                f"constraint matrix {self.A.shape} and {self.senses.size} senses "
+                f"for {m} rows of {n} variables")
+        unknown = ~np.isin(self.senses, _RELATIONS)
+        if unknown.any():
+            raise MalformedProblem(f"unknown relation {str(self.senses[unknown][0])!r}")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.rhs))):
+            raise MalformedProblem("constraints have non-finite entries")
 
 
 def make_problem(objective, rows, bounds) -> LpProblem:
-    """Convenience constructor: rows are (coeffs, relation, rhs) triples."""
-    constraints = tuple(Constraint(c, rel, rhs) for c, rel, rhs in rows)
-    return LpProblem(np.asarray(objective, dtype=float), constraints, tuple(bounds))
+    """Convenience constructor: rows are (coeffs, relation, rhs) triples and
+    bounds name NONNEGATIVE or FREE per variable."""
+    objective = np.asarray(objective, dtype=float)
+    coeffs = [np.asarray(c, dtype=float) for c, _, _ in rows]
+    if len({c.shape for c in coeffs}) > 1:
+        raise MalformedProblem("constraint rows differ in length")
+    senses = [rel for _, rel, _ in rows]
+    for rel in senses:
+        if rel not in _RELATIONS:
+            raise MalformedProblem(f"unknown relation {rel!r}")
+    for kind in bounds:
+        if kind not in _BOUNDS:
+            raise MalformedProblem(f"unknown variable bound {kind!r}")
+    A = np.vstack(coeffs) if coeffs else np.zeros((0, objective.shape[0]))
+    return LpProblem(objective, A, np.array(senses, dtype=str),
+                     np.array([rhs for _, _, rhs in rows], dtype=float),
+                     np.array([kind == FREE for kind in bounds], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,10 @@ class LpSolution:
     primal_values: np.ndarray | None
     objective_value: float | None
     iterations: int
-    limit_exceeded: bool = False  # set when the iteration cap fired; status is then uncertified
+
+    @property
+    def limit_exceeded(self) -> bool:
+        return self.status is LpStatus.ITERATION_LIMIT
 
 
 @dataclass
@@ -121,58 +131,40 @@ class StandardForm:
     """Equality-form equivalent with nonnegative variables, plus the recovery map.
 
     Column order: one column per original variable (positive parts), then the
-    negative parts of free variables, then one slack/surplus column per
+    negative parts of the free variables, then one slack/surplus column per
     inequality row.
     """
 
     problem: LpProblem
-    pos_col: np.ndarray  # original var -> column of its positive part
-    neg_col: np.ndarray  # original var -> column of its negative part, -1 if none
-    n_original: int
+    free: np.ndarray  # original free mask; its negative parts follow the originals
 
     def recover(self, x_std: np.ndarray) -> np.ndarray:
-        x = x_std[self.pos_col].copy()
-        has_neg = self.neg_col >= 0
-        x[has_neg] -= x_std[self.neg_col[has_neg]]
+        n = self.free.shape[0]
+        x = x_std[:n].copy()
+        x[self.free] -= x_std[n:n + int(self.free.sum())]
         return x
 
 
 def standardize(problem: LpProblem) -> StandardForm:
     """Rewrite as min c.x, A x = b, x >= 0, recording how to map back."""
     problem.validate()
-    n = problem.n_vars
-    free = np.array([kind == FREE for kind in problem.variable_bounds])
-    ineq_rows = [i for i, con in enumerate(problem.constraints) if con.relation != EQUAL]
-
-    pos_col = np.arange(n)
-    neg_col = np.full(n, -1)
-    neg_col[free] = n + np.arange(int(free.sum()))
+    A0, free = problem.A, problem.free
+    m, n = A0.shape
     n_struct = n + int(free.sum())
-    n_total = n_struct + len(ineq_rows)
+    ineq = np.flatnonzero(problem.senses != EQUAL)
 
-    m = problem.n_constraints
-    A = np.zeros((m, n_total))
-    b = np.empty(m)
-    slack_of_row = {row: n_struct + k for k, row in enumerate(ineq_rows)}
-    for i, con in enumerate(problem.constraints):
-        A[i, pos_col] = con.coeffs
-        A[i, neg_col[free]] = -con.coeffs[free]
-        if con.relation == LESS_EQUAL:
-            A[i, slack_of_row[i]] = 1.0
-        elif con.relation == GREATER_EQUAL:
-            A[i, slack_of_row[i]] = -1.0
-        b[i] = con.rhs
+    A = np.zeros((m, n_struct + ineq.size))
+    A[:, :n] = A0
+    A[:, n:n_struct] = -A0[:, free]
+    A[ineq, n_struct + np.arange(ineq.size)] = np.where(
+        problem.senses[ineq] == LESS_EQUAL, 1.0, -1.0)
 
-    c = np.zeros(n_total)
-    c[pos_col] = problem.objective
-    c[neg_col[free]] = -problem.objective[free]
+    c = np.zeros(A.shape[1])
+    c[:n] = problem.objective
+    c[n:n_struct] = -problem.objective[free]
 
-    std = LpProblem(
-        c,
-        tuple(Constraint(A[i], EQUAL, b[i]) for i in range(m)),
-        (NONNEGATIVE,) * n_total,
-    )
-    return StandardForm(std, pos_col, neg_col, n)
+    std = LpProblem(c, A, np.full(m, EQUAL), problem.rhs, np.zeros(A.shape[1], dtype=bool))
+    return StandardForm(std, free)
 
 
 class _Tableau:
@@ -400,10 +392,7 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     """Solve to a basic optimal solution, or certify infeasibility/unboundedness."""
     options = options or SolverOptions()
     std = standardize(problem)
-    A = np.vstack([con.coeffs for con in std.problem.constraints]) \
-        if std.problem.constraints else np.zeros((0, std.problem.n_vars))
-    b = np.array([con.rhs for con in std.problem.constraints])
-    c = std.problem.objective
+    A, b, c = std.problem.A, std.problem.rhs, std.problem.objective
     m, n = A.shape
 
     limit = options.max_iterations
@@ -414,14 +403,10 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     if m == 0:
         if np.any(c < -options.pivot_tol):
             return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-        x = np.zeros(n)
-        return _finish(problem, std, x, 0)
+        return _finish(problem, std, np.zeros(n), 0)
 
-    flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
-    b = b.copy()
-    b[flip] *= -1.0
+    sign = np.where(b < 0, -1.0, 1.0)  # flip rows to a nonnegative rhs
+    A, b = A * sign[:, None], b * sign
 
     # phase 1: reuse unit columns (slacks) as the starting basis where they
     # exist, add artificial variables only for the remaining rows
@@ -443,7 +428,7 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
         outcome = _run_simplex(tab, phase1_costs, options, budget,
                                artificial_start=n)
     except _Limit:
-        return LpSolution(LpStatus.INFEASIBLE, None, None, budget.used, limit_exceeded=True)
+        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, budget.used)
     assert outcome == "optimal"  # phase 1 is bounded below by 0
 
     infeasibility = float(phase1_costs[tab.basis] @ tab.rhs)
@@ -459,11 +444,7 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     try:
         outcome = _run_simplex(tab2, c, options, budget)
     except _Limit:
-        x = np.zeros(n)
-        x[tab2.basis] = np.maximum(tab2.rhs, 0.0)
-        sol = _finish(problem, std, x, budget.used)
-        sol.limit_exceeded = True
-        return sol
+        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, budget.used)
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, budget.used)
 
@@ -517,11 +498,10 @@ def write_lp_text(problem: LpProblem, names: list[str] | None = None) -> str:
             parts.append(term(coeffs[j], names[j], lead=not parts))
         return " ".join(parts) if parts else f"0.000000000000 {names[0]}"
 
-    rel_text = {LESS_EQUAL: "<=", GREATER_EQUAL: ">=", EQUAL: "="}
     lines = ["Minimize", f" obj: {linear(problem.objective)}", "Subject To"]
-    for i, con in enumerate(problem.constraints):
-        lines.append(f" c{i + 1}: {linear(con.coeffs)} {rel_text[con.relation]} {con.rhs:.12f}")
-    free_names = [names[j] for j, kind in enumerate(problem.variable_bounds) if kind == FREE]
+    for i, (coeffs, sense, rhs) in enumerate(zip(problem.A, problem.senses, problem.rhs)):
+        lines.append(f" c{i + 1}: {linear(coeffs)} {sense} {rhs:.12f}")
+    free_names = [names[j] for j in np.flatnonzero(problem.free)]
     if free_names:
         lines.append("Bounds")
         lines.extend(f" {name} free" for name in free_names)

@@ -57,21 +57,13 @@ def vertex_minimum(problem: lp.LpProblem, feas_tol: float = 1e-7,
     or boxed by explicit rows) and bounded objectives.
     """
     n = problem.n_vars
-    rows = [np.asarray(con.coeffs, dtype=float) for con in problem.constraints]
-    rels = [con.relation for con in problem.constraints]
-    rhs = [con.rhs for con in problem.constraints]
-    for j, kind in enumerate(problem.variable_bounds):
-        if kind == lp.NONNEGATIVE:
-            bound = np.zeros(n)
-            bound[j] = 1.0
-            rows.append(bound)
-            rels.append(lp.GREATER_EQUAL)
-            rhs.append(0.0)
-    G = np.vstack(rows)
-    h = np.asarray(rhs)
-    le = np.array([r == lp.LESS_EQUAL for r in rels])
-    ge = np.array([r == lp.GREATER_EQUAL for r in rels])
-    eq = np.array([r == lp.EQUAL for r in rels])
+    bounded = np.flatnonzero(~problem.free)  # x_j >= 0 rows
+    G = np.vstack([problem.A, np.eye(n)[bounded]])
+    h = np.concatenate([problem.rhs, np.zeros(bounded.size)])
+    rels = np.concatenate([problem.senses, np.full(bounded.size, lp.GREATER_EQUAL)])
+    le = rels == lp.LESS_EQUAL
+    ge = rels == lp.GREATER_EQUAL
+    eq = rels == lp.EQUAL
     c = problem.objective
 
     best_obj = None
@@ -102,6 +94,43 @@ def vertex_minimum(problem: lp.LpProblem, feas_tol: float = 1e-7,
             best_obj = float(objs[i])
             best_x = X[feasible][i]
     return best_obj, best_x
+
+
+def mcm_program(scores: np.ndarray, y: np.ndarray, C: float | None = None):
+    """The MCM training LP written out sample by sample, as the arrays
+    (objective, A, senses, rhs, free).
+
+    scores[i] holds the coefficients of f(x_i) in the weights: x_i for the
+    linear programs, the Gram row of x_i for the kernel one.  Columns are the
+    weights, b, h, then one slack q_i per sample when C is given.  Per
+    sample, the paper's two constraints, bound first:
+
+        h >= y_i f(x_i) [+ q_i]    i.e.  y_i (s_i.w + b) - h [+ q_i] <= 0
+        y_i f(x_i) [+ q_i] >= 1
+    """
+    M, n = scores.shape
+    soft = C is not None
+    n_cols = n + 2 + (M if soft else 0)
+    objective = np.zeros(n_cols)
+    objective[n + 1] = 1.0
+    free = np.zeros(n_cols, dtype=bool)
+    free[:n + 2] = True
+    A, senses, rhs = [], [], []
+    for i in range(M):
+        for bound in (True, False):
+            row = np.zeros(n_cols)
+            for j in range(n):
+                row[j] = y[i] * scores[i, j]
+            row[n] = y[i]
+            if bound:
+                row[n + 1] = -1.0
+            if soft:
+                row[n + 2 + i] = 1.0
+                objective[n + 2 + i] = C
+            A.append(row)
+            senses.append(lp.LESS_EQUAL if bound else lp.GREATER_EQUAL)
+            rhs.append(0.0 if bound else 1.0)
+    return objective, np.array(A), np.array(senses), np.array(rhs), free
 
 
 def _ratio_over_offsets(S: np.ndarray, y: np.ndarray, iters: int = 100):

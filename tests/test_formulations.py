@@ -3,7 +3,7 @@ import pytest
 
 from mcm import formulations, lp
 from mcm.errors import (
-    GramShapeMismatch,
+    DimensionMismatch,
     HardMarginInfeasible,
     McmError,
     NotOptimal,
@@ -24,6 +24,12 @@ SIX_POINTS = np.array([
 ])
 SIX_LABELS = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
 
+HARD = formulations.TrainConfig("hard-linear")
+
+
+def soft(C):
+    return formulations.TrainConfig("soft-linear", C=C)
+
 
 def separable_blobs(rng, m=40, gap=4.0):
     half = m // 2
@@ -34,20 +40,36 @@ def separable_blobs(rng, m=40, gap=4.0):
 
 
 def test_layout_covers_columns():
-    problem, layout = formulations.build_soft_linear(SIX_POINTS, SIX_LABELS, C=1.0)
+    problem, layout = formulations.build_problem(SIX_POINTS, SIX_LABELS, soft(1.0))
     cols = np.concatenate([layout.weight_cols, [layout.b_col, layout.h_col],
                            layout.q_cols])
     assert sorted(cols.tolist()) == list(range(problem.n_vars))
     assert layout.n_columns == problem.n_vars
     # weights, b, h free; slacks nonnegative
-    for j in np.concatenate([layout.weight_cols, [layout.b_col, layout.h_col]]):
-        assert problem.variable_bounds[int(j)] == lp.FREE
-    for j in layout.q_cols:
-        assert problem.variable_bounds[int(j)] == lp.NONNEGATIVE
+    assert problem.free[layout.weight_cols].all()
+    assert problem.free[[layout.b_col, layout.h_col]].all()
+    assert not problem.free[layout.q_cols].any()
+
+
+@pytest.mark.parametrize("config", [
+    HARD, soft(0.3), formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("rbf", gamma=0.5)),
+], ids=lambda config: config.variant)
+def test_build_problem_matches_per_sample_reference(config):
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(9, 3))
+    y = rng.permutation([-1.0] * 4 + [1.0] * 5)
+    scores = X if config.kernel is None else gram(config.kernel, X).entries
+    objective, A, senses, rhs, free = oracles.mcm_program(scores, y, config.C)
+    problem, _ = formulations.build_problem(X, y, config)
+    assert problem.objective.tobytes() == objective.tobytes()
+    assert problem.A.shape == A.shape and problem.A.tobytes() == A.tobytes()
+    assert problem.senses.tolist() == senses.tolist()
+    assert problem.rhs.tobytes() == rhs.tobytes()
+    assert problem.free.tolist() == free.tolist()
 
 
 def test_hard_linear_symmetric_pair():
-    problem, layout = formulations.build_hard_linear(PAIR_X, PAIR_Y)
+    problem, layout = formulations.build_problem(PAIR_X, PAIR_Y, HARD)
     solution = lp.solve(problem)
     assert solution.status is lp.LpStatus.OPTIMAL
     model = formulations.extract_linear(solution, layout,
@@ -58,7 +80,7 @@ def test_hard_linear_symmetric_pair():
 
 
 def test_hard_linear_matches_fractional_oracle():
-    problem, layout = formulations.build_hard_linear(SIX_POINTS, SIX_LABELS)
+    problem, layout = formulations.build_problem(SIX_POINTS, SIX_LABELS, HARD)
     solution = lp.solve(problem)
     assert solution.status is lp.LpStatus.OPTIMAL
     oracle = oracles.min_margin_ratio_2d(SIX_POINTS, SIX_LABELS)
@@ -68,7 +90,7 @@ def test_hard_linear_matches_fractional_oracle():
 def test_hard_linear_identical_points_infeasible():
     X = np.array([[0.0], [0.0]])
     y = np.array([1.0, -1.0])
-    problem, _ = formulations.build_hard_linear(X, y)
+    problem, _ = formulations.build_problem(X, y, HARD)
     assert lp.solve(problem).status is lp.LpStatus.INFEASIBLE
     with pytest.raises(HardMarginInfeasible):
         formulations.train(X, y, formulations.TrainConfig("hard-linear"))
@@ -78,26 +100,28 @@ def test_iteration_limit_on_separable_data_is_solver_failure():
     # phase 1 runs out of iterations before it finds the (existing) feasible
     # point; that certifies nothing about separability
     options = lp.SolverOptions(max_iterations=2)
-    problem, _ = formulations.build_hard_linear(SIX_POINTS, SIX_LABELS)
+    problem, _ = formulations.build_problem(SIX_POINTS, SIX_LABELS, HARD)
     solution = lp.solve(problem, options)
-    assert solution.status is lp.LpStatus.INFEASIBLE and solution.limit_exceeded
-    with pytest.raises(SolverFailure, match="iteration limit"):
+    assert solution.status is lp.LpStatus.ITERATION_LIMIT and solution.limit_exceeded
+    assert solution.primal_values is None
+    with pytest.raises(SolverFailure, match="iteration_limit"):
         formulations.train(SIX_POINTS, SIX_LABELS,
                            formulations.TrainConfig("hard-linear"), options)
 
 
 def test_single_class_rejected():
     with pytest.raises(SingleClass):
-        formulations.build_hard_linear(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]))
+        formulations.build_problem(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), HARD)
     with pytest.raises(SingleClass):
-        formulations.build_soft_kernel(
-            gram(KernelSpec("linear"), np.array([[1.0]])), np.array([1.0]), C=1.0)
+        formulations.build_problem(
+            np.array([[1.0]]), np.array([1.0]),
+            formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("linear")))
 
 
 def test_soft_linear_large_c_recovers_hard_margin():
     hard = formulations.train(SIX_POINTS, SIX_LABELS,
                               formulations.TrainConfig("hard-linear"))
-    problem, layout = formulations.build_soft_linear(SIX_POINTS, SIX_LABELS, C=1e6)
+    problem, layout = formulations.build_problem(SIX_POINTS, SIX_LABELS, soft(1e6))
     solution = lp.solve(problem)
     assert solution.status is lp.LpStatus.OPTIMAL
     slacks = layout.slacks(solution)
@@ -109,7 +133,7 @@ def test_soft_linear_always_feasible():
     X = np.array([[0.0], [0.0]])
     y = np.array([1.0, -1.0])
     for C in (0.01, 1.0, 100.0):
-        problem, layout = formulations.build_soft_linear(X, y, C)
+        problem, layout = formulations.build_problem(X, y, soft(C))
         solution = lp.solve(problem)
         assert solution.status is lp.LpStatus.OPTIMAL
         w = layout.weights(solution)
@@ -128,7 +152,7 @@ def test_soft_linear_slack_lands_on_mislabeled_point():
     flipped[3] = -flipped[3]
     with pytest.raises(HardMarginInfeasible):
         formulations.train(X, flipped, formulations.TrainConfig("hard-linear"))
-    problem, layout = formulations.build_soft_linear(X, flipped, C=1.0)
+    problem, layout = formulations.build_problem(X, flipped, soft(1.0))
     solution = lp.solve(problem)
     assert solution.status is lp.LpStatus.OPTIMAL
     q = layout.slacks(solution)
@@ -137,7 +161,7 @@ def test_soft_linear_slack_lands_on_mislabeled_point():
     # slack also appears in the h constraint); it stays two orders smaller
     assert np.delete(q, 3).max() <= 0.1
     # a larger penalty isolates the slack exactly
-    problem10, layout10 = formulations.build_soft_linear(X, flipped, C=10.0)
+    problem10, layout10 = formulations.build_problem(X, flipped, soft(10.0))
     solution10 = lp.solve(problem10)
     q10 = layout10.slacks(solution10)
     assert q10[3] > 1.0 - 1e-6
@@ -203,7 +227,7 @@ def test_extract_kernel_all_zero_coefficients():
 
 
 def test_extract_requires_optimal():
-    problem, layout = formulations.build_hard_linear(PAIR_X, PAIR_Y)
+    problem, layout = formulations.build_problem(PAIR_X, PAIR_Y, HARD)
     bad = lp.LpSolution(lp.LpStatus.INFEASIBLE, None, None, 0)
     with pytest.raises(NotOptimal):
         formulations.extract_linear(bad, layout, formulations.TrainConfig("hard-linear"))
@@ -213,10 +237,17 @@ def test_extract_requires_optimal():
                 "kernel", C=1.0, kernel=KernelSpec("linear")), PAIR_X)
 
 
-def test_gram_shape_mismatch():
-    K = gram(KernelSpec("linear"), SIX_POINTS)
-    with pytest.raises(GramShapeMismatch):
-        formulations.build_soft_kernel(K, SIX_LABELS[:4], C=1.0)
+@pytest.mark.parametrize("config", [
+    HARD, soft(1.0), formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("linear")),
+], ids=lambda config: config.variant)
+def test_label_count_mismatch(config):
+    # too few labels used to index past the end, too many trained on a prefix
+    X = SIX_POINTS[1:5]
+    for y in (np.array([-1.0, -1.0, 1.0]), np.array([-1.0, -1.0, 1.0, 1.0, 1.0])):
+        with pytest.raises(DimensionMismatch):
+            formulations.build_problem(X, y, config)
+        with pytest.raises(DimensionMismatch):
+            formulations.train(X, y, config)
 
 
 def test_config_validation():
@@ -227,12 +258,12 @@ def test_config_validation():
     with pytest.raises(McmError):
         formulations.TrainConfig("banana")
     with pytest.raises(McmError):
-        formulations.build_soft_linear(PAIR_X, PAIR_Y, C=-2.0)
+        soft(-2.0)
 
 
 def test_bad_labels_rejected():
     with pytest.raises(McmError):
-        formulations.build_hard_linear(PAIR_X, np.array([1.0, 0.0]))
+        formulations.build_problem(PAIR_X, np.array([1.0, 0.0]), HARD)
 
 
 def test_hard_margin_is_tight():
@@ -267,7 +298,7 @@ def test_total_slack_nonincreasing_in_c():
     noisy[[1, 12]] = -noisy[[1, 12]]
     totals = []
     for C in (0.01, 0.1, 1.0, 10.0, 100.0):
-        problem, layout = formulations.build_soft_linear(X, noisy, C)
+        problem, layout = formulations.build_problem(X, noisy, soft(C))
         solution = lp.solve(problem)
         assert solution.status is lp.LpStatus.OPTIMAL
         totals.append(float(layout.slacks(solution).sum()))
@@ -288,7 +319,7 @@ def test_charnes_cooper_equivalence_small_random():
         if np.abs(margins).min() < 0.3 or len(set(np.sign(margins))) < 2:
             continue
         y = np.sign(margins)
-        problem, _ = formulations.build_hard_linear(X, y)
+        problem, _ = formulations.build_problem(X, y, HARD)
         solution = lp.solve(problem)
         assert solution.status is lp.LpStatus.OPTIMAL
         oracle = oracles.min_margin_ratio_2d(X, y, n_directions=4096)

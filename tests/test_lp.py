@@ -33,6 +33,11 @@ def test_dimension_mismatch_rejected():
         lp.solve(problem)
     with pytest.raises(MalformedProblem):
         lp.make_problem([1.0], [([1.0], "!!", 1.0)], ["nonneg"])
+    with pytest.raises(MalformedProblem):
+        lp.make_problem([1.0], [([1.0], "<=", 1.0)], ["positive"])
+    with pytest.raises(MalformedProblem):
+        lp.make_problem([1.0, 2.0], [([1.0, 1.0], "<=", 1.0), ([1.0], "<=", 1.0)],
+                        ["nonneg"] * 2)
 
 
 def test_random_lp_matches_vertex_enumeration():
@@ -56,14 +61,14 @@ def test_optimal_solutions_are_feasible():
         assert sol.status is lp.LpStatus.OPTIMAL
         x = sol.primal_values
         assert np.all(x >= -1e-8)
-        for con in problem.constraints:
-            value = float(con.coeffs @ x)
-            if con.relation == "<=":
-                assert value <= con.rhs + 1e-8
-            elif con.relation == ">=":
-                assert value >= con.rhs - 1e-8
+        for coeffs, relation, rhs in zip(problem.A, problem.senses, problem.rhs):
+            value = float(coeffs @ x)
+            if relation == "<=":
+                assert value <= rhs + 1e-8
+            elif relation == ">=":
+                assert value >= rhs - 1e-8
             else:
-                assert value == pytest.approx(con.rhs, abs=1e-8)
+                assert value == pytest.approx(rhs, abs=1e-8)
 
 
 def test_weak_duality_spot_check():
@@ -134,7 +139,33 @@ def test_iteration_limit_flag():
     rng = np.random.default_rng(19)
     problem, _ = oracles.random_feasible_bounded_lp(rng, n_vars=6, n_ineq=8)
     sol = lp.solve(problem, lp.SolverOptions(max_iterations=1))
-    assert sol.limit_exceeded
+    assert sol.status is lp.LpStatus.ITERATION_LIMIT and sol.limit_exceeded
+    assert sol.primal_values is None and sol.objective_value is None
+
+
+def test_iteration_limit_in_phase_2_is_not_optimal(monkeypatch):
+    # phase 1 finishes within the budget and phase 2 runs out: the point
+    # reached so far is feasible but not optimal, so none is returned
+    from mcm import formulations
+
+    rng = np.random.default_rng(37)
+    X, y = _two_blobs(rng, 40, 1, 1.0)  # 43 phase-1 and 11 phase-2 pivots
+    problem, _ = formulations.build_problem(
+        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    full = lp.solve(problem)
+    assert full.status is lp.LpStatus.OPTIMAL and full.iterations > 48
+    phases = []
+    run = lp._run_simplex
+
+    def spy(*args, **kwargs):
+        phases.append(kwargs.get("artificial_start"))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_run_simplex", spy)
+    sol = lp.solve(problem, lp.SolverOptions(max_iterations=48))
+    assert len(phases) == 2 and phases[1] is None  # phase 2 was entered
+    assert sol.status is lp.LpStatus.ITERATION_LIMIT and sol.limit_exceeded
+    assert sol.primal_values is None and sol.objective_value is None
 
 
 def test_standardize_free_split_round_trip():
@@ -142,8 +173,8 @@ def test_standardize_free_split_round_trip():
     std = lp.standardize(problem)
     # one positive part, one negative part, one surplus column
     assert std.problem.n_vars == 3
-    assert all(kind == lp.NONNEGATIVE for kind in std.problem.variable_bounds)
-    assert all(con.relation == lp.EQUAL for con in std.problem.constraints)
+    assert not std.problem.free.any()
+    assert np.all(std.problem.senses == lp.EQUAL)
     x_std = np.array([0.0, 3.0, 0.0])  # x = 0 - 3 = -3, surplus 0
     assert std.recover(x_std) == pytest.approx([-3.0])
     sol = lp.solve(problem)
@@ -157,8 +188,7 @@ def test_standardize_idempotent_on_standard_form():
     std = lp.standardize(problem)
     assert std.problem.n_vars == 2
     assert np.array_equal(std.problem.objective, problem.objective)
-    assert np.array_equal(std.problem.constraints[0].coeffs,
-                          problem.constraints[0].coeffs)
+    assert np.array_equal(std.problem.A, problem.A)
 
 
 def test_standardize_preserves_training_lp_optimum():
@@ -166,7 +196,7 @@ def test_standardize_preserves_training_lp_optimum():
 
     X = np.array([[0.0, 0.0], [1.0, 0.2], [3.0, 1.0], [4.0, 0.6]])
     y = np.array([-1, -1, 1, 1])
-    problem, _ = formulations.build_hard_linear(X, y)
+    problem, _ = formulations.build_problem(X, y, formulations.TrainConfig("hard-linear"))
     original = lp.solve(problem)
     std = lp.standardize(problem)
     standardized = lp.solve(std.problem)
@@ -275,16 +305,16 @@ def _two_blobs(rng, m, d, gap):
 @pytest.mark.parametrize("variant", ["soft-linear", "kernel"])
 def test_sparse_pivot_solve_matches_dense_solve(variant, monkeypatch):
     from mcm import formulations
-    from mcm.kernels import KernelSpec, gram
+    from mcm.kernels import KernelSpec
 
     rng = np.random.default_rng(31)
     if variant == "soft-linear":
         X, y = _two_blobs(rng, 120, 5, 1.0)
-        problem, _ = formulations.build_soft_linear(X, y, C=1.0)
+        config = formulations.TrainConfig("soft-linear", C=1.0)
     else:
         X, y = _two_blobs(rng, 40, 3, 1.5)
-        problem, _ = formulations.build_soft_kernel(
-            gram(KernelSpec("rbf", gamma=0.5), X), y, C=1.0)
+        config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5))
+    problem, _ = formulations.build_problem(X, y, config)
     sparse = lp.solve(problem)
     dense = _solve_with_dense_pivots(problem, monkeypatch)
     assert sparse.status is dense.status is lp.LpStatus.OPTIMAL
