@@ -26,6 +26,7 @@ from .model import (
     decision_many,
     load_model,
     negated,
+    ovr_labels,
     predict_many,
     predict_ovr_many,
     save_model,
@@ -250,9 +251,9 @@ def cmd_predict(args) -> int:
     lines = []
     if X.shape[0]:
         if isinstance(model, OvrModel):
-            labels = predict_ovr_many(model, X)
-            scores = np.max(np.vstack(
-                [decision_many(member, X) for member in model.members]), axis=0)
+            stacked = decision_many(model, X)
+            labels = ovr_labels(model, stacked)
+            scores = np.max(stacked, axis=0)
         else:
             values = decision_many(model, X)
             labels = ["1" if v >= 0 else "-1" for v in values]

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .kernels import RBF, KernelSpec
 from .lp import SolverOptions
-from .model import OvrModel, predict_many, predict_ovr_many
+from .model import OvrModel, decision_many, ovr_labels, predict_many
 
 REPORT_VERSION = 1
 
@@ -384,17 +384,16 @@ def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
                                       result.seconds)
             else:
                 ovr, results = train_ovr(X_train, labels_train, config, options)
-                predictions = predict_ovr_many(ovr, X_test)
+                stacked = decision_many(ovr, X_test)
                 accuracy = float(np.mean(
-                    np.asarray(predictions, dtype=object) == labels_test))
+                    np.asarray(ovr_labels(ovr, stacked), dtype=object) == labels_test))
                 caps = []
                 binary_accuracies = []
-                for cls, member in zip(ovr.class_labels, ovr.members):
+                for cls, member, values in zip(ovr.class_labels, ovr.members, stacked):
                     y_tr = np.where(labels_train == cls, 1.0, -1.0)
-                    y_te = np.where(labels_test == cls, 1.0, -1.0)
                     caps.append(capacity_report(member, X_train, y_tr))
                     binary_accuracies.append(
-                        float(np.mean(predict_many(member, X_test) == y_te)))
+                        float(np.mean((values >= 0.0) == (labels_test == cls))))
                 defined = [c.h for c in caps if c.h is not None]
                 outcome = FoldOutcome(
                     fold,

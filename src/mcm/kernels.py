@@ -13,6 +13,9 @@ RBF = "rbf"
 POLY = "poly"
 _KINDS = (LINEAR, RBF, POLY)
 
+# bound on the float64 difference temporary of one rbf cross_gram chunk
+CHUNK_BYTES = 8 * 2**20
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -75,9 +78,21 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
     if kernel.kind == LINEAR:
         return X @ Y.T
     if kernel.kind == RBF:
-        sq = (X[:, None, :] - Y[None, :, :]) ** 2
-        return np.exp(-kernel.gamma * sq.sum(axis=2))
+        # row chunks keep the (rows, |Y|, n) difference temporary within
+        # CHUNK_BYTES; each entry sees the broadcast's operations, same bits
+        dist = np.empty((X.shape[0], Y.shape[0]))
+        step = chunk_rows(Y.shape[0], X.shape[1])
+        for start in range(0, X.shape[0], step):
+            sq = (X[start:start + step, None, :] - Y[None, :, :]) ** 2
+            sq.sum(axis=2, out=dist[start:start + step])
+        dist *= -kernel.gamma
+        return np.exp(dist, out=dist)
     return (X @ Y.T + kernel.coef0) ** kernel.degree
+
+
+def chunk_rows(columns: int, features: int) -> int:
+    """Rows of X per rbf chunk: as many as fit CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // max(1, columns * features * 8))
 
 
 def gram(kernel: KernelSpec, samples) -> GramMatrix:

@@ -83,20 +83,39 @@ class OvrModel:
 
 
 def decision_many(model, X) -> np.ndarray:
-    """Decision values for a batch of rows."""
+    """Decision values for a batch of rows.  For an OvrModel, the (classes,
+    rows) stack of member decisions; members with the same kernel and
+    support vectors share one cross-Gram matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n:
         raise DimensionMismatch(f"{X.shape[1]} features, model expects {model.n}")
+    if not isinstance(model, OvrModel):
+        return _binary_decision(model, X, [])
+    grams: list = []
+    return np.vstack([_binary_decision(member, X, grams) for member in model.members])
+
+
+def _binary_decision(model, X, grams: list) -> np.ndarray:
+    """`grams` holds the (kernel, support vectors, cross-Gram) triples
+    computed so far for this X."""
     if isinstance(model, LinearModel):
         return X @ model.w + model.b
     if isinstance(model, KernelModel):
         if model.sv_count == 0:
             return np.full(X.shape[0], model.b)
-        return cross_gram(model.kernel, X, model.support_vectors) @ model.lam + model.b
+        for kernel, sv, K in grams:
+            if kernel == model.kernel and np.array_equal(sv, model.support_vectors):
+                break
+        else:
+            K = cross_gram(model.kernel, X, model.support_vectors)
+            grams.append((model.kernel, model.support_vectors, K))
+        return K @ model.lam + model.b
     raise McmError(f"no decision function for {type(model).__name__}")
 
 
 def decision(model, x) -> float:
+    if isinstance(model, OvrModel):
+        raise McmError("a one-versus-rest model has one decision per class")
     return float(decision_many(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
@@ -107,14 +126,19 @@ def predict_many(model, X) -> np.ndarray:
 
 
 def predict(model, x) -> int:
+    if isinstance(model, OvrModel):
+        raise McmError("predict_ovr labels a row for a one-versus-rest model")
     return int(predict_many(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def predict_ovr_many(ovr: OvrModel, X) -> list:
     """Argmax over class decisions; ties go to the earliest class label."""
-    stacked = np.vstack([decision_many(member, X) for member in ovr.members])
-    winners = np.argmax(stacked, axis=0)
-    return [ovr.class_labels[k] for k in winners]
+    return ovr_labels(ovr, decision_many(ovr, X))
+
+
+def ovr_labels(ovr: OvrModel, stacked: np.ndarray) -> list:
+    """Class label of each column of a `decision_many(ovr, X)` stack."""
+    return [ovr.class_labels[k] for k in np.argmax(stacked, axis=0)]
 
 
 def predict_ovr(ovr: OvrModel, x):

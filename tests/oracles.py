@@ -280,3 +280,10 @@ def parse_lp_text(text: str) -> lp.LpProblem:
         constraints.append((coeffs, rel, rhs))
     bounds = [lp.FREE if name in free_names else lp.NONNEGATIVE for name in order]
     return lp.make_problem(c, constraints, bounds)
+
+
+def rbf_broadcast(gamma: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The rbf cross-Gram matrix in one broadcast: an |X| x |Y| x n
+    difference temporary, squared and summed over the feature axis."""
+    sq = (X[:, None, :] - Y[None, :, :]) ** 2
+    return np.exp(-gamma * sq.sum(axis=2))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mcm import lp
+from mcm import model as model_mod
 from mcm.cli import main
-from mcm.model import load_model
+from mcm.kernels import cross_gram
+from mcm.model import LinearModel, OvrModel, decision_many, load_model, save_model
 
 import oracles
 
@@ -30,6 +32,17 @@ def blob_csv(tmp_path, name, m=40, gap=5.0, seed=50, flips=0):
         j = (i * 11) % m
         labels[j] = "1" if labels[j] == "-1" else "-1"
     lines = [f"{float(x[0])!r},{float(x[1])!r},{lab}" for x, lab in zip(X, labels)]
+    return write(tmp_path, name, "\n".join(lines) + "\n")
+
+
+def three_class_csv(tmp_path, name):
+    rng = np.random.default_rng(53)
+    centers = [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)]
+    lines = []
+    for label, (cx, cy) in zip("ABC", centers):
+        for _ in range(6):
+            lines.append(f"{float(rng.normal() * 0.5 + cx)!r},"
+                         f"{float(rng.normal() * 0.5 + cy)!r},{label}")
     return write(tmp_path, name, "\n".join(lines) + "\n")
 
 
@@ -77,14 +90,7 @@ def test_train_xor_kernel(tmp_path, capsys):
 
 
 def test_train_and_predict_multiclass(tmp_path, capsys):
-    rng = np.random.default_rng(53)
-    centers = [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)]
-    lines = []
-    for name, (cx, cy) in zip("ABC", centers):
-        for _ in range(6):
-            lines.append(f"{float(rng.normal() * 0.5 + cx)!r},"
-                         f"{float(rng.normal() * 0.5 + cy)!r},{name}")
-    data = write(tmp_path, "tri.csv", "\n".join(lines) + "\n")
+    data = three_class_csv(tmp_path, "tri.csv")
     model_path = str(tmp_path / "tri.mcm.json")
     code, out, _ = run(capsys, "train", "--data", data, "--variant", "soft-linear",
                        "--C", "10", "--out", model_path)
@@ -275,3 +281,90 @@ def test_dump_lp_round_trips(tmp_path, capsys):
     solution = lp.solve(reparsed)
     assert solution.status is lp.LpStatus.OPTIMAL
     assert solution.objective_value == pytest.approx(reported, abs=1e-6)
+
+
+def query_csv(tmp_path, rows=50, seed=54):
+    X = np.random.default_rng(seed).normal(scale=4.0, size=(rows, 2))
+    lines = [f"{float(a)!r},{float(b)!r}" for a, b in X]
+    return X, write(tmp_path, "query.csv", "\n".join(lines) + "\n")
+
+
+def per_member_scores(model_path, X) -> str:
+    """`predict --scores` output rebuilt from one decision_many per member."""
+    ovr = load_model(model_path)
+    stacked = np.vstack([decision_many(member, X) for member in ovr.members])
+    return "".join(f"{ovr.class_labels[k]}\t{float(stacked[k, i])!r}\n"
+                   for i, k in enumerate(np.argmax(stacked, axis=0)))
+
+
+def predict_counting_cross_gram(capsys, monkeypatch, model_path, query):
+    calls = []
+
+    def counting(kernel, X, Y):
+        calls.append(Y.shape[0])
+        return cross_gram(kernel, X, Y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_mod, "cross_gram", counting)
+        code, out, _ = run(capsys, "predict", "--model", model_path, "--data", query,
+                           "--scores")
+    assert code == 0
+    return out, calls
+
+
+def distinct_support_sets(model) -> int:
+    seen = []
+    for member in model.members:
+        if not any(kernel == member.kernel and np.array_equal(sv, member.support_vectors)
+                   for kernel, sv in seen):
+            seen.append((member.kernel, member.support_vectors))
+    return len(seen)
+
+
+def test_predict_scores_two_class_kernel_one_cross_gram(tmp_path, capsys, monkeypatch):
+    data = blob_csv(tmp_path, "blobs.csv", m=30, gap=2.0)
+    model_path = str(tmp_path / "rbf.mcm.json")
+    code, _, _ = run(capsys, "train", "--data", data, "--variant", "kernel",
+                     "--kernel", "rbf", "--gamma", "0.5", "--C", "1", "--out", model_path)
+    assert code == 0
+    X, query = query_csv(tmp_path)
+    expected = per_member_scores(model_path, X)
+    out, calls = predict_counting_cross_gram(capsys, monkeypatch, model_path, query)
+    assert len(calls) == 1
+    assert out == expected
+
+
+def test_predict_scores_three_class_kernel(tmp_path, capsys, monkeypatch):
+    data = three_class_csv(tmp_path, "tri.csv")
+    model_path = str(tmp_path / "tri.mcm.json")
+    code, _, _ = run(capsys, "train", "--data", data, "--variant", "kernel",
+                     "--kernel", "rbf", "--gamma", "0.5", "--C", "1", "--out", model_path)
+    assert code == 0
+    X, query = query_csv(tmp_path)
+    expected = per_member_scores(model_path, X)
+    out, calls = predict_counting_cross_gram(capsys, monkeypatch, model_path, query)
+    assert len(calls) == distinct_support_sets(load_model(model_path))
+    assert out == expected
+
+
+def test_predict_scores_linear_ovr_unchanged(tmp_path, capsys, monkeypatch):
+    data = three_class_csv(tmp_path, "tri.csv")
+    model_path = str(tmp_path / "tri.mcm.json")
+    code, _, _ = run(capsys, "train", "--data", data, "--variant", "soft-linear",
+                     "--C", "10", "--out", model_path)
+    assert code == 0
+    X, query = query_csv(tmp_path)
+    expected = per_member_scores(model_path, X)
+    out, calls = predict_counting_cross_gram(capsys, monkeypatch, model_path, query)
+    assert calls == []
+    assert out == expected
+
+
+def test_predict_exact_tie_picks_first_class(tmp_path, capsys):
+    member = LinearModel(np.array([1.0, -2.0]), 0.5, 1.0)
+    model_path = str(tmp_path / "tie.mcm.json")
+    save_model(OvrModel(("first", "second"), (member, member)), model_path)
+    _, query = query_csv(tmp_path, rows=5)
+    code, out, _ = run(capsys, "predict", "--model", model_path, "--data", query)
+    assert code == 0
+    assert out.splitlines() == ["first"] * 5

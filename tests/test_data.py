@@ -12,7 +12,7 @@ from mcm.errors import (
     TooFewSamples,
     UnknownLabel,
 )
-from mcm.model import predict_many
+from mcm.model import predict_many, predict_ovr_many
 
 
 def write(tmp_path, name, text):
@@ -362,3 +362,26 @@ def test_train_ovr_shares_variant_and_dimensions():
     assert ovr.class_labels == ("a", "b", "c")
     assert len(results) == 3
     assert all(member.n == 2 for member in ovr.members)
+
+
+def test_cross_validate_multiclass_matches_per_member_protocol():
+    # overlapping blobs, so neither accuracy is trivially 1
+    rng = np.random.default_rng(36)
+    centers = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])
+    X = np.vstack([rng.normal(size=(12, 2)) + c for c in centers])
+    labels = ["a"] * 12 + ["b"] * 12 + ["c"] * 12
+    ds = data_mod.Dataset(X, labels)
+    plan = data_mod.make_folds(labels, k=3, seed=3)
+    config = formulations.TrainConfig("soft-linear", C=1.0)
+    report = data_mod.cross_validate(ds, config, plan)
+    labels_arr = np.asarray(labels, dtype=object)
+    for fold in range(3):
+        te = plan.assignments == fold
+        ovr, _ = data_mod.train_ovr(X[~te], labels_arr[~te], config)
+        predictions = np.asarray(predict_ovr_many(ovr, X[te]), dtype=object)
+        assert report.folds[fold].accuracy == float(np.mean(predictions == labels_arr[te]))
+        binary = [float(np.mean(predict_many(member, X[te])
+                                == np.where(labels_arr[te] == cls, 1.0, -1.0)))
+                  for cls, member in zip(ovr.class_labels, ovr.members)]
+        assert report.folds[fold].mean_binary_accuracy == float(np.mean(binary))
+    assert report.to_json_dict()["accuracy_mean"] < 1.0

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mcm import kernels
 from mcm.errors import DimensionMismatch, McmError
 from mcm.kernels import RBF, KernelSpec, cross_gram, gram, kernel_eval
+
+import oracles
 
 
 def test_rbf_self_evaluation_is_one():
@@ -104,3 +109,73 @@ def test_cross_gram_rectangular():
                                     abs=1e-14)
     with pytest.raises(DimensionMismatch):
         cross_gram(KernelSpec("linear"), X, rng.normal(size=(3, 5)))
+
+
+SMALL_CHUNK = 4096  # bytes; a few rows per chunk at the widths below
+
+
+@pytest.mark.parametrize("n", [3, 12])  # 12 features: pairwise summation
+@pytest.mark.parametrize("rows", ["one", "chunk", "chunk+1", "several", "empty", "wide"])
+def test_chunked_rbf_matches_broadcast_bits(rows, n, monkeypatch):
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", SMALL_CHUNK)
+    rng = np.random.default_rng(11)
+    if rows == "wide":  # one row of the difference temporary overflows a chunk
+        Y = rng.normal(size=(SMALL_CHUNK // (8 * n) + 1, n))
+        assert kernels.chunk_rows(Y.shape[0], n) == 1
+        m = 5
+    else:
+        Y = rng.normal(size=(7, n))
+        step = kernels.chunk_rows(Y.shape[0], n)
+        assert 1 < step < 30
+        m = {"one": 1, "chunk": step, "chunk+1": step + 1, "several": 3 * step + 2,
+             "empty": 0}[rows]
+    X = rng.normal(size=(m, n))
+    K = cross_gram(KernelSpec(RBF, gamma=0.7), X, Y)
+    assert K.shape == (m, Y.shape[0])
+    assert K.tobytes() == oracles.rbf_broadcast(0.7, X, Y).tobytes()
+
+
+def test_rbf_at_module_chunk_size_matches_broadcast_bits():
+    rng = np.random.default_rng(13)
+    Y = rng.normal(size=(200, 3))
+    X = rng.normal(size=(kernels.chunk_rows(200, 3) + 1, 3))  # two real chunks
+    K = cross_gram(KernelSpec(RBF, gamma=0.5), X, Y)
+    assert K.tobytes() == oracles.rbf_broadcast(0.5, X, Y).tobytes()
+
+
+def test_chunked_gram_symmetric_with_unit_diagonal(monkeypatch):
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", SMALL_CHUNK)
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(60, 12))
+    assert kernels.chunk_rows(60, 12) < 60
+    K = gram(KernelSpec(RBF, gamma=0.2), X).entries
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == 1.0)
+    full = oracles.rbf_broadcast(0.2, X, X)
+    assert np.triu(K, 1).tobytes() == np.triu(full, 1).tobytes()
+
+
+def test_chunk_bound_from_shapes():
+    # 10^4 query rows against 10^3 support vectors in 100 features would
+    # need an 8 GB one-shot temporary; each chunk's stays within the bound
+    columns, features = 1000, 100
+    step = kernels.chunk_rows(columns, features)
+    per_row = columns * features * 8
+    assert step * per_row <= kernels.CHUNK_BYTES < (step + 1) * per_row
+    assert -(-10_000 // step) * step >= 10_000
+    assert kernels.chunk_rows(10**6, 100) == 1  # a row wider than the bound
+    assert kernels.chunk_rows(0, 5) >= 1 and kernels.chunk_rows(5, 0) >= 1  # no zero step
+
+
+def test_chunked_rbf_peak_memory(monkeypatch):
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 64 * 1024)
+    rng = np.random.default_rng(15)
+    X, Y = rng.normal(size=(2000, 10)), rng.normal(size=(100, 10))
+    out_bytes = 2000 * 100 * 8  # the broadcast temporary would be 10 times this
+    tracemalloc.start()
+    try:
+        cross_gram(KernelSpec(RBF, gamma=0.5), X, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + 4 * kernels.CHUNK_BYTES

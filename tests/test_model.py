@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from mcm.errors import DimensionMismatch, ParseError, VersionMismatch
-from mcm.kernels import KernelSpec
+from mcm import model as model_mod
+from mcm.errors import DimensionMismatch, McmError, ParseError, VersionMismatch
+from mcm.kernels import KernelSpec, cross_gram
 from mcm.model import (
     KernelModel,
     LinearModel,
@@ -152,3 +153,74 @@ def test_negated_flips_decisions():
     model = kernel_model(rng.normal(size=3), rng.normal(size=(3, 2)), b=0.7)
     X = rng.normal(size=(10, 2))
     assert np.array_equal(decision_many(negated(model), X), -decision_many(model, X))
+
+
+def count_cross_gram(monkeypatch) -> list:
+    """Replaces mcm.model.cross_gram with a counting pass-through; the
+    returned list gets one entry per call."""
+    calls = []
+
+    def counting(kernel, X, Y):
+        calls.append(Y.shape[0])
+        return cross_gram(kernel, X, Y)
+
+    monkeypatch.setattr(model_mod, "cross_gram", counting)
+    return calls
+
+
+def test_ovr_decision_is_stack_of_member_decisions():
+    rng = np.random.default_rng(9)
+    members = tuple(LinearModel(rng.normal(size=3), rng.normal(), 1.0) for _ in range(3))
+    ovr = OvrModel(("x", "y", "z"), members)
+    X = rng.normal(size=(25, 3))
+    reference = np.vstack([decision_many(member, X) for member in members])
+    assert decision_many(ovr, X).tobytes() == reference.tobytes()
+    assert predict_ovr_many(ovr, X) == [ovr.class_labels[k]
+                                         for k in np.argmax(reference, axis=0)]
+
+
+def test_kernel_ovr_shares_cross_gram_per_support_set(monkeypatch):
+    rng = np.random.default_rng(10)
+    sv, other = rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
+    members = (kernel_model(rng.normal(size=5), sv, b=0.1, gamma=0.6),
+               kernel_model(rng.normal(size=5), sv.copy(), b=-0.2, gamma=0.6),
+               kernel_model(rng.normal(size=4), other, b=0.3, gamma=0.6),
+               kernel_model(rng.normal(size=5), sv, b=0.0, gamma=0.9),
+               kernel_model([], np.zeros((0, 2)), b=-0.5))
+    ovr = OvrModel(tuple("abcde"), members)
+    X = rng.normal(size=(30, 2))
+    reference = np.vstack([decision_many(member, X) for member in members])
+    calls = count_cross_gram(monkeypatch)
+    stacked = decision_many(ovr, X)
+    assert calls == [5, 4, 5]  # (rbf 0.6, sv), (rbf 0.6, other), (rbf 0.9, sv)
+    assert stacked.tobytes() == reference.tobytes()
+
+
+def test_two_class_kernel_ovr_one_cross_gram(monkeypatch):
+    rng = np.random.default_rng(11)
+    base = kernel_model(rng.normal(size=6), rng.normal(size=(6, 2)), b=0.2)
+    ovr = OvrModel(("pos", "neg"), (base, negated(base)))
+    clone = model_from_json(model_to_json(ovr))  # equal, not identical, arrays
+    X = rng.normal(size=(40, 2))
+    reference = np.vstack([decision_many(base, X), decision_many(negated(base), X)])
+    calls = count_cross_gram(monkeypatch)
+    labels = predict_ovr_many(clone, X)
+    assert len(calls) == 1
+    assert labels == ["pos" if v >= 0 else "neg" for v in reference[0]]
+    assert decision_many(clone, X).tobytes() == reference.tobytes()
+
+
+def test_kernel_ovr_exact_tie_picks_first_class():
+    rng = np.random.default_rng(12)
+    member = kernel_model(rng.normal(size=3), rng.normal(size=(3, 2)), b=0.4)
+    ovr = OvrModel(("first", "second", "third"), (member, member, member))
+    assert predict_ovr_many(ovr, rng.normal(size=(8, 2))) == ["first"] * 8
+
+
+def test_scalar_decision_and_predict_reject_ovr():
+    base = linear_model()
+    ovr = OvrModel(("pos", "neg"), (base, negated(base)))
+    with pytest.raises(McmError):
+        decision(ovr, [1.0])
+    with pytest.raises(McmError):
+        predict(ovr, [1.0])
