@@ -118,21 +118,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> formulations.TrainConfig:
     variant = args.variant
-    if args.gamma is not None and args.kernel != RBF:
+    kind = args.kernel or RBF  # the kernel variant's default
+    if args.gamma is not None and kind != RBF:
         raise CliUsage("--gamma requires --kernel rbf")
     if variant == formulations.HARD_LINEAR:
         if args.C is not None:
             raise CliUsage("hard-linear takes no --C")
-        if args.kernel is not None:
-            raise CliUsage("hard-linear takes no --kernel")
+        if args.kernel is not None or args.gamma is not None:
+            raise CliUsage("hard-linear takes no --kernel or --gamma")
         return formulations.TrainConfig(variant)
     if args.C is None or args.C <= 0:
         raise CliUsage(f"{variant} requires --C > 0")
     if variant == formulations.SOFT_LINEAR:
-        if args.kernel is not None:
-            raise CliUsage("soft-linear takes no --kernel")
+        if args.kernel is not None or args.gamma is not None:
+            raise CliUsage("soft-linear takes no --kernel or --gamma")
         return formulations.TrainConfig(variant, C=args.C)
-    kind = args.kernel or RBF
     if kind == RBF:
         if args.gamma is None or args.gamma <= 0:
             raise CliUsage("rbf kernel requires --gamma > 0")
@@ -350,6 +350,8 @@ def _inspect_lines(model, train_size: int | None) -> list[str]:
 
 
 def cmd_inspect(args) -> int:
+    if args.train_size is not None and args.train_size < 1:
+        raise CliUsage("--train-size must be at least 1")
     model = load_model(args.model)
     for line in _inspect_lines(model, args.train_size):
         print(line)

@@ -9,8 +9,10 @@ then phase 2 on the original costs.  Pivoting prices by steepest edge and
 evicts on the largest pivot element among near-tied ratios; Bland's rule
 takes over whenever the objective stalls, so the solver terminates on
 degenerate (cycling-prone) instances.  A run that exhausts its iteration
-budget in either phase ends in ``ITERATION_LIMIT`` with no point.  Each
-pivot updates only the tableau columns where the pivot row is nonzero, and
+budget in either phase ends in ``ITERATION_LIMIT`` with no point;
+``LpSolution.phase_iterations`` splits the pivot count by phase.  Each pivot
+updates only the tableau columns where the pivot row is nonzero, in the
+tableau's own memory order (C in phase 1, Fortran in phase 2), and
 refreshes the cached edge norms of just those columns.
 Optimal bases are re-solved against the original data, giving exact vertex
 coordinates with true zeros in the degenerate positions.
@@ -119,7 +121,11 @@ class LpSolution:
     status: LpStatus
     primal_values: np.ndarray | None
     objective_value: float | None
-    iterations: int
+    phase_iterations: tuple[int, int]  # pivots in phase 1, then in phase 2
+
+    @property
+    def iterations(self) -> int:
+        return sum(self.phase_iterations)
 
     @property
     def limit_exceeded(self) -> bool:
@@ -203,19 +209,25 @@ class _Tableau:
 
         A column whose pivot-row entry is zero keeps its values, so only the
         other columns are gathered, updated as ``T[i, j] - f_i * p_j`` and
-        scattered back.  The gather keeps T's memory order (phase 2 starts
-        from a column selection, which numpy returns Fortran-ordered), so
-        einsum sums each touched column in the same order as over the whole
-        tableau and the refreshed norms are bit-identical to a full
-        recomputation.
+        scattered back, all in T's memory order.  Phase 2 starts from a column
+        selection, which numpy returns Fortran-ordered; there the block is
+        gathered as rows of ``T.T`` and the outer product is built transposed
+        to match, since a C-ordered product subtracted from a Fortran-ordered
+        block costs more than the update itself.  einsum then sums each
+        touched column in the same order as over the whole tableau, so the
+        refreshed norms are bit-identical to a full recomputation.
         """
         T = self.T
         T[row] /= T[row, col]
         cols = np.flatnonzero(T[row])
         factors = T[:, col].copy()
         factors[row] = 0.0
-        block = T[:, cols] if T.flags.f_contiguous else T.take(cols, axis=1)
-        block -= np.multiply.outer(factors, block[row])
+        if T.flags.f_contiguous:
+            block = T.T.take(cols, axis=0).T
+            block -= np.multiply.outer(block[row], factors).T
+        else:
+            block = T.take(cols, axis=1)
+            block -= np.multiply.outer(factors, block[row])
         entering = np.searchsorted(cols, col)
         block[:, entering] = 0.0
         block[row, entering] = 1.0
@@ -268,9 +280,9 @@ class _Budget:
         self.used = 0
 
     def tick(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
+        if self.used >= self.limit:
             raise _Limit
+        self.used += 1
 
 
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
@@ -402,8 +414,8 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
 
     if m == 0:
         if np.any(c < -options.pivot_tol):
-            return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-        return _finish(problem, std, np.zeros(n), 0)
+            return LpSolution(LpStatus.UNBOUNDED, None, None, (0, 0))
+        return _finish(problem, std, np.zeros(n), (0, 0))
 
     sign = np.where(b < 0, -1.0, 1.0)  # flip rows to a nonnegative rhs
     A, b = A * sign[:, None], b * sign
@@ -428,12 +440,13 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
         outcome = _run_simplex(tab, phase1_costs, options, budget,
                                artificial_start=n)
     except _Limit:
-        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, budget.used)
+        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, (budget.used, 0))
     assert outcome == "optimal"  # phase 1 is bounded below by 0
+    phase1 = budget.used
 
     infeasibility = float(phase1_costs[tab.basis] @ tab.rhs)
     if infeasibility > options.feas_tol * (1.0 + float(np.abs(b).max(initial=0.0))):
-        return LpSolution(LpStatus.INFEASIBLE, None, None, budget.used)
+        return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
 
     _drive_out_artificials(tab, n, options.pivot_tol)
 
@@ -444,13 +457,14 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     try:
         outcome = _run_simplex(tab2, c, options, budget)
     except _Limit:
-        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, budget.used)
+        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, (phase1, budget.used - phase1))
+    phases = (phase1, budget.used - phase1)
     if outcome == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, budget.used)
+        return LpSolution(LpStatus.UNBOUNDED, None, None, phases)
 
     x = np.zeros(n)
     x[tab2.basis] = tab2.basic_values()  # exact vertex off the original data
-    return _finish(problem, std, x, budget.used)
+    return _finish(problem, std, x, phases)
 
 
 def _drive_out_artificials(tab: _Tableau, n_struct: int, tol: float) -> None:
@@ -472,10 +486,10 @@ def _drive_out_artificials(tab: _Tableau, n_struct: int, tol: float) -> None:
 
 
 def _finish(problem: LpProblem, std: StandardForm, x_std: np.ndarray,
-            iterations: int) -> LpSolution:
+            phases: tuple[int, int]) -> LpSolution:
     x = std.recover(x_std)
     objective = float(problem.objective @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, iterations)
+    return LpSolution(LpStatus.OPTIMAL, x, objective, phases)
 
 
 def write_lp_text(problem: LpProblem, names: list[str] | None = None) -> str:

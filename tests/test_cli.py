@@ -127,6 +127,52 @@ def test_train_flag_validation(tmp_path, capsys):
     assert code == 1
 
 
+def test_gamma_with_default_kernel_is_rbf(tmp_path, capsys):
+    # the kernel variant defaults to rbf, so --gamma alone must select it
+    data = write(tmp_path, "xor.csv", XOR_CSV)
+    paths = []
+    for kernel_flags in ([], ["--kernel", "rbf"]):
+        path = tmp_path / f"xor{len(paths)}.mcm.json"
+        code, _, err = run(capsys, "train", "--data", data, "--variant", "kernel",
+                           *kernel_flags, "--gamma", "0.5", "--C", "1", "--out", str(path))
+        assert code == 0, err
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    reports = []
+    for kernel_flags in ([], ["--kernel", "rbf"]):
+        code, out, err = run(capsys, "cv", "--data", data, "--variant", "kernel",
+                             *kernel_flags, "--gamma", "0.5", "--C", "1", "--folds", "2",
+                             "--json")
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variant", "kernel", "--kernel", "linear", "--C", "1"],
+    ["--variant", "kernel", "--kernel", "poly", "--C", "1"],
+    ["--variant", "soft-linear", "--C", "1"],
+    ["--variant", "hard-linear"],
+], ids=["kernel-linear", "kernel-poly", "soft-linear", "hard-linear"])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_gamma_rejected_without_rbf(tmp_path, capsys, command, flags):
+    data = write(tmp_path, "xor.csv", XOR_CSV)
+    extra = ["--out", str(tmp_path / "m.json")] if command == "train" else ["--folds", "2"]
+    code, out, err = run(capsys, command, "--data", data, *flags, "--gamma", "0.5", *extra)
+    assert code == 1 and "--gamma" in err and out == ""
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-4"])
+def test_inspect_rejects_train_size_below_one(tmp_path, capsys, size):
+    xor = write(tmp_path, "xor.csv", XOR_CSV)
+    model_path = str(tmp_path / "xor.mcm.json")
+    run(capsys, "train", "--data", xor, "--variant", "kernel", "--kernel", "rbf",
+        "--gamma", "1", "--C", "1e4", "--out", model_path)
+    code, out, err = run(capsys, "inspect", "--model", model_path, "--train-size", size)
+    assert code == 1 and "--train-size" in err and out == ""
+
+
 def test_predict_round_trip(tmp_path, capsys):
     data = write(tmp_path, "pair.csv", TRIVIAL_CSV)
     out_path = str(tmp_path / "pair.mcm.json")
@@ -258,7 +304,8 @@ def test_inspect_kernel_model(tmp_path, capsys):
     code, out, _ = run(capsys, "inspect", "--model", model_path, "--train-size", "4")
     assert code == 0
     assert "sv_count:" in out and "expected_error_bound:" in out
-    stored = json.loads(open(model_path).read())
+    with open(model_path, encoding="utf-8") as fh:
+        stored = json.load(fh)
     sv = len(stored["members"][0]["lambda"])
     assert f"sv_count: {sv}" in out
 

@@ -220,7 +220,7 @@ def test_extract_kernel_all_zero_coefficients():
     values[layout.b_col] = 5.0
     values[layout.h_col] = 6.0
     values[layout.q_cols] = [0.0, 6.0]
-    fake = lp.LpSolution(lp.LpStatus.OPTIMAL, values, 0.0, 0)
+    fake = lp.LpSolution(lp.LpStatus.OPTIMAL, values, 0.0, (0, 0))
     model = formulations.extract_kernel(fake, layout, config, X)
     assert model.sv_count == 0
     assert decision_many(model, np.array([[9.0, -3.0], [0.0, 0.0]])) == pytest.approx([5.0, 5.0])
@@ -228,7 +228,7 @@ def test_extract_kernel_all_zero_coefficients():
 
 def test_extract_requires_optimal():
     problem, layout = formulations.build_problem(PAIR_X, PAIR_Y, HARD)
-    bad = lp.LpSolution(lp.LpStatus.INFEASIBLE, None, None, 0)
+    bad = lp.LpSolution(lp.LpStatus.INFEASIBLE, None, None, (0, 0))
     with pytest.raises(NotOptimal):
         formulations.extract_linear(bad, layout, formulations.TrainConfig("hard-linear"))
     with pytest.raises(NotOptimal):

@@ -322,3 +322,84 @@ def test_sparse_pivot_solve_matches_dense_solve(variant, monkeypatch):
     assert sparse.iterations == dense.iterations
     assert sparse.objective_value == dense.objective_value
     assert sparse.primal_values.tobytes() == dense.primal_values.tobytes()
+
+
+def _phase_2_tableau(problem, monkeypatch):
+    """The tableau phase 2 starts from, copied, and the solution it led to."""
+    start = {}
+    run = lp._run_simplex
+
+    def capture(tab, *args, **kwargs):
+        if kwargs.get("artificial_start") is None and not start:
+            start["T"], start["basis"] = tab.T.copy(order="K"), tab.basis.copy()
+        return run(tab, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_run_simplex", capture)
+        solution = lp.solve(problem)
+    return start["T"], start["basis"], solution
+
+
+def test_sparse_pivot_matches_dense_update_bitwise_at_kernel_scale(monkeypatch):
+    from mcm import formulations
+    from mcm.kernels import KernelSpec
+
+    X, y = _two_blobs(np.random.default_rng(41), 100, 2, 3.0)
+    config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.125))
+    problem, _ = formulations.build_problem(X, y, config)
+    T0, basis, solution = _phase_2_tableau(problem, monkeypatch)
+    assert solution.status is lp.LpStatus.OPTIMAL
+    m, width = T0.shape
+    assert m >= 200 and width >= 500
+    tabs = []
+    for _ in range(2):
+        tab = lp._Tableau.__new__(lp._Tableau)
+        tab.T, tab.basis, tab._norms = np.array(T0, order="F"), basis.copy(), None
+        tabs.append(tab)
+    sparse, dense = tabs
+
+    rows = np.argsort(-np.count_nonzero(T0[:, :-1], axis=1), kind="stable")[:12]
+    for row in rows:
+        entries = np.abs(sparse.T[row, :-1])
+        entries[sparse.basis] = 0.0
+        col = int(np.argmax(entries))
+        assert entries[col] > 1e-3 and np.count_nonzero(entries) >= 150  # a dense row
+        cached = sparse.norms
+        sparse.pivot(int(row), col)
+        _dense_pivot(dense, int(row), col)
+        assert sparse.norms is cached
+        assert sparse.T.flags.f_contiguous
+        assert np.array_equal(sparse.basis, dense.basis)
+        assert _same_bits(sparse.T, dense.T)
+        assert sparse.norms.tobytes() == _full_norms(sparse).tobytes()
+
+
+def test_phase_iterations_split_the_pivot_count(monkeypatch):
+    from mcm import formulations
+
+    X, y = _two_blobs(np.random.default_rng(37), 40, 1, 1.0)
+    problem, _ = formulations.build_problem(
+        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    used = []
+    run = lp._run_simplex
+
+    def spy(tab, costs, options, budget, **kwargs):
+        before = budget.used
+        try:
+            return run(tab, costs, options, budget, **kwargs)
+        finally:
+            used.append(budget.used - before)
+
+    monkeypatch.setattr(lp, "_run_simplex", spy)
+    full = lp.solve(problem)
+    assert full.phase_iterations == (used[0], used[1]) == (43, 11)
+    assert full.iterations == 54
+    limited = lp.solve(problem, lp.SolverOptions(max_iterations=48))
+    assert limited.status is lp.LpStatus.ITERATION_LIMIT
+    assert limited.phase_iterations == (used[2], used[3]) == (43, 5)  # 48 pivots made
+
+    infeasible = lp.solve(lp.make_problem(
+        [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)], ["nonneg"]))
+    assert infeasible.status is lp.LpStatus.INFEASIBLE
+    assert infeasible.phase_iterations[1] == 0
+    assert infeasible.iterations == infeasible.phase_iterations[0]
