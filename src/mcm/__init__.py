@@ -23,7 +23,6 @@ from .data import (
     load_csv,
     load_libsvm,
     make_folds,
-    minmax_scale,
     train_ovr,
 )
 from .formulations import (
@@ -38,7 +37,7 @@ from .formulations import (
     extract_linear,
     train,
 )
-from .kernels import GramMatrix, KernelSpec, cross_gram, gram, kernel_eval
+from .kernels import KernelSpec, cross_gram, gram
 from .lp import LpProblem, LpSolution, LpStatus, SolverOptions, solve, standardize
 from .model import (
     KernelModel,
@@ -61,10 +60,10 @@ __all__ = [
     "CapacityReport", "compute_h", "capacity_report", "radius_margin_ratio",
     "CvReport", "Dataset", "FoldPlan", "GridSpec", "apply_scale", "binarize",
     "cross_validate", "fit_minmax", "grid_search", "load_csv", "load_libsvm",
-    "make_folds", "minmax_scale", "train_ovr",
+    "make_folds", "train_ovr",
     "HARD_LINEAR", "SOFT_KERNEL", "SOFT_LINEAR", "McmLpLayout", "TrainConfig",
     "TrainResult", "build_problem", "extract_kernel", "extract_linear", "train",
-    "GramMatrix", "KernelSpec", "cross_gram", "gram", "kernel_eval",
+    "KernelSpec", "cross_gram", "gram",
     "LpProblem", "LpSolution", "LpStatus", "SolverOptions", "solve", "standardize",
     "KernelModel", "LinearModel", "OvrModel", "decision", "decision_many",
     "load_model", "model_from_json", "model_to_json", "predict", "predict_many",

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import formulations, lp
-from .capacity import capacity_report
-from .errors import HardMarginInfeasible, McmError, ParseError, SolverFailure
+from .errors import HardMarginInfeasible, McmError, SolverFailure
 from .kernels import LINEAR, POLY, RBF, KernelSpec
 from .model import (
     KernelModel,
@@ -25,10 +24,7 @@ from .model import (
     OvrModel,
     decision_many,
     load_model,
-    negated,
     ovr_labels,
-    predict_many,
-    predict_ovr_many,
     save_model,
 )
 
@@ -174,75 +170,25 @@ def cmd_train(args) -> int:
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
             handle.write(lp.write_lp_text(problem, _lp_names(layout)))
 
-    if len(classes) == 2:
-        X, y = data_mod.binarize(dataset, classes[0])
-        result = formulations.train(X, y, config)
-        primary = result.model
-        # the label-flipped optimum is the negated model, so a two-class
-        # one-versus-rest bundle costs a single solve and keeps raw labels
-        model = OvrModel(tuple(classes), (primary, negated(primary)))
-        cap = capacity_report(primary, X, y)
-        accuracy = float(np.mean(predict_many(primary, X) == y))
-        seconds = result.seconds
-        objective = result.objective_value
-    else:
-        ovr, results = data_mod.train_ovr(dataset.samples, dataset.labels, config)
-        model = ovr
-        caps = []
-        for cls, member in zip(ovr.class_labels, ovr.members):
-            y_c = np.where(np.asarray(dataset.labels, dtype=object) == cls, 1.0, -1.0)
-            caps.append(capacity_report(member, dataset.samples, y_c))
-        predictions = predict_ovr_many(ovr, dataset.samples)
-        accuracy = float(np.mean(
-            np.asarray(predictions, dtype=object) == np.asarray(dataset.labels, dtype=object)))
-        defined = [c.h for c in caps if c.h is not None]
-        cap_h = float(np.mean(defined)) if defined else None
-        cap_sv = float(np.mean([c.sv_count for c in caps]))
-        seconds = sum(r.seconds for r in results)
-        objective = float(np.mean([r.objective_value for r in results]))
-        cap = None
-
+    model, results, outcome = data_mod.evaluate_fold(
+        dataset.samples, dataset.labels, dataset.samples, dataset.labels, config)
     save_model(model, args.out)
     report = {
         "report_version": data_mod.REPORT_VERSION,
-        "h": cap.h if cap is not None else cap_h,
-        "sv_count": cap.sv_count if cap is not None else cap_sv,
-        "train_seconds": seconds,
-        "objective": objective,
-        "training_accuracy": accuracy,
+        "h": outcome.h,
+        "sv_count": outcome.sv_count,
+        "train_seconds": outcome.train_seconds,
+        "objective": float(np.mean([r.objective_value for r in results])),
+        "training_accuracy": outcome.accuracy,
     }
     print(json.dumps(report, indent=2))
     return 0
 
 
-def _read_feature_csv(path: str, label_col: int | None, has_header: bool) -> np.ndarray:
-    if label_col is not None:
-        dataset = data_mod.load_csv(path, label_column=label_col, has_header=has_header)
-        return dataset.samples
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(i, line) for i, line in enumerate(handle.read().splitlines(), start=1)
-                 if line.strip()]
-    if has_header and lines:
-        lines = lines[1:]
-    rows = []
-    width = None
-    for number, line in lines:
-        fields = [f.strip() for f in line.split(",")]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError(f"line {number}: {len(fields)} fields, expected {width}")
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ParseError(f"line {number}: {exc}") from None
-    return np.asarray(rows, dtype=float).reshape(len(rows), width or 0)
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     if args.format == "csv":
-        X = _read_feature_csv(args.data, args.label_col, args.header)
+        X = data_mod.read_csv(args.data, args.label_col, args.header)[0]
     else:
         X = data_mod.load_libsvm(args.data).samples
         if X.shape[0] and X.shape[1] < model.n:  # sparse tail of zeros

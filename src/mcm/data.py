@@ -4,8 +4,10 @@ The evaluation protocol: stratified k-fold splits (deterministic under a
 seed), per-fold training with optional min-max scaling fitted on the training
 portion only, accuracy on the held-out fold, capacity diagnostics on the
 training portion, and mean +/- population standard deviation aggregation over
-folds.  Multi-class data is reduced one-versus-rest; both the argmax accuracy
-and the mean of the per-class binary accuracies are reported.
+folds.  Every fit is a one-versus-rest bundle, two-class data included (one
+solve plus its negation), scored by ``evaluate_fold`` for ``cross_validate``
+and ``mcm train`` alike; above two classes the mean of the per-class binary
+accuracies is reported too.  ``read_csv`` is the one CSV parser.
 
 JSON reports deliberately omit wall-clock timings so that two runs with the
 same seed are byte-identical; timings appear in the text tables only.
@@ -14,6 +16,7 @@ same seed are byte-identical; timings appear in the text tables only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .kernels import RBF, KernelSpec
 from .lp import SolverOptions
-from .model import OvrModel, decision_many, ovr_labels, predict_many
+from .model import OvrModel, decision_many, negated, ovr_labels
 
 REPORT_VERSION = 1
 
@@ -68,46 +71,65 @@ class Dataset:
         return list(dict.fromkeys(self.labels))
 
 
-def load_csv(path, label_column: int = -1, has_header: bool = False) -> Dataset:
-    """Comma-separated rows; one column holds the (raw, string) label and all
-    other cells must be numeric."""
+def read_csv(path, label_column: int | None = -1, has_header: bool = False):
+    """Comma-separated rows as (samples, labels, feature_names).
+
+    `label_column` holds the raw string label (negative counts from the end);
+    None means every column is a feature and labels is None.  Every other
+    cell must be a finite number; errors name the line and 1-based column of
+    the first bad cell in file order."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    rows = [(number, line) for number, line in enumerate(lines, start=1) if line.strip()]
-    feature_names = None
-    if has_header and rows:
-        header_fields = [f.strip() for f in rows[0][1].split(",")]
-        rows = rows[1:]
+        rows = [(number, line)
+                for number, line in enumerate(handle.read().splitlines(), start=1)
+                if line.strip()]
+    header = rows.pop(0)[1].split(",") if has_header and rows else None
     if not rows:
-        return Dataset(np.zeros((0, 0)), [], feature_names)
+        return np.zeros((0, 0)), None if label_column is None else [], None
 
     width = len(rows[0][1].split(","))
-    label_index = label_column if label_column >= 0 else width + label_column
-    if not 0 <= label_index < width:
-        raise ParseError(f"label column {label_column} out of range for {width} columns")
-    if has_header:
-        feature_names = [name for j, name in enumerate(header_fields) if j != label_index]
+    label_index = None
+    if label_column is not None:
+        label_index = label_column if label_column >= 0 else width + label_column
+        if not 0 <= label_index < width:
+            raise ParseError(f"label column {label_column} out of range for {width} columns")
+    columns = [j for j in range(width) if j != label_index]  # of the feature cells
+    feature_names = None if header is None else [
+        name.strip() for j, name in enumerate(header) if j != label_index]
 
     samples = []
-    labels = []
+    labels = None if label_index is None else []
     for number, line in rows:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != width:
-            raise RaggedRows(f"line {number}: {len(fields)} fields, expected {width}")
-        labels.append(fields[label_index])
-        values = []
-        for j, cell in enumerate(fields):
-            if j == label_index:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"line {number}, column {j + 1}: {cell!r} is not numeric") from None
-            if not np.isfinite(value):
-                raise ParseError(f"line {number}, column {j + 1}: non-finite value {cell!r}")
-            values.append(value)
+        cells = line.split(",")
+        if len(cells) != width:
+            raise RaggedRows(f"line {number}: {len(cells)} fields, expected {width}")
+        if labels is not None:
+            labels.append(cells.pop(label_index).strip())
+        try:
+            values = [float(cell) for cell in cells]
+            finite = math.isfinite(sum(values))  # one test per row
+        except ValueError:
+            finite = False
+        if not finite:  # name the culprit; finite cells whose sum overflows pass
+            _check_cells(number, cells, columns)
         samples.append(values)
-    return Dataset(np.asarray(samples, dtype=float), labels, feature_names)
+    return np.asarray(samples, dtype=float), labels, feature_names
+
+
+def _check_cells(number: int, cells: list[str], columns: list[int]) -> None:
+    """Raise ParseError for the first feature cell that is not a finite number."""
+    for j, cell in zip(columns, cells):
+        cell = cell.strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"line {number}, column {j + 1}: {cell!r} is not numeric") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {number}, column {j + 1}: non-finite value {cell!r}")
+
+
+def load_csv(path, label_column: int = -1, has_header: bool = False) -> Dataset:
+    """A labelled CSV file (see `read_csv`) as a Dataset."""
+    return Dataset(*read_csv(path, label_column, has_header))
 
 
 def load_libsvm(path) -> Dataset:
@@ -173,14 +195,6 @@ def apply_scale(params: ScaleParams, X) -> np.ndarray:
     factor = np.where(params.ranges > 0.0, 1.0, 0.0)
     safe = np.where(params.ranges > 0.0, params.ranges, 1.0)
     return (X - params.mins) * factor / safe
-
-
-def minmax_scale(dataset: Dataset):
-    """Each feature mapped to [0, 1] by its own min/max (no clamping when the
-    params are later applied to unseen rows)."""
-    params = fit_minmax(dataset.samples)
-    scaled = apply_scale(params, dataset.samples)
-    return Dataset(scaled, list(dataset.labels), dataset.feature_names), params
 
 
 @dataclass(frozen=True)
@@ -325,20 +339,51 @@ class CvReport:
 
 
 def train_ovr(samples, raw_labels, config: formulations.TrainConfig,
-              options: SolverOptions | None = None):
-    """One binary model per class in first-appearance order."""
-    labels = list(raw_labels)
-    classes = list(dict.fromkeys(labels))
+              options: SolverOptions | None = None, classes=None):
+    """One binary model per class, and the TrainResult of each solve.  Two
+    classes take one solve: the second member is the negated first, the
+    optimum under flipped labels.  `classes` fixes the class order (default:
+    first appearance in the labels)."""
+    labels = np.asarray(list(raw_labels), dtype=object)
+    classes = list(dict.fromkeys(labels) if classes is None else classes)
     if len(classes) < 2:
         raise SingleClass("one-versus-rest needs at least two classes")
-    members = []
-    results = []
-    for cls in classes:
-        y = np.where(np.asarray(labels, dtype=object) == cls, 1.0, -1.0)
-        result = formulations.train(samples, y, config, options)
-        members.append(result.model)
-        results.append(result)
+    results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config, options)
+               for cls in (classes if len(classes) > 2 else classes[:1])]
+    members = [result.model for result in results]
+    if len(classes) == 2:
+        members.append(negated(members[0]))
     return OvrModel(tuple(classes), tuple(members)), results
+
+
+def evaluate_fold(X_train, labels_train, X_eval, labels_eval,
+                  config: formulations.TrainConfig, options: SolverOptions | None = None,
+                  fold: int = 0, classes=None):
+    """Train a one-versus-rest bundle (`train_ovr`) on the training rows and
+    score it on the evaluation rows; returns (bundle, TrainResults,
+    FoldOutcome).
+
+    Accuracy is the argmax label's; capacity (h, sv_count) is the mean over
+    the members actually solved, on the training rows; the mean of the
+    members' binary accuracies is reported only when the training and
+    evaluation labels together hold more than two classes."""
+    labels_train = np.asarray(labels_train, dtype=object)
+    labels_eval = np.asarray(labels_eval, dtype=object)
+    ovr, results = train_ovr(X_train, labels_train, config, options, classes)
+    stacked = decision_many(ovr, X_eval)
+    accuracy = float(np.mean(np.asarray(ovr_labels(ovr, stacked), dtype=object) == labels_eval))
+    caps = [capacity_report(result.model, X_train, np.where(labels_train == cls, 1.0, -1.0))
+            for cls, result in zip(ovr.class_labels, results)]
+    defined = [c.h for c in caps if c.h is not None]
+    binary_accuracy = None
+    if len(set(labels_train) | set(labels_eval)) > 2:
+        binary_accuracy = float(np.mean([
+            float(np.mean((values >= 0.0) == (labels_eval == cls)))
+            for cls, values in zip(ovr.class_labels, stacked)]))
+    outcome = FoldOutcome(fold, accuracy, float(np.mean([c.sv_count for c in caps])),
+                          float(np.mean(defined)) if defined else None,
+                          sum(r.seconds for r in results), binary_accuracy)
+    return ovr, results, outcome
 
 
 def _annotate(exc: McmError, fold: int) -> McmError:
@@ -350,59 +395,32 @@ def _annotate(exc: McmError, fold: int) -> McmError:
 def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
                    plan: FoldPlan, scale: bool = False,
                    options: SolverOptions | None = None) -> CvReport:
-    labels = list(dataset.labels)
-    if plan.assignments.shape[0] != len(labels):
+    labels = np.asarray(dataset.labels, dtype=object)
+    if plan.assignments.shape[0] != labels.shape[0]:
         raise McmError(f"fold plan covers {plan.assignments.shape[0]} samples, "
-                       f"dataset has {len(labels)}")
+                       f"dataset has {labels.shape[0]}")
     classes = dataset.classes()
     if len(classes) < 2:
         raise SingleClass("cross-validation needs at least two classes")
-    binary = len(classes) == 2
     report = CvReport(config=config, scale=scale, k=plan.k, seed=plan.seed,
                       classes=classes,
                       sv_applicable=config.variant == formulations.SOFT_KERNEL)
-    labels_arr = np.asarray(labels, dtype=object)
+    # Two classes keep the dataset's order in every fold: it picks the class
+    # the one LP is solved for, and a degenerate LP under flipped labels need
+    # not return the negated optimum.  A fold that lacks a class then fails
+    # in that solve ("training data contains a single class").
+    order = classes if len(classes) == 2 else None
     for fold in range(plan.k):
         test_mask = plan.assignments == fold
-        train_mask = ~test_mask
-        X_train = dataset.samples[train_mask]
+        X_train = dataset.samples[~test_mask]
         X_test = dataset.samples[test_mask]
         if scale:
             params = fit_minmax(X_train)
             X_train = apply_scale(params, X_train)
             X_test = apply_scale(params, X_test)
-        labels_train = labels_arr[train_mask]
-        labels_test = labels_arr[test_mask]
         try:
-            if binary:
-                y_train = np.where(labels_train == classes[0], 1.0, -1.0)
-                y_test = np.where(labels_test == classes[0], 1.0, -1.0)
-                result = formulations.train(X_train, y_train, config, options)
-                accuracy = float(np.mean(predict_many(result.model, X_test) == y_test))
-                cap = capacity_report(result.model, X_train, y_train)
-                outcome = FoldOutcome(fold, accuracy, float(cap.sv_count), cap.h,
-                                      result.seconds)
-            else:
-                ovr, results = train_ovr(X_train, labels_train, config, options)
-                stacked = decision_many(ovr, X_test)
-                accuracy = float(np.mean(
-                    np.asarray(ovr_labels(ovr, stacked), dtype=object) == labels_test))
-                caps = []
-                binary_accuracies = []
-                for cls, member, values in zip(ovr.class_labels, ovr.members, stacked):
-                    y_tr = np.where(labels_train == cls, 1.0, -1.0)
-                    caps.append(capacity_report(member, X_train, y_tr))
-                    binary_accuracies.append(
-                        float(np.mean((values >= 0.0) == (labels_test == cls))))
-                defined = [c.h for c in caps if c.h is not None]
-                outcome = FoldOutcome(
-                    fold,
-                    accuracy,
-                    float(np.mean([c.sv_count for c in caps])),
-                    float(np.mean(defined)) if defined else None,
-                    sum(r.seconds for r in results),
-                    mean_binary_accuracy=float(np.mean(binary_accuracies)),
-                )
+            _, _, outcome = evaluate_fold(X_train, labels[~test_mask], X_test,
+                                          labels[test_mask], config, options, fold, order)
         except McmError as exc:
             raise _annotate(exc, fold) from exc
         report.folds.append(outcome)

@@ -112,7 +112,7 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     y = _check_labels(labels)
     if y.shape != (X.shape[0],):
         raise DimensionMismatch(f"{y.size} labels for {X.shape[0]} samples")
-    scores = gram(config.kernel, X).entries if config.variant == SOFT_KERNEL else X
+    scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
     M, n_weights = scores.shape
     with_slack = config.variant != HARD_LINEAR
     n_cols = n_weights + 2 + (M if with_slack else 0)

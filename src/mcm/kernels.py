@@ -48,26 +48,6 @@ class KernelSpec:
         return "linear"
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    entries: np.ndarray
-    kernel: KernelSpec
-    sample_count: int
-
-
-def kernel_eval(kernel: KernelSpec, p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"kernel arguments of length {p.shape} vs {q.shape}")
-    if kernel.kind == LINEAR:
-        return float(np.dot(p, q))
-    if kernel.kind == RBF:
-        d = p - q
-        return float(np.exp(-kernel.gamma * np.dot(d, d)))
-    return float((np.dot(p, q) + kernel.coef0) ** kernel.degree)
-
-
 def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
     """Rectangular kernel matrix K[i, j] = K(X[i], Y[j])."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -95,7 +75,7 @@ def chunk_rows(columns: int, features: int) -> int:
     return max(1, CHUNK_BYTES // max(1, columns * features * 8))
 
 
-def gram(kernel: KernelSpec, samples) -> GramMatrix:
+def gram(kernel: KernelSpec, samples) -> np.ndarray:
     """Full M x M kernel matrix; the upper triangle is mirrored so the result
     is exactly symmetric, and the rbf diagonal is exactly one."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -103,4 +83,4 @@ def gram(kernel: KernelSpec, samples) -> GramMatrix:
     entries = np.triu(entries) + np.triu(entries, 1).T
     if kernel.kind == RBF:
         np.fill_diagonal(entries, 1.0)
-    return GramMatrix(entries, kernel, samples.shape[0])
+    return entries

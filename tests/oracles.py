@@ -13,6 +13,8 @@ import itertools
 import numpy as np
 
 from mcm import lp
+from mcm.errors import DimensionMismatch
+from mcm.kernels import LINEAR, RBF, KernelSpec
 
 
 def random_feasible_bounded_lp(rng: np.random.Generator, n_vars: int | None = None,
@@ -287,3 +289,17 @@ def rbf_broadcast(gamma: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     difference temporary, squared and summed over the feature axis."""
     sq = (X[:, None, :] - Y[None, :, :]) ** 2
     return np.exp(-gamma * sq.sum(axis=2))
+
+
+def kernel_eval(kernel: KernelSpec, p, q) -> float:
+    """K(p, q) for one pair of points, straight from the kernel's formula."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise DimensionMismatch(f"kernel arguments of length {p.shape} vs {q.shape}")
+    if kernel.kind == LINEAR:
+        return float(np.dot(p, q))
+    if kernel.kind == RBF:
+        d = p - q
+        return float(np.exp(-kernel.gamma * np.dot(d, d)))
+    return float((np.dot(p, q) + kernel.coef0) ** kernel.degree)

@@ -141,7 +141,7 @@ def test_criterion_6_support_vector_sparsity():
 
     lam_full = layout.weights(solution)
     b = layout.offset(solution)
-    full = gram(config.kernel, X).entries @ lam_full + b
+    full = gram(config.kernel, X) @ lam_full + b
     pruned = decision_many(model, X)
     assert np.array_equal(full >= 0.0, pruned >= 0.0)  # sign-exact agreement
 

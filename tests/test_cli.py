@@ -215,6 +215,22 @@ def test_predict_empty_input(tmp_path, capsys):
     assert code == 0 and out == ""
 
 
+@pytest.mark.parametrize("flags", [(), ("--label-col", "-1")], ids=["features-only", "label-col"])
+def test_predict_rejects_non_finite_features(tmp_path, capsys, flags):
+    # one model per query width: two features without a label column, one with
+    width = 1 if flags else 2
+    train_csv = TRIVIAL_CSV if width == 1 else XOR_CSV
+    model_path = str(tmp_path / "m.mcm.json")
+    code, _, _ = run(capsys, "train", "--data", write(tmp_path, "t.csv", train_csv),
+                     "--variant", "soft-linear", "--C", "1", "--out", model_path)
+    assert code == 0
+    query = write(tmp_path, "q.csv", "nan,0\ninf,1\n")
+    code, out, err = run(capsys, "predict", "--model", model_path, "--data", query,
+                         "--scores", *flags)
+    assert code == 1 and out == ""
+    assert err == "error: line 1, column 1: non-finite value 'nan'\n"
+
+
 def test_predict_libsvm_pads_missing_tail(tmp_path, capsys):
     xor = write(tmp_path, "xor.csv", XOR_CSV)
     model_path = str(tmp_path / "xor.mcm.json")

@@ -9,10 +9,12 @@ from mcm.errors import (
     NonpositiveIndex,
     ParseError,
     RaggedRows,
+    SingleClass,
     TooFewSamples,
     UnknownLabel,
 )
-from mcm.model import predict_many, predict_ovr_many
+from mcm.kernels import KernelSpec
+from mcm.model import negated, predict_many, predict_ovr_many
 
 
 def write(tmp_path, name, text):
@@ -66,6 +68,52 @@ def test_load_csv_non_numeric_cell(tmp_path):
         data_mod.load_csv(path, label_column=2)
 
 
+@pytest.mark.parametrize("text, label_column, message", [
+    ("1.0,A,2.0\n3.0,B,x\n", 1, "line 2, column 3: 'x' is not numeric"),
+    ("1.0,2.0,A\n3.0, inf ,B\n", 2, "line 2, column 2: non-finite value 'inf'"),
+    ("nan,x,A\n", 2, "line 1, column 1: non-finite value 'nan'"),
+], ids=["label-in-middle", "inf", "nan-then-non-numeric"])
+def test_load_csv_first_bad_cell(tmp_path, text, label_column, message):
+    path = write(tmp_path, "t.csv", text)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        data_mod.load_csv(path, label_column=label_column)
+
+
+def test_read_csv_features_only(tmp_path):
+    # the last row's cells are finite although their sum overflows
+    path = write(tmp_path, "t.csv", "1.0,2.0\n\n 3.0 ,4.0\n1e308,1e308\n")
+    samples, labels, names = data_mod.read_csv(path, label_column=None)
+    assert samples.tolist() == [[1.0, 2.0], [3.0, 4.0], [1e308, 1e308]]
+    assert labels is None and names is None
+
+
+def test_read_csv_features_only_header(tmp_path):
+    path = write(tmp_path, "t.csv", "f1, f2\n1.0,2.0\n")
+    samples, labels, names = data_mod.read_csv(path, label_column=None, has_header=True)
+    assert np.array_equal(samples, [[1.0, 2.0]])
+    assert names == ["f1", "f2"] and labels is None
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "f1,f2\n"])
+def test_read_csv_features_only_empty(tmp_path, text):
+    path = write(tmp_path, "t.csv", text)
+    samples, labels, _ = data_mod.read_csv(path, label_column=None, has_header=bool(text))
+    assert samples.shape == (0, 0) and labels is None
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("1.0,2.0\n3.0\n", RaggedRows, "line 2: 1 fields, expected 2"),
+    ("1.0,x\n", ParseError, "line 1, column 2: 'x' is not numeric"),
+    ("nan,x\n", ParseError, "line 1, column 1: non-finite value 'nan'"),
+    ("1.0,nan\nx,1.0\n", ParseError, "line 1, column 2: non-finite value 'nan'"),
+    ("1.0,2.0\n-inf,3.0\n", ParseError, "line 2, column 1: non-finite value '-inf'"),
+], ids=["ragged", "non-numeric", "nan-then-non-numeric", "nan-row-first", "inf"])
+def test_read_csv_features_only_first_bad_cell(tmp_path, text, error, message):
+    path = write(tmp_path, "t.csv", text)
+    with pytest.raises(error, match=f"^{message}$"):
+        data_mod.read_csv(path, label_column=None)
+
+
 def test_load_libsvm_basic(tmp_path):
     path = write(tmp_path, "t.svm", "+1 1:0.5 3:2.0\n-1 2:1.0\n")
     ds = data_mod.load_libsvm(path)
@@ -104,10 +152,11 @@ def test_binarize():
 
 
 def test_minmax_scale():
-    ds = data_mod.Dataset(np.array([[2.0, 5.0], [4.0, 5.0]]), ["a", "b"])
-    scaled, params = data_mod.minmax_scale(ds)
-    assert np.array_equal(scaled.samples[:, 0], [0.0, 1.0])
-    assert np.array_equal(scaled.samples[:, 1], [0.0, 0.0])  # constant feature
+    X = np.array([[2.0, 5.0], [4.0, 5.0]])
+    params = data_mod.fit_minmax(X)
+    scaled = data_mod.apply_scale(params, X)
+    assert np.array_equal(scaled[:, 0], [0.0, 1.0])
+    assert np.array_equal(scaled[:, 1], [0.0, 0.0])  # constant feature
     # application to unseen rows does not clamp
     out = data_mod.apply_scale(params, np.array([[6.0, 7.0]]))
     assert out[0, 0] == pytest.approx(2.0)
@@ -197,14 +246,17 @@ def test_cross_validate_deterministic_json():
     assert first == second
 
 
-def test_cross_validate_matches_manual_protocol_with_scaling():
+@pytest.mark.parametrize("config", [
+    formulations.TrainConfig("soft-linear", C=2.0),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("rbf", gamma=2.0)),
+], ids=["soft-linear", "rbf"])
+def test_cross_validate_matches_manual_protocol_with_scaling(config):
     # outlier magnitudes make any train/test leakage of the scale parameters
     # visible in the fold accuracies
     rng = np.random.default_rng(34)
     ds = blob_dataset(rng, m=30, gap=5.0)
     ds.samples[4] *= 50.0
     plan = data_mod.make_folds(ds.labels, k=3, seed=7)
-    config = formulations.TrainConfig("soft-linear", C=2.0)
     report = data_mod.cross_validate(ds, config, plan, scale=True)
     classes = ds.classes()
     for fold in range(3):
@@ -220,6 +272,8 @@ def test_cross_validate_matches_manual_protocol_with_scaling():
         assert report.folds[fold].accuracy == accuracy
         cap = capacity_report(result.model, X_tr, y_tr)
         assert report.folds[fold].h == cap.h
+        assert report.folds[fold].sv_count == float(cap.sv_count)
+        assert report.folds[fold].mean_binary_accuracy is None
 
 
 def test_cross_validate_multiclass_reports_both_accuracies():
@@ -239,6 +293,39 @@ def test_cross_validate_multiclass_reports_both_accuracies():
     assert payload["accuracy_mean"] >= 0.9
 
 
+def test_cross_validate_two_classes_solve_for_the_first_class(monkeypatch):
+    # fold 0's training rows start with "n", the dataset's second class
+    rng = np.random.default_rng(43)
+    labels = ["p", "n", "n", "p"] * 4
+    X = rng.normal(size=(16, 2)) + 3.0 * (np.asarray(labels) == "p")[:, None]
+    ds = data_mod.Dataset(X, labels)
+    plan = data_mod.FoldPlan(2, np.arange(16) % 2, seed=0)
+    solved = []
+    real_train = formulations.train
+
+    def recording_train(samples, y, *args, **kwargs):
+        solved.append(y)
+        return real_train(samples, y, *args, **kwargs)
+
+    monkeypatch.setattr(formulations, "train", recording_train)
+    data_mod.cross_validate(ds, formulations.TrainConfig("soft-linear", C=1.0), plan)
+    assert len(solved) == 2
+    for fold, y in enumerate(solved):
+        positive = np.asarray(labels)[plan.assignments != fold] == "p"
+        assert y.tolist() == np.where(positive, 1.0, -1.0).tolist()
+
+
+def test_cross_validate_singleton_class_keeps_binary_accuracy():
+    # the fold holding "c" trains a two-class bundle on three-class data
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 3.0, [[0.0, 3.0]]])
+    ds = data_mod.Dataset(X, ["a"] * 6 + ["b"] * 6 + ["c"])
+    plan = data_mod.make_folds(ds.labels, k=3, seed=1)
+    report = data_mod.cross_validate(ds, formulations.TrainConfig("soft-linear", C=1.0), plan)
+    assert all(fold.mean_binary_accuracy is not None for fold in report.folds)
+    assert report.to_json_dict()["mean_binary_accuracy_mean"] is not None
+
+
 def test_cross_validate_error_carries_fold_index():
     # one class has a single sample; leave-one-out starves a training fold
     X = np.array([[0.0], [0.1], [1.0]])
@@ -246,6 +333,22 @@ def test_cross_validate_error_carries_fold_index():
     plan = data_mod.make_folds(ds.labels, k=3, seed=0)
     with pytest.raises(McmError, match="fold"):
         data_mod.cross_validate(ds, formulations.TrainConfig("hard-linear"), plan)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["a", "a", "b"], "training data contains a single class"),
+    (["a", "a", "b", "c"], "one-versus-rest needs at least two classes"),
+], ids=["two-class", "three-class"])
+def test_single_class_training_fold_message(labels, message):
+    X = np.arange(len(labels), dtype=float)[:, None]
+    ds = data_mod.Dataset(X, labels)
+    plan = data_mod.FoldPlan(2, np.array([1] + [0] * (len(labels) - 1)), seed=0)
+    config = formulations.TrainConfig("soft-linear", C=1.0)
+    with pytest.raises(SingleClass, match=f"^fold 0: {message}$"):
+        data_mod.cross_validate(ds, config, plan)
+    grid = data_mod.GridSpec(C_values=(1.0,), gamma_values=(1.0,))
+    with pytest.raises(SingleClass, match=f"^grid cell C=1: fold 0: {message}$"):
+        data_mod.grid_search(ds, "soft-linear", grid, plan)
 
 
 def test_fold_plan_must_match_dataset():
@@ -362,6 +465,40 @@ def test_train_ovr_shares_variant_and_dimensions():
     assert ovr.class_labels == ("a", "b", "c")
     assert len(results) == 3
     assert all(member.n == 2 for member in ovr.members)
+
+
+@pytest.mark.parametrize("config", [
+    formulations.TrainConfig("soft-linear", C=1.0),
+    formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5)),
+], ids=["soft-linear", "rbf"])
+def test_train_ovr_two_classes_solves_once(monkeypatch, config):
+    rng = np.random.default_rng(42)
+    X = np.vstack([rng.normal(size=(8, 2)), rng.normal(size=(8, 2)) + 2.0])
+    labels = ["p"] * 8 + ["n"] * 8
+    calls = []
+    real_train = formulations.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(args)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(formulations, "train", counting_train)
+    flipped, _ = data_mod.train_ovr(X, labels, config, classes=("n", "p"))
+    assert flipped.class_labels == ("n", "p")
+    assert calls.pop()[1].tolist() == [-1.0] * 8 + [1.0] * 8
+    ovr, results = data_mod.train_ovr(X, labels, config)
+    assert len(calls) == 1 and len(results) == 1
+    assert calls[0][1].tolist() == [1.0] * 8 + [-1.0] * 8  # first class positive
+    assert ovr.class_labels == ("p", "n")
+    first, second = ovr.members
+    assert first is results[0].model
+    mirror = negated(first)
+    assert type(second) is type(mirror)
+    assert getattr(second, "kernel", None) == getattr(mirror, "kernel", None)
+    for name in ("w", "lam", "support_vectors", "b", "h", "C"):
+        if hasattr(mirror, name):
+            assert (np.asarray(getattr(second, name)).tobytes()
+                    == np.asarray(getattr(mirror, name)).tobytes()), name
 
 
 def test_cross_validate_multiclass_matches_per_member_protocol():

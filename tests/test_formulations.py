@@ -58,7 +58,7 @@ def test_build_problem_matches_per_sample_reference(config):
     rng = np.random.default_rng(26)
     X = rng.normal(size=(9, 3))
     y = rng.permutation([-1.0] * 4 + [1.0] * 5)
-    scores = X if config.kernel is None else gram(config.kernel, X).entries
+    scores = X if config.kernel is None else gram(config.kernel, X)
     objective, A, senses, rhs, free = oracles.mcm_program(scores, y, config.C)
     problem, _ = formulations.build_problem(X, y, config)
     assert problem.objective.tobytes() == objective.tobytes()
@@ -202,7 +202,7 @@ def test_kernel_pruning_preserves_training_decisions():
     model = formulations.extract_kernel(solution, layout, config, X)
     lam_full = layout.weights(solution)
     b = layout.offset(solution)
-    K = gram(KernelSpec("rbf", gamma=1.0), X).entries
+    K = gram(KernelSpec("rbf", gamma=1.0), X)
     full = K @ lam_full + b
     pruned = decision_many(model, X)
     assert np.abs(full - pruned).max() <= 1e-9
