@@ -25,12 +25,13 @@ print("x >= 1 and x <= 0:",
 print("minimize -x, x >= 1:",
       solve(make_problem([-1.0], [([1.0], ">=", 1.0)], ["nonneg"])).status.value)
 
-# free variables are split internally; the answer comes back in original terms
+# a free variable keeps one column and enters in whichever direction pays
 free = make_problem([1.0], [([1.0], ">=", -3.0)], ["free"])
 print(f"free variable: x = {solve(free).primal_values[0]:.1f}")
 std = standardize(free)
-print(f"  standardized to {std.problem.n_vars} nonnegative columns, "
-      f"{std.problem.n_constraints} equality rows")
+n_free = int(std.problem.free.sum())
+print(f"  standardized to {std.problem.n_vars} columns ({n_free} free, "
+      f"{std.problem.n_vars - n_free} nonnegative), {std.problem.n_constraints} equality rows")
 
 # Beale's cycling example: degenerate enough to trap greedy pivoting forever
 beale = make_problem(

@@ -3,13 +3,21 @@
 An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
 ``A x {<=,>=,=} rhs`` row by row (one sense per row), with each variable
 either nonnegative or free (a boolean mask).  ``solve`` standardizes the
-problem in one vectorized fill (free variables split, inequalities slacked),
-runs phase 1 with artificial variables where no slack can seed the basis,
-then phase 2 on the original costs.  Pivoting prices by steepest edge and
-evicts on the largest pivot element among near-tied ratios; Bland's rule
-takes over whenever the objective stalls, so the solver terminates on
-degenerate (cycling-prone) instances.  A run that exhausts its iteration
-budget in either phase ends in ``ITERATION_LIMIT`` with no point;
+problem in one vectorized fill (inequalities slacked), runs phase 1 with
+artificial variables where no slack can seed the basis, then phase 2 on the
+original costs.  A free variable keeps a single tableau column and may enter
+in either direction: each basic variable carries a sign, and the tableau
+holds the basis matrix with its columns scaled by those signs.  This makes
+the same pivots, bit for bit, as splitting every free variable into two
+nonnegative parts, with the duplicate columns never stored or updated;
+pricing and every tie-break read the columns in that split form's order
+(originals, then the negative directions of the free ones, then slacks and
+artificials).  Pivoting prices by steepest edge and evicts on the largest
+pivot element among near-tied ratios; Bland's rule takes over whenever the
+objective stalls, so the solver terminates on degenerate (cycling-prone)
+instances.  A run that exhausts its iteration budget in either phase ends in
+``ITERATION_LIMIT`` with no point, and one whose tableau breaks down into
+non-finite values ends in ``NUMERICAL_FAILURE``;
 ``LpSolution.phase_iterations`` splits the pivot count by phase.  Each pivot
 updates only the tableau columns where the pivot row is nonzero, in the
 tableau's own memory order (C in phase 1, Fortran in phase 2), and
@@ -42,6 +50,7 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"  # budget ran out first; nothing is certified
+    NUMERICAL_FAILURE = "numerical_failure"  # the tableau went non-finite; nothing is certified
 
 
 @dataclass(frozen=True)
@@ -134,58 +143,58 @@ class LpSolution:
 
 @dataclass
 class StandardForm:
-    """Equality-form equivalent with nonnegative variables, plus the recovery map.
+    """Equality-form equivalent: min c.x subject to A x = b, with x_j >= 0
+    unless free[j].
 
-    Column order: one column per original variable (positive parts), then the
-    negative parts of the free variables, then one slack/surplus column per
-    inequality row.
+    Column order: one column per original variable, free ones included, then
+    one slack/surplus column per inequality row.  The first ``n_vars`` values
+    of a standardized point are therefore the original variables.
     """
 
     problem: LpProblem
-    free: np.ndarray  # original free mask; its negative parts follow the originals
-
-    def recover(self, x_std: np.ndarray) -> np.ndarray:
-        n = self.free.shape[0]
-        x = x_std[:n].copy()
-        x[self.free] -= x_std[n:n + int(self.free.sum())]
-        return x
 
 
 def standardize(problem: LpProblem) -> StandardForm:
-    """Rewrite as min c.x, A x = b, x >= 0, recording how to map back."""
+    """Rewrite every row as an equality by adding a slack or surplus column."""
     problem.validate()
-    A0, free = problem.A, problem.free
+    A0 = problem.A
     m, n = A0.shape
-    n_struct = n + int(free.sum())
     ineq = np.flatnonzero(problem.senses != EQUAL)
 
-    A = np.zeros((m, n_struct + ineq.size))
+    A = np.zeros((m, n + ineq.size))
     A[:, :n] = A0
-    A[:, n:n_struct] = -A0[:, free]
-    A[ineq, n_struct + np.arange(ineq.size)] = np.where(
+    A[ineq, n + np.arange(ineq.size)] = np.where(
         problem.senses[ineq] == LESS_EQUAL, 1.0, -1.0)
 
     c = np.zeros(A.shape[1])
     c[:n] = problem.objective
-    c[n:n_struct] = -problem.objective[free]
-
-    std = LpProblem(c, A, np.full(m, EQUAL), problem.rhs, np.zeros(A.shape[1], dtype=bool))
-    return StandardForm(std, free)
+    free = np.zeros(A.shape[1], dtype=bool)
+    free[:n] = problem.free
+    return StandardForm(LpProblem(c, A, np.full(m, EQUAL), problem.rhs, free))
 
 
 class _Tableau:
-    """Simplex state: rows are B^-1 [A | b].
+    """Simplex state: rows are B^-1 [A | b], where column i of B is the
+    original column of basis[i] times sign[i].
 
+    A free variable has one column and may be basic with either sign; every
+    other basic variable has sign +1.  So a stored column always holds the
+    positive direction of its variable, and the negative direction of a free
+    one is its negation.  ``free_cols`` and ``n_orig`` place each direction
+    in the split form's column order (``directions``, ``split_index``).
     The original (A, b) are kept so the tableau can be refactorized from
     scratch, shedding the float drift that accumulates over many pivots.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray, pivot_tol: float,
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray, sign: np.ndarray,
+                 free_cols: np.ndarray, n_orig: int,
                  originals: tuple[np.ndarray, np.ndarray] | None = None):
         self.A0, self.b0 = originals if originals is not None else (A.copy(), b.copy())
         self.T = np.hstack([A, b[:, None]])
         self.basis = basis
-        self.pivot_tol = pivot_tol
+        self.sign = sign
+        self.free_cols = free_cols  # ascending; all below n_orig
+        self.n_orig = n_orig
         self._norms = None  # squared column norms of T[:, :-1]; None until read
 
     @property
@@ -197,15 +206,32 @@ class _Tableau:
         """Squared steepest-edge norms of every column except the rhs.
 
         Computed in full on first read and kept current by ``pivot``; callers
-        must not modify the returned array.
+        must not modify the returned array.  A negative direction has the
+        norm of its column.
         """
         if self._norms is None:
             body = self.T[:, :-1]
             self._norms = np.einsum("ij,ij->j", body, body)
         return self._norms
 
-    def pivot(self, row: int, col: int) -> None:
-        """Rank-one update restricted to the support of the pivot row.
+    def directions(self, ncols: int) -> tuple[np.ndarray, slice]:
+        """The column of every direction among the first ncols columns, in
+        the split form's order (originals, the negative directions of the
+        free columns, then the rest), and the slice of negative ones."""
+        columns = np.concatenate([np.arange(self.n_orig), self.free_cols,
+                                  np.arange(self.n_orig, ncols)])
+        return columns, slice(self.n_orig, self.n_orig + self.free_cols.size)
+
+    def split_index(self, rows=slice(None)) -> np.ndarray:
+        """Index of each row's basic direction in the split form's order."""
+        cols = self.basis[rows]
+        return np.where(self.sign[rows] < 0,
+                        self.n_orig + np.searchsorted(self.free_cols, cols),
+                        np.where(cols < self.n_orig, cols, cols + self.free_cols.size))
+
+    def pivot(self, row: int, col: int, sign: float = 1.0) -> None:
+        """Rank-one update restricted to the support of the pivot row; col
+        enters in direction sign.
 
         A column whose pivot-row entry is zero keeps its values, so only the
         other columns are gathered, updated as ``T[i, j] - f_i * p_j`` and
@@ -215,12 +241,14 @@ class _Tableau:
         to match, since a C-ordered product subtracted from a Fortran-ordered
         block costs more than the update itself.  einsum then sums each
         touched column in the same order as over the whole tableau, so the
-        refreshed norms are bit-identical to a full recomputation.
+        refreshed norms are bit-identical to a full recomputation.  Negation
+        is exact, so entering a free column with sign -1 writes the same bits
+        the split form's negative-part column would.
         """
         T = self.T
-        T[row] /= T[row, col]
+        T[row] /= sign * T[row, col]
         cols = np.flatnonzero(T[row])
-        factors = T[:, col].copy()
+        factors = sign * T[:, col]
         factors[row] = 0.0
         if T.flags.f_contiguous:
             block = T.T.take(cols, axis=0).T
@@ -230,24 +258,31 @@ class _Tableau:
             block -= np.multiply.outer(factors, block[row])
         entering = np.searchsorted(cols, col)
         block[:, entering] = 0.0
-        block[row, entering] = 1.0
+        block[row, entering] = sign
         T[:, cols] = block
         # keep the rhs from drifting into tiny negatives after degenerate pivots
         rhs = T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
         self.basis[row] = col
+        self.sign[row] = sign
         if self._norms is not None:
             structural = cols.size - int(cols[-1] == T.shape[1] - 1)
             body = block[:, :structural]
             self._norms[cols[:structural]] = np.einsum("ij,ij->j", body, body)
             self._norms[col] = 1.0
 
+    def _basis_matrix(self) -> np.ndarray:
+        return self.A0[:, self.basis] * self.sign
+
     def refactor(self) -> None:
         stacked = np.hstack([self.A0, self.b0[:, None]])
         try:
-            self.T = np.linalg.solve(self.A0[:, self.basis], stacked)
+            T = np.linalg.solve(self._basis_matrix(), stacked)
         except np.linalg.LinAlgError:
             return  # keep the iterated tableau; the basis matrix went singular
+        if not np.all(np.isfinite(T)):
+            raise _Breakdown  # numerically singular: a drifted basis, not one to resume
+        self.T = T
         self._norms = None
         rhs = self.T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
@@ -256,6 +291,7 @@ class _Tableau:
         """Drop every row not listed in keep (redundant constraints)."""
         self.T = self.T[keep]
         self.basis = self.basis[keep]
+        self.sign = self.sign[keep]
         self.A0 = self.A0[keep]
         self.b0 = self.b0[keep]
         self._norms = None
@@ -263,15 +299,27 @@ class _Tableau:
     def basic_values(self) -> np.ndarray:
         """Solve B x_B = b fresh off the original data for an exact vertex."""
         try:
-            values = np.linalg.solve(self.A0[:, self.basis], self.b0)
+            values = np.linalg.solve(self._basis_matrix(), self.b0)
         except np.linalg.LinAlgError:
             values = self.rhs.copy()
         values[np.abs(values) < 1e-11] = 0.0
         return np.maximum(values, 0.0)
 
 
-class _Limit(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a solve early with a status that certifies nothing."""
+
+    status: LpStatus
+
+
+class _Limit(_Stop):
+    status = LpStatus.ITERATION_LIMIT
+
+
+class _Breakdown(_Stop):
+    """The tableau holds non-finite values; no pivot from it can be trusted."""
+
+    status = LpStatus.NUMERICAL_FAILURE
 
 
 class _Budget:
@@ -302,6 +350,16 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
     The reduced-cost row is carried through the pivots and refreshed
     periodically, and the tableau itself is refactorized from the original
     data at intervals; unboundedness is certified only on a fresh tableau.
+    A ratio test that meets non-finite values raises ``_Breakdown``.
+
+    Prices are kept per direction, in the split form's column order: every
+    column's positive direction, with the negative directions of the free
+    columns between the originals and the rest.  A refresh prices a negative
+    direction at minus its column's reduced cost and zeroes only basic
+    directions.  After a refactorization a basic column is a unit vector only
+    to rounding, so the other direction of a basic free variable keeps a
+    rounding-sized price, and its two prices drift apart exactly as the split
+    form's two columns did.
 
     Degenerate stretches switch pivoting to Bland's rule; a strict objective
     improvement switches back, with the patience doubling on every switch so a
@@ -310,11 +368,18 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
     """
     tol = options.pivot_tol
     ncols = tab.T.shape[1] - 1
+    columns, negative = tab.directions(ncols)
+
+    def per_direction(values: np.ndarray) -> np.ndarray:
+        out = values[columns]
+        out[negative] *= -1.0
+        return out
 
     def refresh():
-        red = costs[:ncols] - costs[tab.basis] @ tab.T[:, :ncols]
-        red[tab.basis] = 0.0
-        return red, float(costs[tab.basis] @ tab.rhs)
+        cost_basis = costs[tab.basis] * tab.sign
+        red = per_direction(costs[:ncols] - cost_basis @ tab.T[:, :ncols])
+        red[tab.split_index()] = 0.0
+        return red, float(cost_basis @ tab.rhs)
 
     reduced, obj = refresh()
     bland = False
@@ -334,21 +399,23 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
             since_refresh = 0
 
         if bland:
-            negative = np.nonzero(reduced < -tol)[0]
-            entering = int(negative[0]) if negative.size else -1
+            falling = np.flatnonzero(reduced < -tol)
+            direction = int(falling[0]) if falling.size else -1
         else:
-            score = np.where(reduced < -tol, reduced / np.sqrt(1.0 + tab.norms), 0.0)
-            entering = int(np.argmin(score))
-            if score[entering] >= 0.0:
-                entering = -1
-        if entering < 0:
+            score = np.where(reduced < -tol, reduced / np.sqrt(1.0 + tab.norms[columns]), 0.0)
+            direction = int(np.argmin(score))
+            if score[direction] >= 0.0:
+                direction = -1
+        if direction < 0:
             reduced, obj = refresh()  # confirm against an exact cost row
             since_refresh = 0
-            entering = int(np.argmin(reduced))
-            if reduced[entering] >= -tol:
+            direction = int(np.argmin(reduced))
+            if reduced[direction] >= -tol:
                 return "optimal"
+        entering = int(columns[direction])
+        sign = -1.0 if negative.start <= direction < negative.stop else 1.0
 
-        col = tab.T[:, entering]
+        col = tab.T[:, entering] if sign > 0 else -tab.T[:, entering]
         positive = col > tol
         if not positive.any():
             if not certifying:  # claim unboundedness only off a fresh tableau
@@ -358,7 +425,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
                 since_refresh = 0
                 certifying = True
                 continue
-            if reduced[entering] >= -tol:
+            if reduced[direction] >= -tol:
                 continue
             return "unbounded"
         certifying = False
@@ -367,9 +434,11 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
         ratios = np.full(col.shape, np.inf)
         ratios[positive] = rhs[positive] / col[positive]
         best = ratios.min()
+        if not np.isfinite(best):
+            raise _Breakdown
         if bland:
             tied = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-            leaving = int(tied[np.argmin(tab.basis[tied])])
+            leaving = int(tied[np.argmin(tab.split_index(tied))] if tied.size > 1 else tied[0])
         else:
             window = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
             if artificial_start is not None:
@@ -379,14 +448,15 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
             leaving = int(window[np.argmax(np.abs(col[window]))])
 
         budget.tick()
-        tab.pivot(leaving, entering)
+        rate = float(reduced[direction])
+        tab.pivot(leaving, entering, sign)
         since_refresh += 1
         since_refactor += 1
 
-        step = float(reduced[entering]) * float(tab.rhs[leaving])
+        step = rate * float(tab.rhs[leaving])
         obj += step
-        reduced = reduced - float(reduced[entering]) * tab.T[leaving, :ncols]
-        reduced[tab.basis[leaving]] = 0.0
+        reduced = reduced - rate * per_direction(tab.T[leaving, :ncols])
+        reduced[direction] = 0.0
 
         if step < -1e-12 * (1.0 + abs(obj)):
             stall = 0
@@ -403,9 +473,11 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
 def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolution:
     """Solve to a basic optimal solution, or certify infeasibility/unboundedness."""
     options = options or SolverOptions()
-    std = standardize(problem)
-    A, b, c = std.problem.A, std.problem.rhs, std.problem.objective
+    std = standardize(problem).problem
+    A, b, c, free = std.A, std.rhs, std.objective, std.free
     m, n = A.shape
+    n_orig = problem.n_vars
+    tol = options.pivot_tol
 
     limit = options.max_iterations
     if limit is None:
@@ -413,34 +485,40 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     budget = _Budget(limit)
 
     if m == 0:
-        if np.any(c < -options.pivot_tol):
+        if np.any(c < -tol) or np.any(c[free] > tol):
             return LpSolution(LpStatus.UNBOUNDED, None, None, (0, 0))
-        return _finish(problem, std, np.zeros(n), (0, 0))
+        return _finish(problem, np.zeros(n_orig), (0, 0))
 
-    sign = np.where(b < 0, -1.0, 1.0)  # flip rows to a nonnegative rhs
-    A, b = A * sign[:, None], b * sign
+    flip = np.where(b < 0, -1.0, 1.0)  # flip rows to a nonnegative rhs
+    A, b = A * flip[:, None], b * flip
 
     # phase 1: reuse unit columns (slacks) as the starting basis where they
-    # exist, add artificial variables only for the remaining rows
+    # exist, add artificial variables only for the remaining rows; candidates
+    # go in the split form's column order, so a free column whose one entry
+    # is -1 can seed its row in the negative direction
     basis = np.full(m, -1)
-    nonzero_counts = np.count_nonzero(A, axis=0)
-    for j in np.nonzero(nonzero_counts == 1)[0]:
-        row = int(np.nonzero(A[:, j])[0][0])
-        if basis[row] < 0 and A[row, j] == 1.0:
-            basis[row] = j
+    sign = np.ones(m)
+    single = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
+    seeds = ([(j, 1.0) for j in single if j < n_orig] + [(j, -1.0) for j in single if free[j]]
+             + [(j, 1.0) for j in single if j >= n_orig])
+    for j, s in seeds:
+        row = int(np.flatnonzero(A[:, j])[0])
+        if basis[row] < 0 and s * A[row, j] == 1.0:
+            basis[row], sign[row] = j, s
     needs_artificial = np.nonzero(basis < 0)[0]
     n_art = needs_artificial.shape[0]
     art_cols = np.zeros((m, n_art))
     for k, row in enumerate(needs_artificial):
         art_cols[row, k] = 1.0
         basis[row] = n + k
-    tab = _Tableau(np.hstack([A, art_cols]), b, basis, options.pivot_tol)
+    free_cols = np.flatnonzero(free)
+    tab = _Tableau(np.hstack([A, art_cols]), b, basis, sign, free_cols, n_orig)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
     try:
         outcome = _run_simplex(tab, phase1_costs, options, budget,
                                artificial_start=n)
-    except _Limit:
-        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, (budget.used, 0))
+    except _Stop as stop:
+        return LpSolution(stop.status, None, None, (budget.used, 0))
     assert outcome == "optimal"  # phase 1 is bounded below by 0
     phase1 = budget.used
 
@@ -448,46 +526,48 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     if infeasibility > options.feas_tol * (1.0 + float(np.abs(b).max(initial=0.0))):
         return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
 
-    _drive_out_artificials(tab, n, options.pivot_tol)
+    _drive_out_artificials(tab, n, tol)
 
     # phase 2 on structural columns only
     keep = np.concatenate([np.arange(n), [tab.T.shape[1] - 1]])
-    tab2 = _Tableau(tab.T[:, keep][:, :-1], tab.T[:, -1], tab.basis, options.pivot_tol,
-                    originals=(tab.A0[:, :n], tab.b0))
+    tab2 = _Tableau(tab.T[:, keep][:, :-1], tab.T[:, -1], tab.basis, tab.sign, free_cols,
+                    n_orig, originals=(tab.A0[:, :n], tab.b0))
     try:
         outcome = _run_simplex(tab2, c, options, budget)
-    except _Limit:
-        return LpSolution(LpStatus.ITERATION_LIMIT, None, None, (phase1, budget.used - phase1))
+    except _Stop as stop:
+        return LpSolution(stop.status, None, None, (phase1, budget.used - phase1))
     phases = (phase1, budget.used - phase1)
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, phases)
 
     x = np.zeros(n)
-    x[tab2.basis] = tab2.basic_values()  # exact vertex off the original data
-    return _finish(problem, std, x, phases)
+    values = tab2.basic_values()  # exact vertex off the original data
+    # 0.0 - v, not -v: a zero value stays +0.0
+    x[tab2.basis] = np.where(tab2.sign < 0, 0.0 - values, values)
+    return _finish(problem, x[:n_orig], phases)
 
 
 def _drive_out_artificials(tab: _Tableau, n_struct: int, tol: float) -> None:
-    """Pivot basic artificials onto structural columns; drop redundant rows."""
+    """Pivot basic artificials onto structural directions, taking the
+    largest entry first in the split form's order; drop redundant rows."""
+    columns, negative = tab.directions(n_struct)
     drop = []
     for row in range(tab.T.shape[0]):
         if tab.basis[row] < n_struct:
             continue
-        structural = np.abs(tab.T[row, :n_struct])
-        structural_basic = np.isin(np.arange(n_struct), tab.basis)
-        structural[structural_basic] = 0.0
-        col = int(np.argmax(structural))
-        if structural[col] > tol:
-            tab.pivot(row, col)
+        entries = np.abs(tab.T[row, columns])
+        entries[tab.split_index(np.flatnonzero(tab.basis < n_struct))] = 0.0
+        direction = int(np.argmax(entries))
+        if entries[direction] > tol:
+            sign = -1.0 if negative.start <= direction < negative.stop else 1.0
+            tab.pivot(row, int(columns[direction]), sign)
         else:
             drop.append(row)
     if drop:
         tab.keep_rows(np.setdiff1d(np.arange(tab.T.shape[0]), drop))
 
 
-def _finish(problem: LpProblem, std: StandardForm, x_std: np.ndarray,
-            phases: tuple[int, int]) -> LpSolution:
-    x = std.recover(x_std)
+def _finish(problem: LpProblem, x: np.ndarray, phases: tuple[int, int]) -> LpSolution:
     objective = float(problem.objective @ x)
     return LpSolution(LpStatus.OPTIMAL, x, objective, phases)
 

@@ -98,6 +98,37 @@ def vertex_minimum(problem: lp.LpProblem, feas_tol: float = 1e-7,
     return best_obj, best_x
 
 
+def blobs(seed, m: int, d: int, gap: float):
+    """m points in d dimensions with labels -1/+1 in shuffled halves, the +1
+    class shifted by gap along the diagonal."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(m) % 2) * 2.0 - 1.0
+    X = rng.normal(size=(m, d)) + np.outer((y + 1.0) / 2.0, np.full(d, gap / np.sqrt(d)))
+    return X, y
+
+
+def split_free(problem: lp.LpProblem) -> lp.LpProblem:
+    """The same LP with every free variable written as x+ - x-, two
+    nonnegative columns: the originals (positive parts) first, then the
+    negative parts in order.  This is how the solver used to store free
+    variables, so solving the result replays that split-form solver."""
+    free = problem.free
+    return lp.LpProblem(
+        np.concatenate([problem.objective, -problem.objective[free]]),
+        np.hstack([problem.A, -problem.A[:, free]]),
+        problem.senses, problem.rhs,
+        np.zeros(problem.n_vars + int(free.sum()), dtype=bool))
+
+
+def merge_split(problem: lp.LpProblem, x_split: np.ndarray) -> np.ndarray:
+    """A point of split_free(problem) mapped back as x+ - x-, in the split
+    solver's own arithmetic."""
+    n = problem.n_vars
+    x = x_split[:n].copy()
+    x[problem.free] -= x_split[n:]
+    return x
+
+
 def mcm_program(scores: np.ndarray, y: np.ndarray, C: float | None = None):
     """The MCM training LP written out sample by sample, as the arrays
     (objective, A, senses, rhs, free).

@@ -302,6 +302,37 @@ def test_grid_partial_failures_keep_going(tmp_path, capsys):
     assert len(payload["cells"]) == 2
 
 
+def ill_scaled_blobs_csv(tmp_path):
+    """45 rows of three 3-D unit blobs with centres 2.5 apart, features then
+    scaled by (1, 10, 0.1).  The rbf kernel programs of some folds are so
+    ill-conditioned that the simplex tableau overflows to non-finite values."""
+    rng = np.random.default_rng([3, 1])
+    centres = np.zeros((3, 3))
+    centres[np.arange(3), np.arange(3)] = 2.5 / np.sqrt(2.0)
+    labels = np.arange(45) % 3
+    rng.shuffle(labels)
+    X = (centres[labels] + rng.standard_normal((45, 3))) * np.array([1.0, 10.0, 0.1])
+    lines = [",".join([*(repr(float(v)) for v in row), "abc"[j]]) for row, j in zip(X, labels)]
+    return write(tmp_path, "ill_scaled.csv", "\n".join(lines) + "\n")
+
+
+def test_non_finite_tableau_is_a_solver_failure(tmp_path, capsys):
+    # this grid used to die in the ratio test with a ValueError traceback
+    data = ill_scaled_blobs_csv(tmp_path)
+    code, out, err = run(capsys, "grid", "--data", data, "--variant", "kernel",
+                         "--grid-c", "1,16", "--grid-gamma", "0.125,2", "--folds", "3",
+                         "--seed", "1", "--json")
+    assert code == 0  # the C = 16, gamma = 2 cell still solves
+    assert "grid cell C=1 gamma=2 failed: fold 2: solver returned numerical_failure" \
+        in err.splitlines()
+    assert all(line.startswith("grid cell ") for line in err.splitlines())
+    assert json.loads(out)["best"]["error"] is None
+    code, out, err = run(capsys, "cv", "--data", data, "--variant", "kernel", "--kernel", "rbf",
+                         "--gamma", "2", "--C", "1", "--folds", "3", "--seed", "1")
+    assert code == 3
+    assert err == "error: fold 2: solver returned numerical_failure\n"
+
+
 def test_inspect_reports_h(tmp_path, capsys):
     data = write(tmp_path, "pair.csv", TRIVIAL_CSV)
     model_path = str(tmp_path / "pair.mcm.json")

@@ -39,13 +39,6 @@ def assert_agrees(problem):
         assert ours.objective_value == pytest.approx(objective, rel=1e-7, abs=1e-7)
 
 
-def blobs(seed, m, d, gap):
-    rng = np.random.default_rng(seed)
-    y = rng.permutation(np.arange(m) % 2) * 2.0 - 1.0
-    X = rng.normal(size=(m, d)) + np.outer((y + 1.0) / 2.0, np.full(d, gap / np.sqrt(d)))
-    return X, y
-
-
 CONFIGS = {
     "hard-linear": formulations.TrainConfig("hard-linear"),
     "soft-linear": formulations.TrainConfig("soft-linear", C=0.5),
@@ -57,7 +50,7 @@ CONFIGS = {
 @pytest.mark.parametrize("gap", [1.0, 6.0])  # overlapping: hard-linear is infeasible
 def test_mcm_programs_match_highs(name, gap):
     for seed in range(3):
-        X, y = blobs(seed, 60, 3, gap)
+        X, y = oracles.blobs(seed, 60, 3, gap)
         problem, _ = formulations.build_problem(X, y, CONFIGS[name])
         assert_agrees(problem)
 
@@ -68,6 +61,24 @@ def test_random_lps_match_highs():
         problem, _ = oracles.random_feasible_bounded_lp(rng, n_vars=int(rng.integers(5, 30)),
                                                         n_ineq=int(rng.integers(5, 40)))
         assert_agrees(problem)
+
+
+def test_fifteen_row_random_lp_matches_highs():
+    # 10 variables, 13 inequalities and an equality: 3.3M candidate bases,
+    # too many for vertex enumeration in the fast tier
+    rng = np.random.default_rng(7)
+    problem, _ = oracles.random_feasible_bounded_lp(rng, n_vars=10, n_ineq=13,
+                                                    add_equality=True)
+    assert problem.n_constraints == 15
+    assert_agrees(problem)
+    x = lp.solve(problem).primal_values
+    assert np.all(x >= 0.0)
+    values = problem.A @ x
+    le, ge = problem.senses == lp.LESS_EQUAL, problem.senses == lp.GREATER_EQUAL
+    eq = problem.senses == lp.EQUAL
+    assert np.all(values[le] <= problem.rhs[le] + 1e-9)
+    assert np.all(values[ge] >= problem.rhs[ge] - 1e-9)
+    assert np.allclose(values[eq], problem.rhs[eq], rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.xfail(strict=True, reason="rank-deficient Gram matrix (condition number "

@@ -41,11 +41,12 @@ def test_dimension_mismatch_rejected():
 
 
 def test_random_lp_matches_vertex_enumeration():
-    # a mid-sized instance: 10 variables, 15 constraints (3.3M candidate bases)
+    # 8 variables, 11 constraints (76k candidate bases): an exact oracle that
+    # needs no scipy; the HiGHS oracle covers a 15-constraint instance
     rng = np.random.default_rng(7)
-    problem, _ = oracles.random_feasible_bounded_lp(rng, n_vars=10, n_ineq=13,
+    problem, _ = oracles.random_feasible_bounded_lp(rng, n_vars=8, n_ineq=9,
                                                     add_equality=True)
-    assert problem.n_constraints == 15
+    assert problem.n_constraints == 11
     sol = lp.solve(problem)
     assert sol.status is lp.LpStatus.OPTIMAL
     oracle_obj, _ = oracles.vertex_minimum(problem)
@@ -171,15 +172,20 @@ def test_iteration_limit_in_phase_2_is_not_optimal(monkeypatch):
 def test_standardize_free_split_round_trip():
     problem = lp.make_problem([1.0], [([1.0], ">=", -3.0)], ["free"])
     std = lp.standardize(problem)
-    # one positive part, one negative part, one surplus column
-    assert std.problem.n_vars == 3
-    assert not std.problem.free.any()
+    # the free column is kept once, followed by one surplus column
+    assert std.problem.n_vars == 2
+    assert std.problem.free.tolist() == [True, False]
     assert np.all(std.problem.senses == lp.EQUAL)
-    x_std = np.array([0.0, 3.0, 0.0])  # x = 0 - 3 = -3, surplus 0
-    assert std.recover(x_std) == pytest.approx([-3.0])
+    assert np.array_equal(std.problem.A, [[1.0, -1.0]])
     sol = lp.solve(problem)
     assert sol.status is lp.LpStatus.OPTIMAL
     assert sol.primal_values == pytest.approx([-3.0])
+    # written as x+ - x-, the same LP gives the same point
+    split = oracles.split_free(problem)
+    assert split.n_vars == 2 and not split.free.any()
+    assert np.array_equal(split.A, [[1.0, -1.0]])
+    merged = oracles.merge_split(problem, lp.solve(split).primal_values)
+    assert merged.tobytes() == sol.primal_values.tobytes()
 
 
 def test_standardize_idempotent_on_standard_form():
@@ -216,18 +222,20 @@ def test_lp_text_round_trip():
     assert b.objective_value == pytest.approx(a.objective_value, abs=1e-6)
 
 
-def _dense_pivot(tab, row, col):
-    """Reference rank-one update over the whole tableau."""
+def _dense_pivot(tab, row, col, sign=1.0):
+    """Reference rank-one update over the whole tableau, col entering in
+    direction sign."""
     T = tab.T
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
+    T[row] /= sign * T[row, col]
+    factors = sign * T[:, col]
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
     T[:, col] = 0.0
-    T[row, col] = 1.0
+    T[row, col] = sign
     rhs = T[:, -1]
     rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
     tab.basis[row] = col
+    tab.sign[row] = sign
 
 
 def _same_bits(a, b):
@@ -253,25 +261,28 @@ def test_sparse_pivot_matches_dense_update_bitwise(order):
     b[1] = 1.5     # a pivot row whose rhs entry is nonzero
     S[1, 7] = -0.75
     A = np.hstack([S, np.eye(m)])
-    tabs = [lp._Tableau(A, b, np.arange(n, n + m), 1e-10) for _ in range(2)]
+    tabs = [lp._Tableau(A, b, np.arange(n, n + m), np.ones(m), np.array([3, 7]), n)
+            for _ in range(2)]
     for tab in tabs:
         tab.T = np.asarray(tab.T, order=order)
     sparse, dense = tabs
 
-    def step(row, col):
+    def step(row, col, sign=1.0):
         cached = sparse.norms
-        sparse.pivot(row, col)
-        _dense_pivot(dense, row, col)
+        sparse.pivot(row, col, sign)
+        _dense_pivot(dense, row, col, sign)
         assert sparse.norms is cached  # updated in place, not recomputed
         assert np.array_equal(sparse.basis, dense.basis)
+        assert np.array_equal(sparse.sign, dense.sign)
         assert _same_bits(sparse.T, dense.T)
         assert sparse.norms.tobytes() == _full_norms(sparse).tobytes()
         assert sparse.norms[col] == 1.0
 
     step(0, 3)
     assert np.count_nonzero(sparse.T[0, :-1]) == 2
-    step(1, 7)
+    step(1, 7, -1.0)  # a free column entering in its negative direction
     assert sparse.T[1, -1] != 0.0
+    assert sparse.T[1, 7] == -1.0
     for k in range(24):
         if k == 10:
             sparse.refactor()
@@ -286,8 +297,8 @@ def test_sparse_pivot_matches_dense_update_bitwise(order):
 
 
 def _solve_with_dense_pivots(problem, monkeypatch):
-    def pivot(tab, row, col):
-        _dense_pivot(tab, row, col)
+    def pivot(tab, row, col, sign=1.0):
+        _dense_pivot(tab, row, col, sign)
         tab._norms = None  # no cache: every read recomputes the full einsum
 
     with monkeypatch.context() as patch:
@@ -332,12 +343,13 @@ def _phase_2_tableau(problem, monkeypatch):
     def capture(tab, *args, **kwargs):
         if kwargs.get("artificial_start") is None and not start:
             start["T"], start["basis"] = tab.T.copy(order="K"), tab.basis.copy()
+            start["sign"] = tab.sign.copy()
         return run(tab, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_run_simplex", capture)
         solution = lp.solve(problem)
-    return start["T"], start["basis"], solution
+    return start["T"], start["basis"], start["sign"], solution
 
 
 def test_sparse_pivot_matches_dense_update_bitwise_at_kernel_scale(monkeypatch):
@@ -347,14 +359,15 @@ def test_sparse_pivot_matches_dense_update_bitwise_at_kernel_scale(monkeypatch):
     X, y = _two_blobs(np.random.default_rng(41), 100, 2, 3.0)
     config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.125))
     problem, _ = formulations.build_problem(X, y, config)
-    T0, basis, solution = _phase_2_tableau(problem, monkeypatch)
+    T0, basis, sign, solution = _phase_2_tableau(problem, monkeypatch)
     assert solution.status is lp.LpStatus.OPTIMAL
     m, width = T0.shape
-    assert m >= 200 and width >= 500
+    assert m >= 200 and width >= 400  # 202 weight, b, h and q columns, 200 slacks
     tabs = []
     for _ in range(2):
         tab = lp._Tableau.__new__(lp._Tableau)
-        tab.T, tab.basis, tab._norms = np.array(T0, order="F"), basis.copy(), None
+        tab.T, tab.basis, tab.sign = np.array(T0, order="F"), basis.copy(), sign.copy()
+        tab._norms = None
         tabs.append(tab)
     sparse, dense = tabs
 
@@ -363,7 +376,7 @@ def test_sparse_pivot_matches_dense_update_bitwise_at_kernel_scale(monkeypatch):
         entries = np.abs(sparse.T[row, :-1])
         entries[sparse.basis] = 0.0
         col = int(np.argmax(entries))
-        assert entries[col] > 1e-3 and np.count_nonzero(entries) >= 150  # a dense row
+        assert entries[col] > 1e-3 and np.count_nonzero(entries) >= 100  # a dense row
         cached = sparse.norms
         sparse.pivot(int(row), col)
         _dense_pivot(dense, int(row), col)

@@ -1,0 +1,65 @@
+"""Property tests of the training programs: symmetries that any correct
+solver must respect.  Flipped labels make the free weights and offset change
+sign, so these also drive free variables through their negative direction.
+Skipped when hypothesis is not installed."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mcm import formulations  # noqa: E402
+from mcm.errors import HardMarginInfeasible  # noqa: E402
+
+import oracles  # noqa: E402
+
+HARD = formulations.TrainConfig("hard-linear")
+SOFT = formulations.TrainConfig("soft-linear", C=1.0)
+
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.integers(6, 24)
+dims = st.integers(1, 4)
+# the same examples on every run, and no example database
+derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+@derandomized
+@given(seed=seeds, m=sizes, d=dims, config=st.sampled_from([HARD, SOFT]))
+def test_permuting_samples_keeps_the_objective(seed, m, d, config):
+    X, y = oracles.blobs(seed, m, d, 8.0)
+    order = np.random.default_rng(seed + 1).permutation(m)
+    first = formulations.train(X, y, config)
+    permuted = formulations.train(X[order], y[order], config)
+    assert permuted.objective_value == pytest.approx(first.objective_value, rel=1e-7)
+
+
+@derandomized
+@given(seed=seeds, m=sizes, d=dims, config=st.sampled_from([HARD, SOFT]))
+def test_flipping_labels_negates_the_hyperplane(seed, m, d, config):
+    X, y = oracles.blobs(seed, m, d, 8.0)  # continuous data: the optimum is unique
+    model = formulations.train(X, y, config).model
+    flipped = formulations.train(X, -y, config).model
+    assert flipped.h == pytest.approx(model.h, rel=1e-7)
+    assert np.allclose(flipped.w, -model.w, rtol=1e-6, atol=1e-8)
+    assert flipped.b == pytest.approx(-model.b, rel=1e-6, abs=1e-8)
+
+
+@derandomized
+@given(seed=seeds, m=sizes, d=dims, scale=st.floats(0.01, 100.0))
+def test_scaling_features_keeps_hard_margin_h(seed, m, d, scale):
+    X, y = oracles.blobs(seed, m, d, 8.0)
+    h = formulations.train(X, y, HARD).model.h
+    assert formulations.train(X * scale, y, HARD).model.h == pytest.approx(h, rel=1e-7)
+
+
+@settings(derandomized, max_examples=15)
+@given(seed=seeds, m=sizes, d=dims, which=st.integers(0, 2**16))
+def test_contradictory_duplicate_defeats_hard_margin_only(seed, m, d, which):
+    X, y = oracles.blobs(seed, m, d, 8.0)
+    i = which % m
+    X2, y2 = np.vstack([X, X[i]]), np.append(y, -y[i])
+    with pytest.raises(HardMarginInfeasible):
+        formulations.train(X2, y2, HARD)
+    soft = formulations.train(X2, y2, SOFT)
+    assert np.isfinite(soft.objective_value) and soft.model.h >= 1.0 - 1e-9
