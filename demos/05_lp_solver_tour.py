@@ -7,7 +7,7 @@ phase-1 optimum) and unboundedness (an improving ray), and it survives the
 classic degenerate instances that make naive pivoting cycle.
 """
 
-from mcm import SolverOptions, solve, standardize
+from mcm import solve, standardize
 from mcm.lp import make_problem, write_lp_text
 
 # a garden-variety LP: minimize -x - 2y inside the triangle x + y <= 1
@@ -40,11 +40,11 @@ beale = make_problem(
      ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
      ([0.0, 0.0, 1.0, 0.0], "<=", 1.0)],
     ["nonneg"] * 4)
-solution = solve(beale, SolverOptions())
+solution = solve(beale)
 print(f"\nBeale instance: {solution.status.value} at objective "
       f"{solution.objective_value} after {solution.iterations} pivots")
 # a budget that runs out certifies nothing, so no point comes back
-capped = solve(beale, SolverOptions(max_iterations=1))
+capped = solve(beale, max_iterations=1)
 print(f"with a one-pivot budget: {capped.status.value}, x = {capped.primal_values}")
 
 print("\nthe same LP in CPLEX-LP text (what the CLI's --dump-lp writes):")

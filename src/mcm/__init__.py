@@ -38,7 +38,7 @@ from .formulations import (
     train,
 )
 from .kernels import KernelSpec, cross_gram, gram
-from .lp import LpProblem, LpSolution, LpStatus, SolverOptions, solve, standardize
+from .lp import LpProblem, LpSolution, LpStatus, solve, standardize
 from .model import (
     KernelModel,
     LinearModel,
@@ -64,7 +64,7 @@ __all__ = [
     "HARD_LINEAR", "SOFT_KERNEL", "SOFT_LINEAR", "McmLpLayout", "TrainConfig",
     "TrainResult", "build_problem", "extract_kernel", "extract_linear", "train",
     "KernelSpec", "cross_gram", "gram",
-    "LpProblem", "LpSolution", "LpStatus", "SolverOptions", "solve", "standardize",
+    "LpProblem", "LpSolution", "LpStatus", "solve", "standardize",
     "KernelModel", "LinearModel", "OvrModel", "decision", "decision_many",
     "load_model", "model_from_json", "model_to_json", "predict", "predict_many",
     "predict_ovr", "save_model",

@@ -33,7 +33,6 @@ from .errors import (
     UnknownLabel,
 )
 from .kernels import RBF, KernelSpec
-from .lp import SolverOptions
 from .model import OvrModel, decision_many, negated, ovr_labels
 
 REPORT_VERSION = 1
@@ -281,10 +280,7 @@ class CvReport:
             "kind": "cv",
             "variant": self.config.variant,
             "C": self.config.C,
-            "kernel": None if kernel is None else {
-                "kind": kernel.kind, "gamma": kernel.gamma,
-                "degree": kernel.degree, "coef0": kernel.coef0,
-            },
+            "kernel": None if kernel is None else kernel.to_dict(),
             "scale": self.scale,
             "folds": self.k,
             "seed": self.seed,
@@ -338,8 +334,7 @@ class CvReport:
         return "\n".join(lines) + "\n"
 
 
-def train_ovr(samples, raw_labels, config: formulations.TrainConfig,
-              options: SolverOptions | None = None, classes=None):
+def train_ovr(samples, raw_labels, config: formulations.TrainConfig, classes=None):
     """One binary model per class, and the TrainResult of each solve.  Two
     classes take one solve: the second member is the negated first, the
     optimum under flipped labels.  `classes` fixes the class order (default:
@@ -348,7 +343,7 @@ def train_ovr(samples, raw_labels, config: formulations.TrainConfig,
     classes = list(dict.fromkeys(labels) if classes is None else classes)
     if len(classes) < 2:
         raise SingleClass("one-versus-rest needs at least two classes")
-    results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config, options)
+    results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config)
                for cls in (classes if len(classes) > 2 else classes[:1])]
     members = [result.model for result in results]
     if len(classes) == 2:
@@ -357,8 +352,7 @@ def train_ovr(samples, raw_labels, config: formulations.TrainConfig,
 
 
 def evaluate_fold(X_train, labels_train, X_eval, labels_eval,
-                  config: formulations.TrainConfig, options: SolverOptions | None = None,
-                  fold: int = 0, classes=None):
+                  config: formulations.TrainConfig, fold: int = 0, classes=None):
     """Train a one-versus-rest bundle (`train_ovr`) on the training rows and
     score it on the evaluation rows; returns (bundle, TrainResults,
     FoldOutcome).
@@ -369,7 +363,7 @@ def evaluate_fold(X_train, labels_train, X_eval, labels_eval,
     evaluation labels together hold more than two classes."""
     labels_train = np.asarray(labels_train, dtype=object)
     labels_eval = np.asarray(labels_eval, dtype=object)
-    ovr, results = train_ovr(X_train, labels_train, config, options, classes)
+    ovr, results = train_ovr(X_train, labels_train, config, classes)
     stacked = decision_many(ovr, X_eval)
     accuracy = float(np.mean(np.asarray(ovr_labels(ovr, stacked), dtype=object) == labels_eval))
     caps = [capacity_report(result.model, X_train, np.where(labels_train == cls, 1.0, -1.0))
@@ -393,8 +387,7 @@ def _annotate(exc: McmError, fold: int) -> McmError:
 
 
 def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
-                   plan: FoldPlan, scale: bool = False,
-                   options: SolverOptions | None = None) -> CvReport:
+                   plan: FoldPlan, scale: bool = False) -> CvReport:
     labels = np.asarray(dataset.labels, dtype=object)
     if plan.assignments.shape[0] != labels.shape[0]:
         raise McmError(f"fold plan covers {plan.assignments.shape[0]} samples, "
@@ -420,7 +413,7 @@ def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
             X_test = apply_scale(params, X_test)
         try:
             _, _, outcome = evaluate_fold(X_train, labels[~test_mask], X_test,
-                                          labels[test_mask], config, options, fold, order)
+                                          labels[test_mask], config, fold, order)
         except McmError as exc:
             raise _annotate(exc, fold) from exc
         report.folds.append(outcome)
@@ -462,10 +455,6 @@ class GridResult:
     @property
     def best_cell(self) -> GridCell:
         return self.cells[self.best_index]
-
-    @property
-    def best_config(self) -> formulations.TrainConfig:
-        return self.best_cell.report.config
 
     def to_json_dict(self) -> dict:
         def cell_dict(cell: GridCell) -> dict:
@@ -519,7 +508,6 @@ class GridResult:
 def grid_search(dataset: Dataset, variant: str, grid: GridSpec, plan: FoldPlan,
                 kernel_kind: str = RBF, kernel_degree: int = 3,
                 kernel_coef0: float = 1.0, scale: bool = False,
-                options: SolverOptions | None = None,
                 skip_failures: bool = False) -> GridResult:
     """Cross-validate every grid cell and pick the best configuration.
 
@@ -545,7 +533,7 @@ def grid_search(dataset: Dataset, variant: str, grid: GridSpec, plan: FoldPlan,
                     else KernelSpec(kernel_kind, degree=kernel_degree, coef0=kernel_coef0))
             config = formulations.TrainConfig(variant, C=C, kernel=spec)
         try:
-            report = cross_validate(dataset, config, plan, scale=scale, options=options)
+            report = cross_validate(dataset, config, plan, scale=scale)
         except McmError as exc:
             if not skip_failures:
                 gamma_text = "" if gamma is None else f", gamma={gamma:g}"

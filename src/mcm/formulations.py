@@ -30,7 +30,7 @@ from .errors import (
     SingleClass,
     SolverFailure,
 )
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import KernelSpec, gram
 from .model import KernelModel, LinearModel
 
 HARD_LINEAR = "hard-linear"
@@ -62,9 +62,11 @@ class TrainConfig:
 @dataclass(frozen=True)
 class McmLpLayout:
     """Column map of a training LP: weights (w or lambda), offset b, bound h,
-    and slacks q for the soft variants."""
+    and slacks q for the soft variants; ``scores`` holds the rows s_i the
+    weights multiply (the samples, or the training Gram matrix)."""
 
     variant: str
+    scores: np.ndarray
     weight_cols: np.ndarray
     b_col: int
     h_col: int
@@ -135,6 +137,7 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     )
     layout = McmLpLayout(
         variant=config.variant,
+        scores=scores,
         weight_cols=np.arange(n_weights),
         b_col=n_weights,
         h_col=n_weights + 1,
@@ -166,21 +169,21 @@ def extract_kernel(solution: lp.LpSolution, layout: McmLpLayout,
     Dropping columns must not move any training decision value by more than
     PRUNE_CHECK_TOL; degenerate vertices can carry legitimately tiny basic
     coefficients below the default cutoff, so the cutoff backs off until the
-    verified drift passes.
+    verified drift passes.  The drift is measured on the training Gram
+    matrix the LP was built from (``layout.scores``).
     """
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise NotOptimal(f"solution status is {solution.status.value}")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     lam_full = layout.weights(solution)
     b = layout.offset(solution)
-    K = cross_gram(config.kernel, X, X)
     cutoff = max(SV_RELATIVE_TOL * float(np.abs(lam_full).max(initial=0.0)),
                  SV_ABSOLUTE_TOL)
     while True:
         keep = np.abs(lam_full) > cutoff
         dropped = lam_full.copy()
         dropped[keep] = 0.0
-        drift = float(np.abs(K @ dropped).max(initial=0.0))
+        drift = float(np.abs(layout.scores @ dropped).max(initial=0.0))
         if drift <= PRUNE_CHECK_TOL or not (~keep).any():
             break
         cutoff /= 16.0
@@ -203,13 +206,12 @@ class TrainResult:
     lp_iterations: int
 
 
-def train(samples, labels, config: TrainConfig,
-          options: lp.SolverOptions | None = None) -> TrainResult:
+def train(samples, labels, config: TrainConfig) -> TrainResult:
     """Build the LP for the requested variant, solve it, extract the model."""
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     problem, layout = build_problem(X, labels, config)
     start = time.perf_counter()
-    solution = lp.solve(problem, options)
+    solution = lp.solve(problem)
     seconds = time.perf_counter() - start
     if solution.status is lp.LpStatus.INFEASIBLE:
         if config.variant == HARD_LINEAR:

@@ -47,6 +47,11 @@ class KernelSpec:
             return f"poly(degree={self.degree}, coef0={self.coef0:g})"
         return "linear"
 
+    def to_dict(self) -> dict:
+        """The JSON form model files and cv reports share."""
+        return {"kind": self.kind, "gamma": self.gamma,
+                "degree": self.degree, "coef0": self.coef0}
+
 
 def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
     """Rectangular kernel matrix K[i, j] = K(X[i], Y[j])."""

@@ -24,6 +24,10 @@ tableau's own memory order (C in phase 1, Fortran in phase 2), and
 refreshes the cached edge norms of just those columns.
 Optimal bases are re-solved against the original data, giving exact vertex
 coordinates with true zeros in the degenerate positions.
+
+Every LP is solved the same way: the tolerances and the stall patience are
+module constants (``_FEAS_TOL``, ``_PIVOT_TOL``, ``_STALL_ITERATIONS``), and
+``solve(problem, max_iterations=None)`` takes only the pivot budget.
 """
 
 from __future__ import annotations
@@ -114,15 +118,6 @@ def make_problem(objective, rows, bounds) -> LpProblem:
     return LpProblem(objective, A, np.array(senses, dtype=str),
                      np.array([rhs for _, _, rhs in rows], dtype=float),
                      np.array([kind == FREE for kind in bounds], dtype=bool))
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    feas_tol: float = 1e-8
-    obj_tol: float = 1e-7
-    pivot_tol: float = 1e-10
-    max_iterations: int | None = None  # None: 50 * (rows + columns)
-    stall_iterations: int = 50
 
 
 @dataclass
@@ -333,12 +328,15 @@ class _Budget:
         self.used += 1
 
 
+_FEAS_TOL = 1e-8         # phase-1 optimum above this (scaled by 1 + |b|) is infeasible
+_PIVOT_TOL = 1e-10       # reduced costs and pivot entries within this count as zero
+_STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
 
 
-def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
-                 budget: _Budget, artificial_start: int | None = None) -> str:
+def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
+                 artificial_start: int | None = None) -> str:
     """Iterate to optimality or unboundedness. Returns 'optimal' or 'unbounded'.
 
     Pricing is steepest-edge (most negative reduced cost per unit edge length;
@@ -366,7 +364,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
     genuine cycle eventually stays under Bland's rule long enough for its
     finite-termination guarantee to bite.
     """
-    tol = options.pivot_tol
+    tol = _PIVOT_TOL
     ncols = tab.T.shape[1] - 1
     columns, negative = tab.directions(ncols)
 
@@ -384,7 +382,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
     reduced, obj = refresh()
     bland = False
     stall = 0
-    patience = options.stall_iterations
+    patience = _STALL_ITERATIONS
     since_refresh = 0
     since_refactor = 0
     certifying = False
@@ -424,8 +422,6 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
                 reduced, obj = refresh()
                 since_refresh = 0
                 certifying = True
-                continue
-            if reduced[direction] >= -tol:
                 continue
             return "unbounded"
         certifying = False
@@ -470,22 +466,20 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, options: SolverOptions,
                 stall = 0
 
 
-def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolution:
-    """Solve to a basic optimal solution, or certify infeasibility/unboundedness."""
-    options = options or SolverOptions()
+def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
+    """Solve to a basic optimal solution, or certify infeasibility/unboundedness.
+
+    max_iterations caps the pivots of both phases together (None: 50 times
+    the standardized rows plus columns); running out gives ITERATION_LIMIT.
+    """
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
     m, n = A.shape
     n_orig = problem.n_vars
-    tol = options.pivot_tol
-
-    limit = options.max_iterations
-    if limit is None:
-        limit = 50 * (m + n)
-    budget = _Budget(limit)
+    budget = _Budget(50 * (m + n) if max_iterations is None else max_iterations)
 
     if m == 0:
-        if np.any(c < -tol) or np.any(c[free] > tol):
+        if np.any(c < -_PIVOT_TOL) or np.any(c[free] > _PIVOT_TOL):
             return LpSolution(LpStatus.UNBOUNDED, None, None, (0, 0))
         return _finish(problem, np.zeros(n_orig), (0, 0))
 
@@ -515,25 +509,24 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     tab = _Tableau(np.hstack([A, art_cols]), b, basis, sign, free_cols, n_orig)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
     try:
-        outcome = _run_simplex(tab, phase1_costs, options, budget,
-                               artificial_start=n)
+        outcome = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
     except _Stop as stop:
         return LpSolution(stop.status, None, None, (budget.used, 0))
     assert outcome == "optimal"  # phase 1 is bounded below by 0
     phase1 = budget.used
 
     infeasibility = float(phase1_costs[tab.basis] @ tab.rhs)
-    if infeasibility > options.feas_tol * (1.0 + float(np.abs(b).max(initial=0.0))):
+    if infeasibility > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
         return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
 
-    _drive_out_artificials(tab, n, tol)
+    _drive_out_artificials(tab, n)
 
     # phase 2 on structural columns only
     keep = np.concatenate([np.arange(n), [tab.T.shape[1] - 1]])
     tab2 = _Tableau(tab.T[:, keep][:, :-1], tab.T[:, -1], tab.basis, tab.sign, free_cols,
                     n_orig, originals=(tab.A0[:, :n], tab.b0))
     try:
-        outcome = _run_simplex(tab2, c, options, budget)
+        outcome = _run_simplex(tab2, c, budget)
     except _Stop as stop:
         return LpSolution(stop.status, None, None, (phase1, budget.used - phase1))
     phases = (phase1, budget.used - phase1)
@@ -547,7 +540,7 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     return _finish(problem, x[:n_orig], phases)
 
 
-def _drive_out_artificials(tab: _Tableau, n_struct: int, tol: float) -> None:
+def _drive_out_artificials(tab: _Tableau, n_struct: int) -> None:
     """Pivot basic artificials onto structural directions, taking the
     largest entry first in the split form's order; drop redundant rows."""
     columns, negative = tab.directions(n_struct)
@@ -558,7 +551,7 @@ def _drive_out_artificials(tab: _Tableau, n_struct: int, tol: float) -> None:
         entries = np.abs(tab.T[row, columns])
         entries[tab.split_index(np.flatnonzero(tab.basis < n_struct))] = 0.0
         direction = int(np.argmax(entries))
-        if entries[direction] > tol:
+        if entries[direction] > _PIVOT_TOL:
             sign = -1.0 if negative.start <= direction < negative.stop else 1.0
             tab.pivot(row, int(columns[direction]), sign)
         else:

@@ -158,15 +158,6 @@ def negated(model):
 
 # --- serialization ---
 
-def _kernel_dict(kernel: KernelSpec) -> dict:
-    return {
-        "kind": kernel.kind,
-        "gamma": kernel.gamma,
-        "degree": kernel.degree,
-        "coef0": kernel.coef0,
-    }
-
-
 def _model_dict(model) -> dict:
     if isinstance(model, LinearModel):
         return {
@@ -188,7 +179,7 @@ def _model_dict(model) -> dict:
             "b": float(model.b),
             "h": float(model.h),
             "C": None if model.C is None else float(model.C),
-            "kernel": _kernel_dict(model.kernel),
+            "kernel": model.kernel.to_dict(),
             "lambda": [float(v) for v in model.lam],
             "support_vectors": [[float(v) for v in row] for row in model.support_vectors],
         }

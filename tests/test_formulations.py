@@ -1,7 +1,10 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from mcm import formulations, lp
+from mcm import formulations, kernels, lp
 from mcm.errors import (
     DimensionMismatch,
     HardMarginInfeasible,
@@ -11,7 +14,7 @@ from mcm.errors import (
     SolverFailure,
 )
 from mcm.kernels import KernelSpec, gram
-from mcm.model import decision_many, predict_many
+from mcm.model import decision_many, model_to_json, predict_many
 
 import oracles
 
@@ -96,17 +99,17 @@ def test_hard_linear_identical_points_infeasible():
         formulations.train(X, y, formulations.TrainConfig("hard-linear"))
 
 
-def test_iteration_limit_on_separable_data_is_solver_failure():
+def test_iteration_limit_on_separable_data_is_solver_failure(monkeypatch):
     # phase 1 runs out of iterations before it finds the (existing) feasible
     # point; that certifies nothing about separability
-    options = lp.SolverOptions(max_iterations=2)
     problem, _ = formulations.build_problem(SIX_POINTS, SIX_LABELS, HARD)
-    solution = lp.solve(problem, options)
+    solution = lp.solve(problem, max_iterations=2)
     assert solution.status is lp.LpStatus.ITERATION_LIMIT and solution.limit_exceeded
     assert solution.primal_values is None
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: solve(problem, max_iterations=2))
     with pytest.raises(SolverFailure, match="iteration_limit"):
-        formulations.train(SIX_POINTS, SIX_LABELS,
-                           formulations.TrainConfig("hard-linear"), options)
+        formulations.train(SIX_POINTS, SIX_LABELS, formulations.TrainConfig("hard-linear"))
 
 
 def test_single_class_rejected():
@@ -207,6 +210,49 @@ def test_kernel_pruning_preserves_training_decisions():
     pruned = decision_many(model, X)
     assert np.abs(full - pruned).max() <= 1e-9
     assert model.sv_count <= X.shape[0]
+
+
+def test_kernel_fit_evaluates_training_gram_once(monkeypatch):
+    # build_problem's Gram matrix also serves the pruning check, so one rbf
+    # fit evaluates the kernel on (X, X) once
+    X, y = oracles.blobs(0, 30, 2, 1.0)
+    original = kernels.cross_gram
+    calls = []
+
+    def counting(kernel, A, B):
+        calls.append((len(A), len(B)))
+        return original(kernel, A, B)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mcm") and getattr(module, "cross_gram", None) is original:
+            monkeypatch.setattr(module, "cross_gram", counting)
+    config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5))
+    formulations.train(X, y, config)
+    assert calls == [(30, 30)]
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec("linear"), KernelSpec("poly", degree=2), KernelSpec("rbf", gamma=0.125),
+    KernelSpec("rbf", gamma=2.0)], ids=["linear", "poly", "rbf-gamma-0.125", "rbf-gamma-2"])
+def test_pruning_on_build_gram_matches_cross_gram_reference(kernel):
+    # the reference checks drift on a fresh cross_gram(X, X); the Gram matrix
+    # build_problem made has the same bits, so the pruned models are too
+    config = formulations.TrainConfig("kernel", C=1.0, kernel=kernel)
+    rng = np.random.default_rng(5)
+    for seed in range(3):
+        X, y = oracles.blobs(seed, 40, 3, 1.5)
+        problem, layout = formulations.build_problem(X, y, config)
+        solution = lp.solve(problem)
+        fresh = dataclasses.replace(layout, scores=kernels.cross_gram(kernel, X, X))
+        model = formulations.train(X, y, config).model
+        reference = formulations.extract_kernel(solution, fresh, config, X)
+        assert model_to_json(model) == model_to_json(reference)
+        # coefficients spread over many magnitudes make the cutoff back off
+        values = solution.primal_values.copy()
+        values[layout.weight_cols] = rng.normal(size=40) * 10.0 ** -rng.integers(0, 14, size=40)
+        spread = lp.LpSolution(lp.LpStatus.OPTIMAL, values, 0.0, (0, 0))
+        assert model_to_json(formulations.extract_kernel(spread, layout, config, X)) == \
+            model_to_json(formulations.extract_kernel(spread, fresh, config, X))
 
 
 def test_extract_kernel_all_zero_coefficients():

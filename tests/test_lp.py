@@ -139,7 +139,7 @@ def test_redundant_equalities_handled():
 def test_iteration_limit_flag():
     rng = np.random.default_rng(19)
     problem, _ = oracles.random_feasible_bounded_lp(rng, n_vars=6, n_ineq=8)
-    sol = lp.solve(problem, lp.SolverOptions(max_iterations=1))
+    sol = lp.solve(problem, max_iterations=1)
     assert sol.status is lp.LpStatus.ITERATION_LIMIT and sol.limit_exceeded
     assert sol.primal_values is None and sol.objective_value is None
 
@@ -163,7 +163,7 @@ def test_iteration_limit_in_phase_2_is_not_optimal(monkeypatch):
         return run(*args, **kwargs)
 
     monkeypatch.setattr(lp, "_run_simplex", spy)
-    sol = lp.solve(problem, lp.SolverOptions(max_iterations=48))
+    sol = lp.solve(problem, max_iterations=48)
     assert len(phases) == 2 and phases[1] is None  # phase 2 was entered
     assert sol.status is lp.LpStatus.ITERATION_LIMIT and sol.limit_exceeded
     assert sol.primal_values is None and sol.objective_value is None
@@ -396,10 +396,10 @@ def test_phase_iterations_split_the_pivot_count(monkeypatch):
     used = []
     run = lp._run_simplex
 
-    def spy(tab, costs, options, budget, **kwargs):
+    def spy(tab, costs, budget, **kwargs):
         before = budget.used
         try:
-            return run(tab, costs, options, budget, **kwargs)
+            return run(tab, costs, budget, **kwargs)
         finally:
             used.append(budget.used - before)
 
@@ -407,7 +407,7 @@ def test_phase_iterations_split_the_pivot_count(monkeypatch):
     full = lp.solve(problem)
     assert full.phase_iterations == (used[0], used[1]) == (43, 11)
     assert full.iterations == 54
-    limited = lp.solve(problem, lp.SolverOptions(max_iterations=48))
+    limited = lp.solve(problem, max_iterations=48)
     assert limited.status is lp.LpStatus.ITERATION_LIMIT
     assert limited.phase_iterations == (used[2], used[3]) == (43, 5)  # 48 pivots made
 

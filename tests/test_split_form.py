@@ -16,7 +16,7 @@ from mcm.kernels import KernelSpec
 import oracles
 
 
-def _solve_recording(problem, monkeypatch, options=None):
+def _solve_recording(problem, monkeypatch):
     """Solve, recording each pivot as (row, entering direction), with the
     direction indexed in the split form's column order."""
     pivots = []
@@ -32,12 +32,12 @@ def _solve_recording(problem, monkeypatch, options=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(lp._Tableau, "pivot", spy)
-        return lp.solve(problem, options), pivots
+        return lp.solve(problem), pivots
 
 
-def assert_replays_split_form(problem, monkeypatch, options=None):
-    native, native_pivots = _solve_recording(problem, monkeypatch, options)
-    split, split_pivots = _solve_recording(oracles.split_free(problem), monkeypatch, options)
+def assert_replays_split_form(problem, monkeypatch):
+    native, native_pivots = _solve_recording(problem, monkeypatch)
+    split, split_pivots = _solve_recording(oracles.split_free(problem), monkeypatch)
     assert native.status is split.status
     assert native.phase_iterations == split.phase_iterations
     assert native_pivots == split_pivots
@@ -58,19 +58,20 @@ CONFIGS = {
     "rbf-gamma-2": (formulations.TrainConfig(
         "kernel", C=1.0, kernel=KernelSpec("rbf", gamma=2.0)), 1.0),
 }
+STEEPEST_EDGE_STALL = lp._STALL_ITERATIONS  # the solver's own patience
 
 
-# stall_iterations=1 hands most pivots of these degenerate programs to
+# a stall patience of 1 hands most pivots of these degenerate programs to
 # Bland's rule, whose entering and leaving choices follow the split order
-@pytest.mark.parametrize("options", [None, lp.SolverOptions(stall_iterations=1)],
-                         ids=["steepest-edge", "bland"])
+@pytest.mark.parametrize("stall", [STEEPEST_EDGE_STALL, 1], ids=["steepest-edge", "bland"])
 @pytest.mark.parametrize("name", CONFIGS)
-def test_training_programs_replay_split_form(name, options, monkeypatch):
+def test_training_programs_replay_split_form(name, stall, monkeypatch):
     config, gap = CONFIGS[name]
+    monkeypatch.setattr(lp, "_STALL_ITERATIONS", stall)
     for seed in range(2):
         X, y = oracles.blobs(seed, 40, 3, gap)
         problem, _ = formulations.build_problem(X, y, config)
-        solution = assert_replays_split_form(problem, monkeypatch, options)
+        solution = assert_replays_split_form(problem, monkeypatch)
         expected = lp.LpStatus.INFEASIBLE if name.endswith("overlapping") else lp.LpStatus.OPTIMAL
         assert solution.status is expected
 
@@ -114,8 +115,9 @@ def test_small_integer_lps_replay_split_form(monkeypatch):
         senses = rng.choice([lp.LESS_EQUAL, lp.GREATER_EQUAL, lp.EQUAL], size=m,
                             p=[0.5, 0.3, 0.2])
         problem = lp.LpProblem(c, A, senses, rhs, rng.random(n) < 0.5)
-        for options in (None, lp.SolverOptions(stall_iterations=1)):
-            statuses.add(assert_replays_split_form(problem, monkeypatch, options).status)
+        for stall in (STEEPEST_EDGE_STALL, 1):
+            monkeypatch.setattr(lp, "_STALL_ITERATIONS", stall)
+            statuses.add(assert_replays_split_form(problem, monkeypatch).status)
     assert statuses == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE, lp.LpStatus.UNBOUNDED}
 
 
@@ -170,8 +172,8 @@ def test_driving_out_artificials_prices_both_directions():
                          np.array([0, 2]), np.array([-1.0, 1.0]), np.array([0]), 2)
     split = lp._Tableau(np.array([[-1.0, 0.0, 1.0, 0.0], [1e-9, 5e-10, -1e-9, 1.0]]),
                         np.zeros(2), np.array([2, 3]), np.ones(2), np.array([], dtype=int), 3)
-    lp._drive_out_artificials(native, 2, 1e-10)
-    lp._drive_out_artificials(split, 3, 1e-10)
+    lp._drive_out_artificials(native, 2)
+    lp._drive_out_artificials(split, 3)
     assert native.split_index().tolist() == split.basis.tolist() == [2, 0]
     expanded = np.hstack([native.T[:, :2], -native.T[:, :1], native.T[:, 2:]])
     assert (expanded + 0.0).tobytes() == (split.T + 0.0).tobytes()
