@@ -43,14 +43,11 @@ from .model import (
     KernelModel,
     LinearModel,
     OvrModel,
-    decision,
     decision_many,
     load_model,
     model_from_json,
     model_to_json,
-    predict,
     predict_many,
-    predict_ovr,
     save_model,
 )
 
@@ -65,8 +62,7 @@ __all__ = [
     "TrainResult", "build_problem", "extract_kernel", "extract_linear", "train",
     "KernelSpec", "cross_gram", "gram",
     "LpProblem", "LpSolution", "LpStatus", "solve", "standardize",
-    "KernelModel", "LinearModel", "OvrModel", "decision", "decision_many",
-    "load_model", "model_from_json", "model_to_json", "predict", "predict_many",
-    "predict_ovr", "save_model",
+    "KernelModel", "LinearModel", "OvrModel", "decision_many",
+    "load_model", "model_from_json", "model_to_json", "predict_many", "save_model",
     "__version__",
 ]

@@ -255,7 +255,7 @@ def cmd_grid(args) -> int:
     result = data_mod.grid_search(
         dataset, args.variant, grid, plan,
         kernel_kind=args.kernel, kernel_degree=args.degree, kernel_coef0=args.coef0,
-        scale=args.scale, skip_failures=True)
+        scale=args.scale)
     for cell in result.cells:
         if cell.error is not None:
             gamma = "" if cell.gamma is None else f" gamma={cell.gamma:g}"

@@ -9,6 +9,12 @@ solve plus its negation), scored by ``evaluate_fold`` for ``cross_validate``
 and ``mcm train`` alike; above two classes the mean of the per-class binary
 accuracies is reported too.  ``read_csv`` is the one CSV parser.
 
+``CvReport.aggregates`` computes every fold mean and standard deviation; the
+JSON report, the text table and the grid ranking all read it.  A
+``GridResult`` is its cells alone: a cell whose cross-validation fails is
+recorded with its error, and the best cell and the grid's metadata are read
+off the succeeding cells' reports.
+
 JSON reports deliberately omit wall-clock timings so that two runs with the
 same seed are byte-identical; timings appear in the text tables only.
 """
@@ -235,11 +241,6 @@ class FoldOutcome:
     mean_binary_accuracy: float | None = None  # multiclass only
 
 
-def _mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())  # population std
-
-
 @dataclass
 class CvReport:
     config: formulations.TrainConfig
@@ -247,33 +248,32 @@ class CvReport:
     k: int
     seed: int
     classes: list[str]
-    sv_applicable: bool
     folds: list[FoldOutcome] = field(default_factory=list)
 
     @property
-    def accuracy_mean(self) -> float:
-        return _mean_std([f.accuracy for f in self.folds])[0]
+    def sv_applicable(self) -> bool:
+        return self.config.variant == formulations.SOFT_KERNEL
 
-    @property
-    def accuracy_std(self) -> float:
-        return _mean_std([f.accuracy for f in self.folds])[1]
-
-    @property
-    def sv_count_mean(self) -> float:
-        return _mean_std([f.sv_count for f in self.folds])[0]
-
-    @property
-    def h_values(self) -> list[float]:
-        return [f.h for f in self.folds if f.h is not None]
+    def aggregates(self) -> dict:
+        """Mean and population standard deviation over the folds of each
+        per-fold value, keyed and ordered as in the JSON report.  h is taken
+        over the folds where it is defined; the mean binary accuracy only
+        when every fold has one.  An undefined mean and its std are None."""
+        h_values = [f.h for f in self.folds if f.h is not None]
+        binary = [f.mean_binary_accuracy for f in self.folds]
+        series = [("accuracy", [f.accuracy for f in self.folds]),
+                  ("mean_binary_accuracy", binary if None not in binary else []),
+                  ("sv_count", [f.sv_count for f in self.folds]),
+                  ("h", h_values)]
+        stats = {}
+        for name, values in series:
+            arr = np.asarray(values, dtype=float)
+            stats[f"{name}_mean"] = float(arr.mean()) if values else None
+            stats[f"{name}_std"] = float(arr.std()) if values else None
+        stats["h_defined_folds"] = len(h_values)
+        return stats
 
     def to_json_dict(self) -> dict:
-        acc_mean, acc_std = _mean_std([f.accuracy for f in self.folds])
-        sv_mean, sv_std = _mean_std([f.sv_count for f in self.folds])
-        h_vals = self.h_values
-        h_mean, h_std = _mean_std(h_vals) if h_vals else (None, None)
-        binary = [f.mean_binary_accuracy for f in self.folds]
-        has_binary = all(v is not None for v in binary) and binary
-        mb_mean, mb_std = _mean_std(binary) if has_binary else (None, None)
         kernel = self.config.kernel
         return {
             "report_version": REPORT_VERSION,
@@ -297,15 +297,7 @@ class CvReport:
                 }
                 for f in self.folds
             ],
-            "accuracy_mean": acc_mean,
-            "accuracy_std": acc_std,
-            "mean_binary_accuracy_mean": mb_mean,
-            "mean_binary_accuracy_std": mb_std,
-            "sv_count_mean": sv_mean,
-            "sv_count_std": sv_std,
-            "h_mean": h_mean,
-            "h_std": h_std,
-            "h_defined_folds": len(h_vals),
+            **self.aggregates(),
         }
 
     def to_json(self) -> str:
@@ -323,14 +315,12 @@ class CvReport:
             lines.append(
                 f"{f.fold:>4}  {f.accuracy:>8.4f}  {sv_text(f.sv_count)}  "
                 f"{h_text(f.h):>10}  {f.train_seconds:>8.3f}")
-        acc_mean, acc_std = _mean_std([f.accuracy for f in self.folds])
-        sv_mean, sv_std = _mean_std([f.sv_count for f in self.folds])
-        h_vals = self.h_values
-        lines.append(f"{'mean':>4}  {acc_mean:>8.4f}  {sv_text(sv_mean)}  "
-                     f"{h_text(_mean_std(h_vals)[0] if h_vals else None):>10}  "
+        stats = self.aggregates()
+        lines.append(f"{'mean':>4}  {stats['accuracy_mean']:>8.4f}  "
+                     f"{sv_text(stats['sv_count_mean'])}  {h_text(stats['h_mean']):>10}  "
                      f"{sum(f.train_seconds for f in self.folds):>8.3f}")
-        lines.append(f"{'std':>4}  {acc_std:>8.4f}  {sv_text(sv_std)}  "
-                     f"{h_text(_mean_std(h_vals)[1] if h_vals else None):>10}")
+        lines.append(f"{'std':>4}  {stats['accuracy_std']:>8.4f}  "
+                     f"{sv_text(stats['sv_count_std'])}  {h_text(stats['h_std']):>10}")
         return "\n".join(lines) + "\n"
 
 
@@ -396,8 +386,7 @@ def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
     if len(classes) < 2:
         raise SingleClass("cross-validation needs at least two classes")
     report = CvReport(config=config, scale=scale, k=plan.k, seed=plan.seed,
-                      classes=classes,
-                      sv_applicable=config.variant == formulations.SOFT_KERNEL)
+                      classes=classes)
     # Two classes keep the dataset's order in every fold: it picks the class
     # the one LP is solved for, and a degenerate LP under flipped labels need
     # not return the negated optimum.  A fold that lacks a class then fails
@@ -428,10 +417,11 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "C_values", tuple(float(v) for v in self.C_values))
         object.__setattr__(self, "gamma_values", tuple(float(v) for v in self.gamma_values))
-        if not self.C_values or any(v <= 0 for v in self.C_values):
-            raise McmError("C grid must be a nonempty list of positive values")
-        if not self.gamma_values or any(v <= 0 for v in self.gamma_values):
-            raise McmError("gamma grid must be a nonempty list of positive values")
+        for name, values in (("C", self.C_values), ("gamma", self.gamma_values)):
+            if not values or any(v <= 0 for v in values):
+                raise McmError(f"{name} grid must be a nonempty list of positive values")
+            if not all(map(math.isfinite, values)):
+                raise McmError(f"{name} grid values must be finite")
 
 
 @dataclass
@@ -444,45 +434,46 @@ class GridCell:
 
 @dataclass
 class GridResult:
-    variant: str
-    kernel_kind: str | None
-    k: int
-    seed: int
-    scale: bool
+    """The cells of a grid search, in scan order; at least one succeeded."""
+
     cells: list[GridCell]
-    best_index: int
 
     @property
     def best_cell(self) -> GridCell:
-        return self.cells[self.best_index]
+        """Highest mean accuracy, ties broken by smaller mean support count,
+        then smaller C, then smaller gamma, then scan order."""
+        def rank(cell: GridCell):
+            stats = cell.report.aggregates()
+            return (-stats["accuracy_mean"], stats["sv_count_mean"], cell.C,
+                    0.0 if cell.gamma is None else cell.gamma)
+
+        return min((cell for cell in self.cells if cell.report is not None), key=rank)
 
     def to_json_dict(self) -> dict:
         def cell_dict(cell: GridCell) -> dict:
-            summary = {
+            stats = {} if cell.report is None else cell.report.aggregates()
+            return {
                 "C": cell.C,
                 "gamma": cell.gamma,
                 "error": cell.error,
-                "accuracy_mean": None,
-                "accuracy_std": None,
-                "sv_count_mean": None,
+                "accuracy_mean": stats.get("accuracy_mean"),
+                "accuracy_std": stats.get("accuracy_std"),
+                "sv_count_mean": stats.get("sv_count_mean"),
             }
-            if cell.report is not None:
-                summary["accuracy_mean"] = cell.report.accuracy_mean
-                summary["accuracy_std"] = cell.report.accuracy_std
-                summary["sv_count_mean"] = cell.report.sv_count_mean
-            return summary
 
+        best = self.best_cell
+        kernel = best.report.config.kernel
         return {
             "report_version": REPORT_VERSION,
             "kind": "grid",
-            "variant": self.variant,
-            "kernel": self.kernel_kind,
-            "folds": self.k,
-            "seed": self.seed,
-            "scale": self.scale,
+            "variant": best.report.config.variant,
+            "kernel": None if kernel is None else kernel.kind,
+            "folds": best.report.k,
+            "seed": best.report.seed,
+            "scale": best.report.scale,
             "cells": [cell_dict(cell) for cell in self.cells],
-            "best": cell_dict(self.best_cell),
-            "best_report": self.best_cell.report.to_json_dict(),
+            "best": cell_dict(best),
+            "best_report": best.report.to_json_dict(),
         }
 
     def to_json(self) -> str:
@@ -495,68 +486,46 @@ class GridResult:
             if cell.report is None:
                 lines.append(f"{cell.C:>12.6g}  {gamma:>12}  {'ERROR':>8}  {cell.error}")
             else:
+                stats = cell.report.aggregates()
                 lines.append(f"{cell.C:>12.6g}  {gamma:>12}  "
-                             f"{cell.report.accuracy_mean:>8.4f}  "
-                             f"{cell.report.sv_count_mean:>8.1f}")
+                             f"{stats['accuracy_mean']:>8.4f}  {stats['sv_count_mean']:>8.1f}")
         best = self.best_cell
         gamma = "-" if best.gamma is None else f"{best.gamma:.6g}"
         lines.append(f"best: C={best.C:.6g} gamma={gamma} "
-                     f"accuracy={best.report.accuracy_mean:.4f}")
+                     f"accuracy={best.report.aggregates()['accuracy_mean']:.4f}")
         return "\n".join(lines) + "\n"
 
 
 def grid_search(dataset: Dataset, variant: str, grid: GridSpec, plan: FoldPlan,
                 kernel_kind: str = RBF, kernel_degree: int = 3,
-                kernel_coef0: float = 1.0, scale: bool = False,
-                skip_failures: bool = False) -> GridResult:
-    """Cross-validate every grid cell and pick the best configuration.
+                kernel_coef0: float = 1.0, scale: bool = False) -> GridResult:
+    """Cross-validate every grid cell; see `GridResult.best_cell` for the pick.
 
-    Best = highest mean accuracy, ties broken by smaller mean support count,
-    then smaller C, then smaller gamma.  The gamma axis only exists for the
-    rbf kernel; other kernels (and the soft linear variant) scan C alone.
+    The gamma axis only exists for the rbf kernel; other kernels (and the
+    soft linear variant) scan C alone.  A cell whose cross-validation fails
+    is recorded with its error text; McmError is raised, naming the first
+    failure, only when every cell fails.
     """
     if variant == formulations.HARD_LINEAR:
         raise McmError("grid search needs a soft variant (nothing to scan for hard margins)")
-    if variant == formulations.SOFT_LINEAR:
-        pairs = [(C, None) for C in grid.C_values]
-    elif kernel_kind == RBF:
-        pairs = [(C, g) for C in grid.C_values for g in grid.gamma_values]
-    else:
-        pairs = [(C, None) for C in grid.C_values]
-
+    rbf = variant == formulations.SOFT_KERNEL and kernel_kind == RBF
     cells: list[GridCell] = []
-    for C, gamma in pairs:
-        if variant == formulations.SOFT_LINEAR:
-            config = formulations.TrainConfig(variant, C=C)
-        else:
-            spec = (KernelSpec(RBF, gamma=gamma) if kernel_kind == RBF
-                    else KernelSpec(kernel_kind, degree=kernel_degree, coef0=kernel_coef0))
+    for C in grid.C_values:
+        for gamma in grid.gamma_values if rbf else (None,):
+            if variant == formulations.SOFT_LINEAR:
+                spec = None
+            elif rbf:
+                spec = KernelSpec(RBF, gamma=gamma)
+            else:
+                spec = KernelSpec(kernel_kind, degree=kernel_degree, coef0=kernel_coef0)
             config = formulations.TrainConfig(variant, C=C, kernel=spec)
-        try:
-            report = cross_validate(dataset, config, plan, scale=scale)
-        except McmError as exc:
-            if not skip_failures:
-                gamma_text = "" if gamma is None else f", gamma={gamma:g}"
-                wrapped = type(exc)(f"grid cell C={C:g}{gamma_text}: {exc}")
-                raise wrapped from exc
-            cells.append(GridCell(C, gamma, None, error=str(exc)))
-        else:
-            cells.append(GridCell(C, gamma, report))
-
-    scored = [
-        (-(cell.report.accuracy_mean), cell.report.sv_count_mean, cell.C,
-         cell.gamma if cell.gamma is not None else 0.0, index)
-        for index, cell in enumerate(cells) if cell.report is not None
-    ]
-    if not scored:
-        raise McmError("every grid cell failed")
-    best_index = min(scored)[-1]
-    return GridResult(
-        variant=variant,
-        kernel_kind=None if variant == formulations.SOFT_LINEAR else kernel_kind,
-        k=plan.k,
-        seed=plan.seed,
-        scale=scale,
-        cells=cells,
-        best_index=best_index,
-    )
+            try:
+                cells.append(GridCell(C, gamma, cross_validate(dataset, config, plan, scale)))
+            except McmError as exc:
+                cells.append(GridCell(C, gamma, None, error=str(exc)))
+    if all(cell.report is None for cell in cells):
+        first = cells[0]
+        gamma_text = "" if first.gamma is None else f", gamma={first.gamma:g}"
+        raise McmError(f"every grid cell failed; first failure: "
+                       f"grid cell C={first.C:g}{gamma_text}: {first.error}")
+    return GridResult(cells)

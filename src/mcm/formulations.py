@@ -16,6 +16,7 @@ the array-form ``lp.LpProblem`` the solver reads.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ class TrainConfig:
         if self.variant in (SOFT_LINEAR, SOFT_KERNEL):
             if self.C is None or self.C <= 0:
                 raise McmError(f"variant {self.variant!r} requires C > 0")
+            if not math.isfinite(self.C):
+                raise McmError(f"variant {self.variant!r} requires a finite C")
         if self.variant == SOFT_KERNEL and self.kernel is None:
             raise McmError("kernel variant requires a KernelSpec")
 

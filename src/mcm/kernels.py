@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise McmError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == RBF:
-            if self.gamma is None or self.gamma <= 0:
-                raise McmError("rbf kernel requires gamma > 0")
+        if self.kind == RBF and (self.gamma is None or self.gamma <= 0):
+            raise McmError("rbf kernel requires gamma > 0")
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise McmError("kernel gamma must be finite")
+        if not math.isfinite(self.coef0):
+            raise McmError("kernel coef0 must be finite")
         if self.kind == POLY and (int(self.degree) != self.degree or self.degree < 1):
             raise McmError("poly kernel requires integer degree >= 1")
 

@@ -113,22 +113,10 @@ def _binary_decision(model, X, grams: list) -> np.ndarray:
     raise McmError(f"no decision function for {type(model).__name__}")
 
 
-def decision(model, x) -> float:
-    if isinstance(model, OvrModel):
-        raise McmError("a one-versus-rest model has one decision per class")
-    return float(decision_many(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def predict_many(model, X) -> np.ndarray:
     """Signs of the decision values; a decision of exactly zero maps to +1."""
     values = decision_many(model, X)
     return np.where(values >= 0.0, 1, -1)
-
-
-def predict(model, x) -> int:
-    if isinstance(model, OvrModel):
-        raise McmError("predict_ovr labels a row for a one-versus-rest model")
-    return int(predict_many(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def predict_ovr_many(ovr: OvrModel, X) -> list:
@@ -139,10 +127,6 @@ def predict_ovr_many(ovr: OvrModel, X) -> list:
 def ovr_labels(ovr: OvrModel, stacked: np.ndarray) -> list:
     """Class label of each column of a `decision_many(ovr, X)` stack."""
     return [ovr.class_labels[k] for k in np.argmax(stacked, axis=0)]
-
-
-def predict_ovr(ovr: OvrModel, x):
-    return predict_ovr_many(ovr, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def negated(model):

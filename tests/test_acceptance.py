@@ -209,7 +209,7 @@ def test_criterion_8_heart_statlog_accuracy():
     plan = data_mod.make_folds(dataset.labels, k=5, seed=42)
     grid = data_mod.GridSpec(C_values=data_mod.DEFAULT_C_GRID, gamma_values=(1.0,))
     result = data_mod.grid_search(dataset, "soft-linear", grid, plan, scale=True)
-    accuracy = result.best_cell.report.accuracy_mean * 100.0
+    accuracy = result.best_cell.report.aggregates()["accuracy_mean"] * 100.0
     assert abs(accuracy - 84.81) <= 5.0
     print(f"\nPASS criterion 8: heart-statlog grid-searched soft-linear CV "
           f"accuracy {accuracy:.2f}% within 5 points of 84.81%")

@@ -302,6 +302,40 @@ def test_grid_partial_failures_keep_going(tmp_path, capsys):
     assert len(payload["cells"]) == 2
 
 
+def test_grid_every_cell_failing_names_the_first(tmp_path, capsys):
+    data = write(tmp_path, "lonely.csv", "0,a\n5,b\n6,b\n7,b\n8,b\n9,b\n")
+    code, out, err = run(capsys, "grid", "--data", data, "--variant", "soft-linear",
+                         "--grid-c", "1,2", "--folds", "2")
+    assert code == 1 and out == ""
+    assert err == ("error: every grid cell failed; first failure: "
+                   "grid cell C=1: fold 0: training data contains a single class\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("grid", "--variant", "soft-linear", "--grid-c", "1,nan", "--json"),
+     "C grid values must be finite"),
+    (("grid", "--variant", "kernel", "--grid-gamma", "0.5,inf", "--json"),
+     "gamma grid values must be finite"),
+    (("cv", "--variant", "kernel", "--gamma", "inf", "--C", "1", "--json"),
+     "kernel gamma must be finite"),
+    (("cv", "--variant", "soft-linear", "--C", "nan", "--json"),
+     "variant 'soft-linear' requires a finite C"),
+    (("cv", "--variant", "kernel", "--kernel", "poly", "--coef0", "inf", "--C", "1"),
+     "kernel coef0 must be finite"),
+    (("train", "--variant", "kernel", "--gamma", "inf", "--C", "1"),
+     "kernel gamma must be finite"),
+], ids=["grid-c-nan", "grid-gamma-inf", "cv-gamma-inf", "cv-c-nan", "cv-coef0-inf",
+        "train-gamma-inf"])
+def test_non_finite_hyperparameters_are_rejected(tmp_path, capsys, argv, message):
+    data = blob_csv(tmp_path, "blobs.csv", m=20)
+    model_path = tmp_path / "model.mcm.json"
+    extra = ("--out", str(model_path)) if argv[0] == "train" else ()
+    code, out, err = run(capsys, *argv, "--data", data, *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not model_path.exists()
+
+
 def ill_scaled_blobs_csv(tmp_path):
     """45 rows of three 3-D unit blobs with centres 2.5 apart, features then
     scaled by (1, 10, 0.1).  The rbf kernel programs of some folds are so

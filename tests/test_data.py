@@ -221,7 +221,7 @@ def test_cross_validate_blobs_accuracy():
     config = formulations.TrainConfig("soft-linear", C=10.0)
     report = data_mod.cross_validate(ds, config, plan)
     assert len(report.folds) == 5
-    assert report.accuracy_mean >= 0.95
+    assert report.aggregates()["accuracy_mean"] >= 0.95
     assert not report.sv_applicable
 
 
@@ -347,7 +347,8 @@ def test_single_class_training_fold_message(labels, message):
     with pytest.raises(SingleClass, match=f"^fold 0: {message}$"):
         data_mod.cross_validate(ds, config, plan)
     grid = data_mod.GridSpec(C_values=(1.0,), gamma_values=(1.0,))
-    with pytest.raises(SingleClass, match=f"^grid cell C=1: fold 0: {message}$"):
+    with pytest.raises(McmError, match=("^every grid cell failed; first failure: "
+                                        f"grid cell C=1: fold 0: {message}$")):
         data_mod.grid_search(ds, "soft-linear", grid, plan)
 
 
@@ -394,7 +395,7 @@ def test_grid_prefers_accurate_cell():
     plan = data_mod.make_folds(ds.labels, k=4, seed=3)
     grid = data_mod.GridSpec(C_values=(1e-6, 10.0), gamma_values=(1.0,))
     result = data_mod.grid_search(ds, "soft-linear", grid, plan)
-    accs = {cell.C: cell.report.accuracy_mean for cell in result.cells}
+    accs = {cell.C: cell.report.aggregates()["accuracy_mean"] for cell in result.cells}
     assert accs[10.0] > accs[1e-6]
     assert result.best_cell.C == 10.0
 
@@ -405,7 +406,7 @@ def test_grid_accuracy_tie_breaks_to_smaller_c():
     plan = data_mod.make_folds(ds.labels, k=3, seed=5)
     grid = data_mod.GridSpec(C_values=(4.0, 1.0, 16.0), gamma_values=(1.0,))
     result = data_mod.grid_search(ds, "soft-linear", grid, plan)
-    assert result.best_cell.report.accuracy_mean == 1.0
+    assert result.best_cell.report.aggregates()["accuracy_mean"] == 1.0
     assert result.best_cell.C == 1.0  # sv_count ties for linear cells, C decides
 
 
@@ -418,26 +419,25 @@ def test_grid_accuracy_tie_breaks_to_smaller_sv_count():
     plan = data_mod.make_folds(ds.labels, k=3, seed=2)
     grid = data_mod.GridSpec(C_values=(8.0,), gamma_values=(0.5, 0.01, 4.0))
     result = data_mod.grid_search(ds, "kernel", grid, plan)
-    by_gamma = {cell.gamma: cell.report for cell in result.cells}
-    assert by_gamma[0.01].accuracy_mean == by_gamma[0.5].accuracy_mean == 1.0
-    assert by_gamma[0.5].sv_count_mean < by_gamma[0.01].sv_count_mean
+    by_gamma = {cell.gamma: cell.report.aggregates() for cell in result.cells}
+    assert by_gamma[0.01]["accuracy_mean"] == by_gamma[0.5]["accuracy_mean"] == 1.0
+    assert by_gamma[0.5]["sv_count_mean"] < by_gamma[0.01]["sv_count_mean"]
     assert result.best_cell.gamma == 0.5  # sparser model wins the tie
 
 
-def test_grid_skip_failures_records_errors():
+def test_grid_fails_only_when_every_cell_fails():
     X = np.array([[0.0], [0.1], [1.0], [1.1]])
     ds = data_mod.Dataset(X, ["a", "a", "b", "b"])
     plan = data_mod.FoldPlan(2, np.array([0, 1, 0, 1]), seed=0)
     bad_plan = data_mod.FoldPlan(2, np.array([0, 0, 1, 1]), seed=0)  # single-class folds
 
     grid = data_mod.GridSpec(C_values=(1.0,), gamma_values=(1.0,))
-    ok = data_mod.grid_search(ds, "soft-linear", grid, plan, skip_failures=True)
+    ok = data_mod.grid_search(ds, "soft-linear", grid, plan)
     assert ok.best_cell.error is None
 
-    with pytest.raises(McmError):
-        data_mod.grid_search(ds, "soft-linear", grid, bad_plan, skip_failures=False)
-    with pytest.raises(McmError, match="every grid cell failed"):
-        data_mod.grid_search(ds, "soft-linear", grid, bad_plan, skip_failures=True)
+    with pytest.raises(McmError, match=("^every grid cell failed; first failure: "
+                                        "grid cell C=1: fold 0: training data contains")):
+        data_mod.grid_search(ds, "soft-linear", grid, bad_plan)
 
 
 def test_grid_rejects_hard_variant():
@@ -445,6 +445,98 @@ def test_grid_rejects_hard_variant():
     plan = data_mod.make_folds(ds.labels, k=2, seed=0)
     with pytest.raises(McmError):
         data_mod.grid_search(ds, "hard-linear", data_mod.GridSpec((1.0,), (1.0,)), plan)
+
+
+# --- report consistency ---
+
+CV_KEYS = ["report_version", "kind", "variant", "C", "kernel", "scale", "folds", "seed",
+           "classes", "sv_applicable", "std", "per_fold", "accuracy_mean", "accuracy_std",
+           "mean_binary_accuracy_mean", "mean_binary_accuracy_std", "sv_count_mean",
+           "sv_count_std", "h_mean", "h_std", "h_defined_folds"]
+FOLD_KEYS = ["fold", "accuracy", "sv_count", "h", "mean_binary_accuracy"]
+GRID_KEYS = ["report_version", "kind", "variant", "kernel", "folds", "seed", "scale",
+             "cells", "best", "best_report"]
+CELL_KEYS = ["C", "gamma", "error", "accuracy_mean", "accuracy_std", "sv_count_mean"]
+
+
+def overlapping_three_class_dataset():
+    # soft-linear members do not separate their training rows in fold 1
+    rng = np.random.default_rng(1)
+    centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    X = np.vstack([rng.normal(size=(6, 2)) * 0.7 + c for c in centers])
+    return data_mod.Dataset(X, ["a"] * 6 + ["b"] * 6 + ["c"] * 6)
+
+
+def assert_cv_aggregates_match_folds(payload):
+    assert list(payload) == CV_KEYS
+    per_fold = payload["per_fold"]
+    assert all(list(fold) == FOLD_KEYS for fold in per_fold)
+    for name in ("accuracy", "sv_count"):
+        values = [fold[name] for fold in per_fold]
+        assert payload[f"{name}_mean"] == float(np.mean(values))
+        assert payload[f"{name}_std"] == float(np.std(values))
+    h = [fold["h"] for fold in per_fold if fold["h"] is not None]
+    assert payload["h_defined_folds"] == len(h)
+    assert payload["h_mean"] == (float(np.mean(h)) if h else None)
+    assert payload["h_std"] == (float(np.std(h)) if h else None)
+    binary = [fold["mean_binary_accuracy"] for fold in per_fold]
+    every = all(v is not None for v in binary)
+    assert payload["mean_binary_accuracy_mean"] == (float(np.mean(binary)) if every else None)
+    assert payload["mean_binary_accuracy_std"] == (float(np.std(binary)) if every else None)
+
+
+def test_cv_report_aggregates_come_from_per_fold_values():
+    ds = overlapping_three_class_dataset()
+    plan = data_mod.make_folds(ds.labels, k=3, seed=1)
+    report = data_mod.cross_validate(ds, formulations.TrainConfig("soft-linear", C=1.0), plan)
+    payload = report.to_json_dict()
+    assert 0 < payload["h_defined_folds"] < 3  # some fold has h undefined
+    assert payload["mean_binary_accuracy_mean"] is not None
+    assert_cv_aggregates_match_folds(payload)
+    two_class = data_mod.cross_validate(
+        blob_dataset(np.random.default_rng(2), m=12, gap=4.0),
+        formulations.TrainConfig("soft-linear", C=1.0),
+        data_mod.FoldPlan(2, np.arange(12) % 2, seed=0)).to_json_dict()
+    assert two_class["mean_binary_accuracy_mean"] is None
+    assert_cv_aggregates_match_folds(two_class)
+
+
+def test_grid_report_reads_its_cells(monkeypatch):
+    ds = overlapping_three_class_dataset()
+    plan = data_mod.make_folds(ds.labels, k=3, seed=1)
+    real_cross_validate = data_mod.cross_validate
+
+    def failing_at_c_2(dataset, config, plan, scale=False):
+        if config.C == 2.0:
+            raise McmError("fold 1: injected failure")
+        return real_cross_validate(dataset, config, plan, scale)
+
+    monkeypatch.setattr(data_mod, "cross_validate", failing_at_c_2)
+    # C = 1.5 and C = 1 tie on accuracy and support count; the smaller C wins
+    grid = data_mod.GridSpec(C_values=(1.5, 2.0, 0.01, 1.0, 8.0), gamma_values=(1.0,))
+    result = data_mod.grid_search(ds, "soft-linear", grid, plan, scale=True)
+    payload = result.to_json_dict()
+    assert list(payload) == GRID_KEYS
+    assert all(list(cell) == CELL_KEYS for cell in payload["cells"] + [payload["best"]])
+    failed = [cell for cell in payload["cells"] if cell["error"] is not None]
+    assert failed == [{"C": 2.0, "gamma": None, "error": "fold 1: injected failure",
+                       "accuracy_mean": None, "accuracy_std": None, "sv_count_mean": None}]
+
+    best_report = payload["best_report"]
+    assert_cv_aggregates_match_folds(best_report)
+    for key in ("variant", "folds", "seed", "scale"):
+        assert payload[key] == best_report[key]
+    assert payload["kernel"] is best_report["kernel"] is None
+
+    # highest accuracy, then fewer support vectors, then smaller C
+    ranked = sorted((cell for cell in payload["cells"] if cell["error"] is None),
+                    key=lambda cell: (-cell["accuracy_mean"], cell["sv_count_mean"], cell["C"]))
+    assert payload["best"] == ranked[0] and ranked[0]["C"] == 1.0
+    assert best_report["C"] == 1.0
+    for cell, report in zip(payload["cells"], [c.report for c in result.cells]):
+        if report is not None:
+            stats = report.to_json_dict()
+            assert [cell[key] for key in CELL_KEYS[3:]] == [stats[key] for key in CELL_KEYS[3:]]
 
 
 def test_default_grids_match_protocol_sizes():

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from mcm import model as model_mod
-from mcm.errors import DimensionMismatch, McmError, ParseError, VersionMismatch
+from mcm.errors import DimensionMismatch, ParseError, VersionMismatch
 from mcm.kernels import KernelSpec, cross_gram
 from mcm.model import (
     KernelModel,
     LinearModel,
     OvrModel,
-    decision,
     decision_many,
     load_model,
     model_from_json,
     model_to_json,
     negated,
-    predict,
     predict_many,
-    predict_ovr,
     predict_ovr_many,
     save_model,
 )
@@ -34,25 +31,24 @@ def kernel_model(lam, sv, b=0.0, gamma=1.0, n=2):
 
 
 def test_linear_decision():
-    assert decision(linear_model(), [0.5]) == pytest.approx(0.5)
+    assert decision_many(linear_model(), [[0.5]]).tolist() == [pytest.approx(0.5)]
 
 
 def test_kernel_decision_no_support_vectors():
     model = kernel_model([], np.zeros((0, 2)), b=-0.25)
-    for x in ([0.0, 0.0], [3.0, -1.0]):
-        assert decision(model, x) == pytest.approx(-0.25)
+    values = decision_many(model, [[0.0, 0.0], [3.0, -1.0]])
+    assert values.tolist() == [pytest.approx(-0.25)] * 2
 
 
 def test_predict_sign_rule():
     model = linear_model()
-    assert predict(model, [0.3]) == 1
-    assert predict(model, [-0.3]) == -1
-    assert predict(model, [0.0]) == 1  # exact zero goes positive
+    assert predict_many(model, [[0.3], [-0.3]]).tolist() == [1, -1]
+    assert predict_many(model, [[0.0]]).tolist() == [1]  # exact zero goes positive
 
 
 def test_decision_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        decision(linear_model(), [1.0, 2.0])
+        decision_many(linear_model(), [[1.0, 2.0]])
 
 
 def test_ovr_two_class_matches_binary_sign():
@@ -66,7 +62,7 @@ def test_ovr_two_class_matches_binary_sign():
 def test_ovr_all_equal_decisions_pick_first_class():
     flat = LinearModel(np.array([0.0]), 1.0, 1.0)
     ovr = OvrModel(("a", "b", "c"), (flat, flat, flat))
-    assert predict_ovr(ovr, [2.0]) == "a"
+    assert predict_ovr_many(ovr, [[2.0]]) == ["a"]
 
 
 def test_ovr_closed_world():
@@ -81,8 +77,8 @@ def test_ovr_determinism():
     rng = np.random.default_rng(5)
     members = tuple(LinearModel(rng.normal(size=3), 0.0, 1.0) for _ in range(2))
     ovr = OvrModel(("p", "q"), members)
-    x = rng.normal(size=3)
-    assert predict_ovr(ovr, x) == predict_ovr(ovr, x)
+    X = rng.normal(size=(1, 3))
+    assert predict_ovr_many(ovr, X) == predict_ovr_many(ovr, X)
 
 
 def test_linear_round_trip_bit_identical():
@@ -216,11 +212,3 @@ def test_kernel_ovr_exact_tie_picks_first_class():
     ovr = OvrModel(("first", "second", "third"), (member, member, member))
     assert predict_ovr_many(ovr, rng.normal(size=(8, 2))) == ["first"] * 8
 
-
-def test_scalar_decision_and_predict_reject_ovr():
-    base = linear_model()
-    ovr = OvrModel(("pos", "neg"), (base, negated(base)))
-    with pytest.raises(McmError):
-        decision(ovr, [1.0])
-    with pytest.raises(McmError):
-        predict(ovr, [1.0])
