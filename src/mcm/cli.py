@@ -123,15 +123,13 @@ def _config_from_args(args) -> formulations.TrainConfig:
         if args.kernel is not None or args.gamma is not None:
             raise CliUsage("hard-linear takes no --kernel or --gamma")
         return formulations.TrainConfig(variant)
-    if args.C is None or args.C <= 0:
-        raise CliUsage(f"{variant} requires --C > 0")
     if variant == formulations.SOFT_LINEAR:
+        # a missing or nonpositive C is reported before a stray kernel flag
+        config = formulations.TrainConfig(variant, C=args.C)
         if args.kernel is not None or args.gamma is not None:
             raise CliUsage("soft-linear takes no --kernel or --gamma")
-        return formulations.TrainConfig(variant, C=args.C)
+        return config
     if kind == RBF:
-        if args.gamma is None or args.gamma <= 0:
-            raise CliUsage("rbf kernel requires --gamma > 0")
         spec = KernelSpec(RBF, gamma=args.gamma)
     elif kind == POLY:
         spec = KernelSpec(POLY, degree=args.degree, coef0=args.coef0)
@@ -218,16 +216,10 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _make_plan(dataset: data_mod.Dataset, args) -> data_mod.FoldPlan:
-    if args.folds < 2:
-        raise CliUsage("--folds must be at least 2")
-    return data_mod.make_folds(dataset.labels, args.folds, args.seed)
-
-
 def cmd_cv(args) -> int:
     config = _config_from_args(args)
     dataset = _load_dataset(args)
-    plan = _make_plan(dataset, args)
+    plan = data_mod.make_folds(dataset.labels, args.folds, args.seed)
     report = data_mod.cross_validate(dataset, config, plan, scale=args.scale)
     sys.stdout.write(report.to_json() if args.json else report.to_table())
     return 0
@@ -247,7 +239,7 @@ def _parse_grid_list(text: str | None, flag: str) -> tuple[float, ...] | None:
 
 def cmd_grid(args) -> int:
     dataset = _load_dataset(args)
-    plan = _make_plan(dataset, args)
+    plan = data_mod.make_folds(dataset.labels, args.folds, args.seed)
     c_values = _parse_grid_list(args.grid_c, "--grid-c") or data_mod.DEFAULT_C_GRID
     gamma_values = (_parse_grid_list(args.grid_gamma, "--grid-gamma")
                     or data_mod.DEFAULT_GAMMA_GRID)

@@ -216,7 +216,7 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
     labels = list(labels)
     M = len(labels)
     if k < 2:
-        raise ValueError("at least 2 folds required")
+        raise McmError("at least 2 folds required")
     if k > M:
         raise TooFewSamples(f"{M} samples cannot fill {k} folds")
     rng = np.random.default_rng(seed)

@@ -41,6 +41,8 @@ class KernelSpec:
             raise McmError("kernel gamma must be finite")
         if not math.isfinite(self.coef0):
             raise McmError("kernel coef0 must be finite")
+        if not math.isfinite(self.degree):
+            raise McmError("kernel degree must be finite")
         if self.kind == POLY and (int(self.degree) != self.degree or self.degree < 1):
             raise McmError("poly kernel requires integer degree >= 1")
 

@@ -15,13 +15,14 @@ pricing and every tie-break read the columns in that split form's order
 artificials).  Pivoting prices by steepest edge and evicts on the largest
 pivot element among near-tied ratios; Bland's rule takes over whenever the
 objective stalls, so the solver terminates on degenerate (cycling-prone)
-instances.  A run that exhausts its iteration budget in either phase ends in
-``ITERATION_LIMIT`` with no point, and one whose tableau breaks down into
-non-finite values ends in ``NUMERICAL_FAILURE``;
-``LpSolution.phase_iterations`` splits the pivot count by phase.  Each pivot
-updates only the tableau columns where the pivot row is nonzero, in the
-tableau's own memory order (C in phase 1, Fortran in phase 2), and
-refreshes the cached edge norms of just those columns.
+instances.  Every phase ends in an ``LpStatus`` and the pivots it made, and
+``solve`` stops at the first phase that does not end ``OPTIMAL``: a run that
+exhausts its iteration budget ends in ``ITERATION_LIMIT`` with no point, and
+one whose tableau breaks down into non-finite values ends in
+``NUMERICAL_FAILURE``; ``LpSolution.phase_iterations`` splits the pivot count
+by phase.  Each pivot updates only the tableau columns where the pivot row is
+nonzero, in the tableau's own memory order (C in phase 1, Fortran in
+phase 2), and refreshes the cached edge norms of just those columns.
 Optimal bases are re-solved against the original data, giving exact vertex
 coordinates with true zeros in the degenerate positions.
 
@@ -87,6 +88,8 @@ class LpProblem:
         n, m = self.n_vars, self.n_constraints
         if self.objective.ndim != 1 or not np.all(np.isfinite(self.objective)):
             raise MalformedProblem("objective must be a finite 1-d vector")
+        if n == 0:
+            raise MalformedProblem("a problem needs at least one variable")
         if self.free.shape != (n,):
             raise MalformedProblem(f"{self.free.size} bounds for {n} variables")
         if self.A.shape != (m, n) or self.senses.shape != (m,):
@@ -269,18 +272,21 @@ class _Tableau:
     def _basis_matrix(self) -> np.ndarray:
         return self.A0[:, self.basis] * self.sign
 
-    def refactor(self) -> None:
+    def refactor(self) -> bool:
+        """Rebuild the tableau from the original data; False when the rebuilt
+        tableau is non-finite (a drifted basis, not one to resume)."""
         stacked = np.hstack([self.A0, self.b0[:, None]])
         try:
             T = np.linalg.solve(self._basis_matrix(), stacked)
         except np.linalg.LinAlgError:
-            return  # keep the iterated tableau; the basis matrix went singular
+            return True  # keep the iterated tableau; the basis matrix went singular
         if not np.all(np.isfinite(T)):
-            raise _Breakdown  # numerically singular: a drifted basis, not one to resume
+            return False
         self.T = T
         self._norms = None
         rhs = self.T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+        return True
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop every row not listed in keep (redundant constraints)."""
@@ -301,33 +307,6 @@ class _Tableau:
         return np.maximum(values, 0.0)
 
 
-class _Stop(Exception):
-    """Ends a solve early with a status that certifies nothing."""
-
-    status: LpStatus
-
-
-class _Limit(_Stop):
-    status = LpStatus.ITERATION_LIMIT
-
-
-class _Breakdown(_Stop):
-    """The tableau holds non-finite values; no pivot from it can be trusted."""
-
-    status = LpStatus.NUMERICAL_FAILURE
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> None:
-        if self.used >= self.limit:
-            raise _Limit
-        self.used += 1
-
-
 _FEAS_TOL = 1e-8         # phase-1 optimum above this (scaled by 1 + |b|) is infeasible
 _PIVOT_TOL = 1e-10       # reduced costs and pivot entries within this count as zero
 _STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
@@ -335,9 +314,13 @@ _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
 
 
-def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
-                 artificial_start: int | None = None) -> str:
-    """Iterate to optimality or unboundedness. Returns 'optimal' or 'unbounded'.
+def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
+                 artificial_start: int | None = None) -> tuple[LpStatus, int]:
+    """Run one phase; return the status it ended in and the pivots it made.
+
+    Every phase ends in an ``LpStatus``: OPTIMAL or UNBOUNDED, ITERATION_LIMIT
+    once ``budget`` pivots are spent and another is due, or NUMERICAL_FAILURE
+    when a refactorization or the ratio test meets non-finite values.
 
     Pricing is steepest-edge (most negative reduced cost per unit edge length;
     the tableau caches the edge norms and refreshes those of the columns each
@@ -348,7 +331,6 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
     The reduced-cost row is carried through the pivots and refreshed
     periodically, and the tableau itself is refactorized from the original
     data at intervals; unboundedness is certified only on a fresh tableau.
-    A ratio test that meets non-finite values raises ``_Breakdown``.
 
     Prices are kept per direction, in the split form's column order: every
     column's positive direction, with the negative directions of the free
@@ -386,9 +368,11 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
     since_refresh = 0
     since_refactor = 0
     certifying = False
+    pivots = 0
     while True:
         if since_refactor >= _REFACTOR_EVERY:
-            tab.refactor()
+            if not tab.refactor():
+                return LpStatus.NUMERICAL_FAILURE, pivots
             since_refactor = 0
             reduced, obj = refresh()
             since_refresh = 0
@@ -409,7 +393,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
             since_refresh = 0
             direction = int(np.argmin(reduced))
             if reduced[direction] >= -tol:
-                return "optimal"
+                return LpStatus.OPTIMAL, pivots
         entering = int(columns[direction])
         sign = -1.0 if negative.start <= direction < negative.stop else 1.0
 
@@ -417,13 +401,14 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
         positive = col > tol
         if not positive.any():
             if not certifying:  # claim unboundedness only off a fresh tableau
-                tab.refactor()
+                if not tab.refactor():
+                    return LpStatus.NUMERICAL_FAILURE, pivots
                 since_refactor = 0
                 reduced, obj = refresh()
                 since_refresh = 0
                 certifying = True
                 continue
-            return "unbounded"
+            return LpStatus.UNBOUNDED, pivots
         certifying = False
 
         rhs = np.maximum(tab.rhs, 0.0)
@@ -431,7 +416,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
         ratios[positive] = rhs[positive] / col[positive]
         best = ratios.min()
         if not np.isfinite(best):
-            raise _Breakdown
+            return LpStatus.NUMERICAL_FAILURE, pivots
         if bland:
             tied = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
             leaving = int(tied[np.argmin(tab.split_index(tied))] if tied.size > 1 else tied[0])
@@ -443,7 +428,9 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: _Budget,
                     window = evictable
             leaving = int(window[np.argmax(np.abs(col[window]))])
 
-        budget.tick()
+        if pivots >= budget:
+            return LpStatus.ITERATION_LIMIT, pivots
+        pivots += 1
         rate = float(reduced[direction])
         tab.pivot(leaving, entering, sign)
         since_refresh += 1
@@ -476,12 +463,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     A, b, c, free = std.A, std.rhs, std.objective, std.free
     m, n = A.shape
     n_orig = problem.n_vars
-    budget = _Budget(50 * (m + n) if max_iterations is None else max_iterations)
-
-    if m == 0:
-        if np.any(c < -_PIVOT_TOL) or np.any(c[free] > _PIVOT_TOL):
-            return LpSolution(LpStatus.UNBOUNDED, None, None, (0, 0))
-        return _finish(problem, np.zeros(n_orig), (0, 0))
+    budget = 50 * (m + n) if max_iterations is None else max_iterations
 
     flip = np.where(b < 0, -1.0, 1.0)  # flip rows to a nonnegative rhs
     A, b = A * flip[:, None], b * flip
@@ -508,12 +490,10 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     free_cols = np.flatnonzero(free)
     tab = _Tableau(np.hstack([A, art_cols]), b, basis, sign, free_cols, n_orig)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
-    try:
-        outcome = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
-    except _Stop as stop:
-        return LpSolution(stop.status, None, None, (budget.used, 0))
-    assert outcome == "optimal"  # phase 1 is bounded below by 0
-    phase1 = budget.used
+    status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
+    assert status is not LpStatus.UNBOUNDED  # phase 1 is bounded below by 0
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status, None, None, (phase1, 0))
 
     infeasibility = float(phase1_costs[tab.basis] @ tab.rhs)
     if infeasibility > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
@@ -525,19 +505,17 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     keep = np.concatenate([np.arange(n), [tab.T.shape[1] - 1]])
     tab2 = _Tableau(tab.T[:, keep][:, :-1], tab.T[:, -1], tab.basis, tab.sign, free_cols,
                     n_orig, originals=(tab.A0[:, :n], tab.b0))
-    try:
-        outcome = _run_simplex(tab2, c, budget)
-    except _Stop as stop:
-        return LpSolution(stop.status, None, None, (phase1, budget.used - phase1))
-    phases = (phase1, budget.used - phase1)
-    if outcome == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, phases)
+    status, phase2 = _run_simplex(tab2, c, budget - phase1)
+    phases = (phase1, phase2)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status, None, None, phases)
 
     x = np.zeros(n)
     values = tab2.basic_values()  # exact vertex off the original data
     # 0.0 - v, not -v: a zero value stays +0.0
     x[tab2.basis] = np.where(tab2.sign < 0, 0.0 - values, values)
-    return _finish(problem, x[:n_orig], phases)
+    x = x[:n_orig]
+    return LpSolution(LpStatus.OPTIMAL, x, float(problem.objective @ x), phases)
 
 
 def _drive_out_artificials(tab: _Tableau, n_struct: int) -> None:
@@ -558,11 +536,6 @@ def _drive_out_artificials(tab: _Tableau, n_struct: int) -> None:
             drop.append(row)
     if drop:
         tab.keep_rows(np.setdiff1d(np.arange(tab.T.shape[0]), drop))
-
-
-def _finish(problem: LpProblem, x: np.ndarray, phases: tuple[int, int]) -> LpSolution:
-    objective = float(problem.objective @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, phases)
 
 
 def write_lp_text(problem: LpProblem, names: list[str] | None = None) -> str:

@@ -240,7 +240,7 @@ def _model_from_dict(obj: dict, context: str = "model"):
                     for i, member in enumerate(members)
                 ),
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{context}: {exc}") from exc
     raise ParseError(f"{context}: unknown model type {kind!r}")
 

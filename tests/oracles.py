@@ -107,6 +107,20 @@ def blobs(seed, m: int, d: int, gap: float):
     return X, y
 
 
+def ill_scaled_blobs():
+    """45 rows of three 3-D unit blobs with centres 2.5 apart, features then
+    scaled by (1, 10, 0.1), and their labels "a", "b", "c".  The rbf kernel
+    programs of some folds are so ill-conditioned that the simplex tableau
+    overflows to non-finite values."""
+    rng = np.random.default_rng([3, 1])
+    centres = np.zeros((3, 3))
+    centres[np.arange(3), np.arange(3)] = 2.5 / np.sqrt(2.0)
+    labels = np.arange(45) % 3
+    rng.shuffle(labels)
+    X = (centres[labels] + rng.standard_normal((45, 3))) * np.array([1.0, 10.0, 0.1])
+    return X, ["abc"[j] for j in labels]
+
+
 def split_free(problem: lp.LpProblem) -> lp.LpProblem:
     """The same LP with every free variable written as x+ - x-, two
     nonnegative columns: the originals (positive parts) first, then the

@@ -120,7 +120,7 @@ def test_train_flag_validation(tmp_path, capsys):
     # soft variants require C
     code, _, err = run(capsys, "train", "--data", data, "--variant", "soft-linear",
                        "--out", out)
-    assert code == 1 and "--C" in err
+    assert code == 1 and err == "error: variant 'soft-linear' requires C > 0\n"
     # missing file
     code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                        "--variant", "hard-linear", "--out", out)
@@ -265,6 +265,20 @@ def test_cv_rejects_single_fold(tmp_path, capsys):
     assert code == 1 and "folds" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--variant", "soft-linear", "--C", "0"), "variant 'soft-linear' requires C > 0"),
+    (("--variant", "kernel", "--gamma", "0", "--C", "1"), "rbf kernel requires gamma > 0"),
+    (("--variant", "soft-linear", "--C", "1", "--folds", "1"), "at least 2 folds required"),
+    # each rule is checked where its value is built: the kernel before C
+    (("--variant", "kernel", "--gamma", "0", "--C", "0"), "rbf kernel requires gamma > 0"),
+], ids=["C", "gamma", "folds", "gamma-and-C"])
+def test_each_rule_has_one_message(tmp_path, capsys, flags, message):
+    data = blob_csv(tmp_path, "blobs.csv", m=20)
+    code, out, err = run(capsys, "cv", "--data", data, *flags)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cv_json_byte_identical(tmp_path, capsys):
     data = blob_csv(tmp_path, "blobs.csv", flips=2)
     args = ("cv", "--data", data, "--variant", "kernel", "--kernel", "rbf",
@@ -337,16 +351,8 @@ def test_non_finite_hyperparameters_are_rejected(tmp_path, capsys, argv, message
 
 
 def ill_scaled_blobs_csv(tmp_path):
-    """45 rows of three 3-D unit blobs with centres 2.5 apart, features then
-    scaled by (1, 10, 0.1).  The rbf kernel programs of some folds are so
-    ill-conditioned that the simplex tableau overflows to non-finite values."""
-    rng = np.random.default_rng([3, 1])
-    centres = np.zeros((3, 3))
-    centres[np.arange(3), np.arange(3)] = 2.5 / np.sqrt(2.0)
-    labels = np.arange(45) % 3
-    rng.shuffle(labels)
-    X = (centres[labels] + rng.standard_normal((45, 3))) * np.array([1.0, 10.0, 0.1])
-    lines = [",".join([*(repr(float(v)) for v in row), "abc"[j]]) for row, j in zip(X, labels)]
+    X, labels = oracles.ill_scaled_blobs()
+    lines = [",".join([*(repr(float(v)) for v in row), label]) for row, label in zip(X, labels)]
     return write(tmp_path, "ill_scaled.csv", "\n".join(lines) + "\n")
 
 
@@ -395,6 +401,22 @@ def test_inspect_corrupt_file(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{not json")
     code, _, err = run(capsys, "inspect", "--model", bad)
     assert code == 1 and "error" in err
+
+
+def test_infinite_poly_degree_is_a_parse_error(tmp_path, capsys):
+    xor = write(tmp_path, "xor.csv", XOR_CSV)
+    model_path = tmp_path / "xor.mcm.json"
+    run(capsys, "train", "--data", xor, "--variant", "kernel", "--kernel", "poly",
+        "--degree", "2", "--C", "1e4", "--out", str(model_path))
+    stored = json.loads(model_path.read_text(encoding="utf-8"))
+    stored["members"][0]["kernel"]["degree"] = float("inf")
+    model_path.write_text(json.dumps(stored), encoding="utf-8")  # "degree": Infinity
+    for argv in (("inspect", "--model", str(model_path)),
+                 ("predict", "--model", str(model_path), "--data", xor, "--label-col", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == ("error: model.members[0]: "
+                       "cannot convert float infinity to integer\n")
 
 
 def test_dump_lp_round_trips(tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_make_folds_sizes_seven_into_five():
 def test_make_folds_errors():
     with pytest.raises(TooFewSamples):
         data_mod.make_folds(["a", "b"], k=3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(McmError, match="^at least 2 folds required$"):
         data_mod.make_folds(["a", "b", "c"], k=1, seed=0)
 
 

@@ -45,6 +45,9 @@ def test_kernel_spec_validation():
         KernelSpec("rbf", gamma=-1.0)
     with pytest.raises(McmError):
         KernelSpec("poly", degree=0)
+    for degree in (float("inf"), float("nan")):
+        with pytest.raises(McmError, match="^kernel degree must be finite$"):
+            KernelSpec("poly", degree=degree)
     with pytest.raises(McmError):
         KernelSpec("sigmoid")
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ def test_dimension_mismatch_rejected():
     problem = lp.make_problem([1.0, 2.0], [([1.0], "<=", 1.0)], ["nonneg"] * 2)
     with pytest.raises(MalformedProblem):
         lp.solve(problem)
+    with pytest.raises(MalformedProblem):
+        lp.solve(lp.make_problem([], [], []))  # no variables
     with pytest.raises(MalformedProblem):
         lp.make_problem([1.0], [([1.0], "!!", 1.0)], ["nonneg"])
     with pytest.raises(MalformedProblem):
@@ -167,6 +171,45 @@ def test_iteration_limit_in_phase_2_is_not_optimal(monkeypatch):
     assert len(phases) == 2 and phases[1] is None  # phase 2 was entered
     assert sol.status is lp.LpStatus.ITERATION_LIMIT and sol.limit_exceeded
     assert sol.primal_values is None and sol.objective_value is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lp_without_rows(n):
+    # with no constraint rows nothing pivots: the minimum is the origin
+    # unless some direction lowers the cost without end
+    bounds_of = {"nonneg": False, "free": True}
+    for objective in itertools.product([-1.0, 0.0, 1.0, 1e-11, -1e-11], repeat=n):
+        for bounds in itertools.product(bounds_of, repeat=n):
+            sol = lp.solve(lp.make_problem(objective, [], bounds))
+            c = np.array(objective)
+            free = np.array([bounds_of[kind] for kind in bounds])
+            assert sol.phase_iterations == (0, 0)
+            if np.any(c < -1e-10) or np.any(c[free] > 1e-10):
+                assert sol.status is lp.LpStatus.UNBOUNDED
+                assert sol.primal_values is None and sol.objective_value is None
+            else:
+                assert sol.status is lp.LpStatus.OPTIMAL
+                assert sol.primal_values.tobytes() == np.zeros(n).tobytes()  # all +0.0
+                assert sol.objective_value == 0.0
+
+
+def test_non_finite_tableau_ends_in_numerical_failure():
+    # the failing LP of the ill-scaled grid in tests/test_cli.py: class "c"
+    # against the rest on the training rows of fold 2, rbf gamma = 2, C = 1
+    from mcm import data as data_mod
+    from mcm import formulations
+    from mcm.kernels import KernelSpec
+
+    X, labels = oracles.ill_scaled_blobs()
+    train = data_mod.make_folds(labels, 3, seed=1).assignments != 2
+    y = np.where(np.array(labels)[train] == "c", 1.0, -1.0)
+    config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=2.0))
+    problem, _ = formulations.build_problem(X[train], y, config)
+    assert problem.A.shape == (60, 62)
+    sol = lp.solve(problem)
+    assert sol.status is lp.LpStatus.NUMERICAL_FAILURE and not sol.limit_exceeded
+    assert sol.primal_values is None and sol.objective_value is None
+    assert min(sol.phase_iterations) > 0  # it broke down in phase 2
 
 
 def test_standardize_free_split_round_trip():
@@ -396,12 +439,10 @@ def test_phase_iterations_split_the_pivot_count(monkeypatch):
     used = []
     run = lp._run_simplex
 
-    def spy(tab, costs, budget, **kwargs):
-        before = budget.used
-        try:
-            return run(tab, costs, budget, **kwargs)
-        finally:
-            used.append(budget.used - before)
+    def spy(*args, **kwargs):
+        status, pivots = run(*args, **kwargs)
+        used.append(pivots)
+        return status, pivots
 
     monkeypatch.setattr(lp, "_run_simplex", spy)
     full = lp.solve(problem)
