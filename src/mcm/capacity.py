@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMargin, DimensionMismatch, McmError, ZeroVector, ZeroWeight
+from .errors import DegenerateMargin, McmError
 from .model import KernelModel, LinearModel, decision_many
 
 MARGIN_EPS = 1e-10      # smallest signed margin for which the ratio is trusted
@@ -28,7 +28,6 @@ class CapacityReport:
     h_squared: float | None
     radius_margin_ratio: float | None
     sv_count: int
-    sv_fraction: float
     expected_error_bound: float
     sv_applicable: bool  # False for linear models, where every sample backs w
 
@@ -47,9 +46,9 @@ def compute_h(samples, labels, w, b) -> float | None:
     y = np.asarray(labels, dtype=float)
     w = np.asarray(w, dtype=float)
     if not np.any(w != 0.0):
-        raise ZeroWeight("weight vector is identically zero")
+        raise McmError("weight vector is identically zero")
     if X.shape[1] != w.shape[0]:
-        raise DimensionMismatch(f"{X.shape[1]} features, weight vector has {w.shape[0]}")
+        raise McmError(f"{X.shape[1]} features, weight vector has {w.shape[0]}")
     return _ratio(y * (X @ w + b))
 
 
@@ -63,7 +62,7 @@ def radius_margin_ratio(samples, w, b) -> float:
     u = np.concatenate([w, [float(b)]])
     norm_u = float(np.linalg.norm(u))
     if norm_u == 0.0:
-        raise ZeroVector("hyperplane has zero normal and zero offset")
+        raise DegenerateMargin("hyperplane has zero normal and zero offset")
     augmented = np.hstack([X, np.ones((X.shape[0], 1))])
     projections = np.abs(augmented @ u)
     if projections.min() < DISTANCE_EPS:
@@ -79,13 +78,13 @@ def capacity_report(model, train_samples, train_labels) -> CapacityReport:
     y = np.asarray(train_labels, dtype=float)
     M = X.shape[0]
     if X.shape[1] != model.n:
-        raise DimensionMismatch(f"{X.shape[1]} features, model expects {model.n}")
+        raise McmError(f"{X.shape[1]} features, model expects {model.n}")
 
     h = _ratio(y * decision_many(model, X))
     if isinstance(model, LinearModel):
         try:
             ratio_bound = radius_margin_ratio(X, model.w, model.b)
-        except (DegenerateMargin, ZeroVector):
+        except DegenerateMargin:
             ratio_bound = None
         sv_count, applicable = M, False
     elif isinstance(model, KernelModel):
@@ -94,13 +93,11 @@ def capacity_report(model, train_samples, train_labels) -> CapacityReport:
     else:
         raise McmError(f"no capacity report for {type(model).__name__}")
 
-    fraction = sv_count / M if M else 0.0
     return CapacityReport(
         h=h,
         h_squared=None if h is None else h * h,
         radius_margin_ratio=ratio_bound,
         sv_count=sv_count,
-        sv_fraction=fraction,
-        expected_error_bound=fraction,
+        expected_error_bound=sv_count / M if M else 0.0,
         sv_applicable=applicable,
     )

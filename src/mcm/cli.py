@@ -29,10 +29,6 @@ from .model import (
 )
 
 
-class CliUsage(McmError):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcm",
@@ -116,18 +112,18 @@ def _config_from_args(args) -> formulations.TrainConfig:
     variant = args.variant
     kind = args.kernel or RBF  # the kernel variant's default
     if args.gamma is not None and kind != RBF:
-        raise CliUsage("--gamma requires --kernel rbf")
+        raise McmError("--gamma requires --kernel rbf")
     if variant == formulations.HARD_LINEAR:
         if args.C is not None:
-            raise CliUsage("hard-linear takes no --C")
+            raise McmError("hard-linear takes no --C")
         if args.kernel is not None or args.gamma is not None:
-            raise CliUsage("hard-linear takes no --kernel or --gamma")
+            raise McmError("hard-linear takes no --kernel or --gamma")
         return formulations.TrainConfig(variant)
     if variant == formulations.SOFT_LINEAR:
         # a missing or nonpositive C is reported before a stray kernel flag
         config = formulations.TrainConfig(variant, C=args.C)
         if args.kernel is not None or args.gamma is not None:
-            raise CliUsage("soft-linear takes no --kernel or --gamma")
+            raise McmError("soft-linear takes no --kernel or --gamma")
         return config
     if kind == RBF:
         spec = KernelSpec(RBF, gamma=args.gamma)
@@ -159,7 +155,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     classes = dataset.classes()
     if len(classes) < 2:
-        raise CliUsage("training data contains a single class")
+        raise McmError("training data contains a single class")
 
     if args.dump_lp:
         # for multi-class data this is the first one-versus-rest member's LP
@@ -231,9 +227,9 @@ def _parse_grid_list(text: str | None, flag: str) -> tuple[float, ...] | None:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise CliUsage(f"{flag}: {exc}") from None
+        raise McmError(f"{flag}: {exc}") from None
     if not values:
-        raise CliUsage(f"{flag} is empty")
+        raise McmError(f"{flag} is empty")
     return values
 
 
@@ -289,7 +285,7 @@ def _inspect_lines(model, train_size: int | None) -> list[str]:
 
 def cmd_inspect(args) -> int:
     if args.train_size is not None and args.train_size < 1:
-        raise CliUsage("--train-size must be at least 1")
+        raise McmError("--train-size must be at least 1")
     model = load_model(args.model)
     for line in _inspect_lines(model, args.train_size):
         print(line)

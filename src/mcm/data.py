@@ -29,15 +29,7 @@ import numpy as np
 
 from . import formulations
 from .capacity import capacity_report
-from .errors import (
-    McmError,
-    NonpositiveIndex,
-    ParseError,
-    RaggedRows,
-    SingleClass,
-    TooFewSamples,
-    UnknownLabel,
-)
+from .errors import McmError, ParseError
 from .kernels import RBF, KernelSpec
 from .model import OvrModel, decision_many, negated, ovr_labels
 
@@ -106,7 +98,7 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
     for number, line in rows:
         cells = line.split(",")
         if len(cells) != width:
-            raise RaggedRows(f"line {number}: {len(cells)} fields, expected {width}")
+            raise ParseError(f"line {number}: {len(cells)} fields, expected {width}")
         if labels is not None:
             labels.append(cells.pop(label_index).strip())
         try:
@@ -160,7 +152,7 @@ def load_libsvm(path) -> Dataset:
             except ValueError:
                 raise ParseError(f"line {number}: bad pair {token!r}") from None
             if index <= 0:
-                raise NonpositiveIndex(f"line {number}: index {index} (indices are 1-based)")
+                raise ParseError(f"line {number}: index {index} (indices are 1-based)")
             if not np.isfinite(value):
                 raise ParseError(f"line {number}: non-finite value {token!r}")
             pairs.append((index, value))
@@ -178,7 +170,7 @@ def load_libsvm(path) -> Dataset:
 def binarize(dataset: Dataset, positive_label: str):
     """+1 for rows of positive_label, -1 for everything else."""
     if positive_label not in dataset.labels:
-        raise UnknownLabel(f"label {positive_label!r} not present in dataset")
+        raise McmError(f"label {positive_label!r} not present in dataset")
     y = np.where(np.asarray(dataset.labels, dtype=object) == positive_label, 1.0, -1.0)
     return dataset.samples, y
 
@@ -218,7 +210,7 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise McmError("at least 2 folds required")
     if k > M:
-        raise TooFewSamples(f"{M} samples cannot fill {k} folds")
+        raise McmError(f"{M} samples cannot fill {k} folds")
     rng = np.random.default_rng(seed)
     assignments = np.empty(M, dtype=int)
     position = 0
@@ -332,7 +324,7 @@ def train_ovr(samples, raw_labels, config: formulations.TrainConfig, classes=Non
     labels = np.asarray(list(raw_labels), dtype=object)
     classes = list(dict.fromkeys(labels) if classes is None else classes)
     if len(classes) < 2:
-        raise SingleClass("one-versus-rest needs at least two classes")
+        raise McmError("one-versus-rest needs at least two classes")
     results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config)
                for cls in (classes if len(classes) > 2 else classes[:1])]
     members = [result.model for result in results]
@@ -384,7 +376,7 @@ def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
                        f"dataset has {labels.shape[0]}")
     classes = dataset.classes()
     if len(classes) < 2:
-        raise SingleClass("cross-validation needs at least two classes")
+        raise McmError("cross-validation needs at least two classes")
     report = CvReport(config=config, scale=scale, k=plan.k, seed=plan.seed,
                       classes=classes)
     # Two classes keep the dataset's order in every fold: it picks the class

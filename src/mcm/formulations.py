@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import (
-    DimensionMismatch,
-    HardMarginInfeasible,
-    McmError,
-    NotOptimal,
-    SingleClass,
-    SolverFailure,
-)
+from .errors import HardMarginInfeasible, McmError, SolverFailure
 from .kernels import KernelSpec, gram
 from .model import KernelModel, LinearModel
 
@@ -74,7 +67,6 @@ class McmLpLayout:
     b_col: int
     h_col: int
     q_cols: np.ndarray | None
-    n_columns: int
 
     def weights(self, solution: lp.LpSolution) -> np.ndarray:
         return solution.primal_values[self.weight_cols]
@@ -97,7 +89,7 @@ def _check_labels(labels) -> np.ndarray:
     if not values <= {-1.0, 1.0}:
         raise McmError(f"labels must be -1/+1, got {sorted(values)}")
     if len(values) < 2:
-        raise SingleClass("training data contains a single class")
+        raise McmError("training data contains a single class")
     return y
 
 
@@ -116,7 +108,7 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     y = _check_labels(labels)
     if y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"{y.size} labels for {X.shape[0]} samples")
+        raise McmError(f"{y.size} labels for {X.shape[0]} samples")
     scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
     M, n_weights = scores.shape
     with_slack = config.variant != HARD_LINEAR
@@ -145,7 +137,6 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
         b_col=n_weights,
         h_col=n_weights + 1,
         q_cols=np.arange(n_weights + 2, n_cols) if with_slack else None,
-        n_columns=n_cols,
     )
     return problem, layout
 
@@ -153,7 +144,7 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
 def extract_linear(solution: lp.LpSolution, layout: McmLpLayout,
                    config: TrainConfig) -> LinearModel:
     if solution.status is not lp.LpStatus.OPTIMAL:
-        raise NotOptimal(f"solution status is {solution.status.value}")
+        raise McmError(f"solution status is {solution.status.value}")
     return LinearModel(
         w=layout.weights(solution).copy(),
         b=layout.offset(solution),
@@ -176,7 +167,7 @@ def extract_kernel(solution: lp.LpSolution, layout: McmLpLayout,
     matrix the LP was built from (``layout.scores``).
     """
     if solution.status is not lp.LpStatus.OPTIMAL:
-        raise NotOptimal(f"solution status is {solution.status.value}")
+        raise McmError(f"solution status is {solution.status.value}")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     lam_full = layout.weights(solution)
     b = layout.offset(solution)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, McmError
+from .errors import McmError
 
 LINEAR = "linear"
 RBF = "rbf"
@@ -64,8 +64,7 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
-        raise DimensionMismatch(
-            f"samples with {X.shape[1]} features against {Y.shape[1]}")
+        raise McmError(f"samples with {X.shape[1]} features against {Y.shape[1]}")
     if kernel.kind == LINEAR:
         return X @ Y.T
     if kernel.kind == RBF:

@@ -38,16 +38,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MalformedProblem
+from .errors import McmError
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "="
 _RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
-
-NONNEGATIVE = "nonneg"
-FREE = "free"
-_BOUNDS = (NONNEGATIVE, FREE)
 
 
 class LpStatus(Enum):
@@ -87,40 +83,20 @@ class LpProblem:
     def validate(self) -> None:
         n, m = self.n_vars, self.n_constraints
         if self.objective.ndim != 1 or not np.all(np.isfinite(self.objective)):
-            raise MalformedProblem("objective must be a finite 1-d vector")
+            raise McmError("objective must be a finite 1-d vector")
         if n == 0:
-            raise MalformedProblem("a problem needs at least one variable")
+            raise McmError("a problem needs at least one variable")
         if self.free.shape != (n,):
-            raise MalformedProblem(f"{self.free.size} bounds for {n} variables")
+            raise McmError(f"{self.free.size} bounds for {n} variables")
         if self.A.shape != (m, n) or self.senses.shape != (m,):
-            raise MalformedProblem(
+            raise McmError(
                 f"constraint matrix {self.A.shape} and {self.senses.size} senses "
                 f"for {m} rows of {n} variables")
         unknown = ~np.isin(self.senses, _RELATIONS)
         if unknown.any():
-            raise MalformedProblem(f"unknown relation {str(self.senses[unknown][0])!r}")
+            raise McmError(f"unknown relation {str(self.senses[unknown][0])!r}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.rhs))):
-            raise MalformedProblem("constraints have non-finite entries")
-
-
-def make_problem(objective, rows, bounds) -> LpProblem:
-    """Convenience constructor: rows are (coeffs, relation, rhs) triples and
-    bounds name NONNEGATIVE or FREE per variable."""
-    objective = np.asarray(objective, dtype=float)
-    coeffs = [np.asarray(c, dtype=float) for c, _, _ in rows]
-    if len({c.shape for c in coeffs}) > 1:
-        raise MalformedProblem("constraint rows differ in length")
-    senses = [rel for _, rel, _ in rows]
-    for rel in senses:
-        if rel not in _RELATIONS:
-            raise MalformedProblem(f"unknown relation {rel!r}")
-    for kind in bounds:
-        if kind not in _BOUNDS:
-            raise MalformedProblem(f"unknown variable bound {kind!r}")
-    A = np.vstack(coeffs) if coeffs else np.zeros((0, objective.shape[0]))
-    return LpProblem(objective, A, np.array(senses, dtype=str),
-                     np.array([rhs for _, _, rhs in rows], dtype=float),
-                     np.array([kind == FREE for kind in bounds], dtype=bool))
+            raise McmError("constraints have non-finite entries")
 
 
 @dataclass
@@ -544,7 +520,7 @@ def write_lp_text(problem: LpProblem, names: list[str] | None = None) -> str:
     if names is None:
         names = [f"x{j + 1}" for j in range(n)]
     if len(names) != n:
-        raise MalformedProblem(f"{len(names)} names for {n} variables")
+        raise McmError(f"{len(names)} names for {n} variables")
 
     def term(coef: float, name: str, lead: bool) -> str:
         sign = "-" if coef < 0 else ("" if lead else "+")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, McmError, ParseError, VersionMismatch
+from .errors import McmError, ParseError
 from .kernels import KernelSpec, cross_gram
 
 FORMAT_NAME = "mcm-model"
@@ -68,6 +68,8 @@ class OvrModel:
     members: tuple
 
     def __post_init__(self):
+        if not self.members:
+            raise McmError("one-versus-rest model has no members")
         if len(self.class_labels) != len(self.members):
             raise McmError("one member model per class label required")
         dims = {member.n for member in self.members}
@@ -88,7 +90,7 @@ def decision_many(model, X) -> np.ndarray:
     support vectors share one cross-Gram matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n:
-        raise DimensionMismatch(f"{X.shape[1]} features, model expects {model.n}")
+        raise McmError(f"{X.shape[1]} features, model expects {model.n}")
     if not isinstance(model, OvrModel):
         return _binary_decision(model, X, [])
     grams: list = []
@@ -195,7 +197,7 @@ def _model_from_dict(obj: dict, context: str = "model"):
         raise ParseError(f"{context}: not a {FORMAT_NAME} file")
     version = obj.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{context}: file version {version}, expected {FORMAT_VERSION}")
+        raise ParseError(f"{context}: file version {version}, expected {FORMAT_VERSION}")
     kind = _require(obj, "type", context)
     try:
         if kind == "linear":

@@ -13,8 +13,27 @@ import itertools
 import numpy as np
 
 from mcm import lp
-from mcm.errors import DimensionMismatch
+from mcm.errors import McmError
 from mcm.kernels import LINEAR, RBF, KernelSpec
+
+
+NONNEGATIVE = "nonneg"
+FREE = "free"
+_BOUNDS = (NONNEGATIVE, FREE)
+
+
+def make_problem(objective, rows, bounds) -> lp.LpProblem:
+    """An ``LpProblem`` from (coeffs, relation, rhs) row triples, with bounds
+    naming NONNEGATIVE or FREE per variable."""
+    objective = np.asarray(objective, dtype=float)
+    unknown = [kind for kind in bounds if kind not in _BOUNDS]
+    if unknown:
+        raise ValueError(f"unknown variable bound {unknown[0]!r}")
+    A = (np.vstack([np.asarray(c, dtype=float) for c, _, _ in rows]) if rows
+         else np.zeros((0, objective.shape[0])))
+    return lp.LpProblem(objective, A, np.array([rel for _, rel, _ in rows], dtype=str),
+                        np.array([rhs for _, _, rhs in rows], dtype=float),
+                        np.array([kind == FREE for kind in bounds], dtype=bool))
 
 
 def random_feasible_bounded_lp(rng: np.random.Generator, n_vars: int | None = None,
@@ -45,7 +64,7 @@ def random_feasible_bounded_lp(rng: np.random.Generator, n_vars: int | None = No
         a = rng.normal(size=n)
         rows.append((a, lp.EQUAL, float(a @ x0)))
     c = rng.normal(size=n)
-    return lp.make_problem(c, rows, [lp.NONNEGATIVE] * n), x0
+    return make_problem(c, rows, [NONNEGATIVE] * n), x0
 
 
 def vertex_minimum(problem: lp.LpProblem, feas_tol: float = 1e-7,
@@ -105,6 +124,16 @@ def blobs(seed, m: int, d: int, gap: float):
     y = rng.permutation(np.arange(m) % 2) * 2.0 - 1.0
     X = rng.normal(size=(m, d)) + np.outer((y + 1.0) / 2.0, np.full(d, gap / np.sqrt(d)))
     return X, y
+
+
+def two_blobs_200():
+    """Acceptance criterion 6's data: 100 standard-normal 2-D points labelled
+    -1, then 100 shifted by (3, 3) labelled +1."""
+    rng = np.random.default_rng(7041)
+    half = 100
+    X = np.vstack([rng.normal(size=(half, 2)),
+                   rng.normal(size=(half, 2)) + 3.0])
+    return X, np.concatenate([-np.ones(half), np.ones(half)])
 
 
 def ill_scaled_blobs():
@@ -325,8 +354,8 @@ def parse_lp_text(text: str) -> lp.LpProblem:
         for name, value in terms.items():
             coeffs[index[name]] = value
         constraints.append((coeffs, rel, rhs))
-    bounds = [lp.FREE if name in free_names else lp.NONNEGATIVE for name in order]
-    return lp.make_problem(c, constraints, bounds)
+    bounds = [FREE if name in free_names else NONNEGATIVE for name in order]
+    return make_problem(c, constraints, bounds)
 
 
 def rbf_broadcast(gamma: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -341,7 +370,7 @@ def kernel_eval(kernel: KernelSpec, p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
-        raise DimensionMismatch(f"kernel arguments of length {p.shape} vs {q.shape}")
+        raise McmError(f"kernel arguments of length {p.shape} vs {q.shape}")
     if kernel.kind == LINEAR:
         return float(np.dot(p, q))
     if kernel.kind == RBF:

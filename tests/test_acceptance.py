@@ -125,11 +125,7 @@ def test_criterion_5_kernel_correctness():
 
 
 def test_criterion_6_support_vector_sparsity():
-    rng = np.random.default_rng(7041)
-    half = 100
-    X = np.vstack([rng.normal(size=(half, 2)),
-                   rng.normal(size=(half, 2)) + 3.0])
-    y = np.concatenate([-np.ones(half), np.ones(half)])
+    X, y = oracles.two_blobs_200()
     config = formulations.TrainConfig("kernel", C=1.0,
                                       kernel=KernelSpec("rbf", gamma=0.125))
     problem, layout = formulations.build_problem(X, y, config)
@@ -151,6 +147,27 @@ def test_criterion_6_support_vector_sparsity():
     assert report.expected_error_bound == pytest.approx(model.sv_count / M)
     print(f"\nPASS criterion 6: {model.sv_count}/{M} support vectors, pruned "
           f"predictions sign-identical, error bound = sv/M reported")
+
+
+def test_criterion_6_well_posed_sparsity_is_the_gram_rank():
+    # a poly-2 Gram matrix on 2-D data has rank 6 (the monomials of degree
+    # <= 2), and a basic optimum keeps at most that many support vectors
+    X, y = oracles.two_blobs_200()
+    config = formulations.TrainConfig("kernel", C=1.0,
+                                      kernel=KernelSpec("poly", degree=2, coef0=1.0))
+    problem, layout = formulations.build_problem(X, y, config)
+    solution = lp.solve(problem)
+    assert solution.status is lp.LpStatus.OPTIMAL
+    assert solution.objective_value == pytest.approx(18.234166281721, rel=1e-10)
+    model = formulations.extract_kernel(solution, layout, config, X)
+    assert model.sv_count == np.linalg.matrix_rank(gram(config.kernel, X)) == 6
+
+    residual = problem.A @ solution.primal_values - problem.rhs
+    le, ge = problem.senses == lp.LESS_EQUAL, problem.senses == lp.GREATER_EQUAL
+    violation = max(residual[le].max(), (-residual[ge]).max())
+    assert violation <= 1e-12
+    print(f"\nPASS criterion 6 (well-posed): poly-2 keeps {model.sv_count}/{len(y)} "
+          f"support vectors = rank(K), max row violation {violation:.1e}")
 
 
 def test_criterion_7_protocol_determinism(tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 
 from mcm import formulations
 from mcm.capacity import capacity_report, compute_h, radius_margin_ratio
-from mcm.errors import DegenerateMargin, DimensionMismatch, ZeroWeight
+from mcm.errors import DegenerateMargin, McmError
 from mcm.kernels import KernelSpec
+from mcm.model import LinearModel
 
 PAIR_X = np.array([[1.0], [-1.0]])
 PAIR_Y = np.array([1.0, -1.0])
@@ -24,7 +25,7 @@ def test_h_undefined_when_misclassifying():
 
 
 def test_h_zero_weight():
-    with pytest.raises(ZeroWeight):
+    with pytest.raises(McmError, match="^weight vector is identically zero$"):
         compute_h(PAIR_X, PAIR_Y, [0.0], 1.0)
 
 
@@ -53,8 +54,16 @@ def test_radius_margin_ratio_homogeneous():
 
 
 def test_radius_margin_ratio_degenerate():
-    with pytest.raises(DegenerateMargin):
+    with pytest.raises(DegenerateMargin, match="^a sample lies on the hyperplane$"):
         radius_margin_ratio(np.array([[1.0, 0.0]]), [0.0, 1.0], 0.0)
+
+
+def test_zero_hyperplane_is_degenerate():
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateMargin, match="^hyperplane has zero normal and zero offset$"):
+        radius_margin_ratio(X, [0.0, 0.0], 0.0)
+    report = capacity_report(LinearModel(w=[0.0, 0.0], b=0.0, h=1.0), X, [1.0, -1.0])
+    assert report.radius_margin_ratio is None and report.h is None
 
 
 def test_h_bounded_by_radius_margin_ratio():
@@ -90,7 +99,7 @@ def test_report_for_hard_linear_pair():
     assert report.h_squared == pytest.approx(1.0, abs=1e-8)
     assert report.radius_margin_ratio == pytest.approx(np.sqrt(2.0), abs=1e-8)
     assert not report.sv_applicable
-    assert report.sv_count == 2 and report.sv_fraction == 1.0
+    assert report.sv_count == 2
     assert report.expected_error_bound == 1.0
 
 
@@ -103,8 +112,7 @@ def test_report_for_xor_kernel_model():
     report = capacity_report(result.model, X, y)
     assert report.sv_applicable
     assert report.sv_count == result.model.sv_count
-    assert report.sv_fraction == pytest.approx(report.sv_count / 4)
-    assert report.expected_error_bound == pytest.approx(report.sv_fraction)
+    assert report.expected_error_bound == pytest.approx(report.sv_count / 4)
     assert report.radius_margin_ratio is None
     assert report.h is not None and report.h >= 1.0 - 1e-8
 
@@ -122,5 +130,5 @@ def test_report_undefined_h_for_misclassifying_soft_model():
 
 def test_report_dimension_mismatch():
     result = formulations.train(PAIR_X, PAIR_Y, formulations.TrainConfig("hard-linear"))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(McmError, match="^3 features, model expects 1$"):
         capacity_report(result.model, np.zeros((2, 3)), PAIR_Y)

@@ -419,6 +419,16 @@ def test_infinite_poly_degree_is_a_parse_error(tmp_path, capsys):
                        "cannot convert float infinity to integer\n")
 
 
+def test_empty_ovr_model_file_is_an_error(tmp_path, capsys):
+    model_path = write(tmp_path, "empty.mcm.json", json.dumps(
+        {"format": "mcm-model", "version": 1, "type": "ovr", "classes": [], "members": []}))
+    query = write(tmp_path, "query.csv", "0,1\n")
+    for argv in (("inspect", "--model", model_path),
+                 ("predict", "--model", model_path, "--data", query)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: one-versus-rest model has no members\n")
+
+
 def test_dump_lp_round_trips(tmp_path, capsys):
     data = write(tmp_path, "xor.csv", XOR_CSV)
     lp_path = tmp_path / "dump.lp"

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from mcm import formulations, kernels, lp
-from mcm.errors import (
-    DimensionMismatch,
-    HardMarginInfeasible,
-    McmError,
-    NotOptimal,
-    SingleClass,
-    SolverFailure,
-)
+from mcm.errors import HardMarginInfeasible, McmError, SolverFailure
 from mcm.kernels import KernelSpec, gram
 from mcm.model import decision_many, model_to_json, predict_many
 
@@ -47,7 +40,6 @@ def test_layout_covers_columns():
     cols = np.concatenate([layout.weight_cols, [layout.b_col, layout.h_col],
                            layout.q_cols])
     assert sorted(cols.tolist()) == list(range(problem.n_vars))
-    assert layout.n_columns == problem.n_vars
     # weights, b, h free; slacks nonnegative
     assert problem.free[layout.weight_cols].all()
     assert problem.free[[layout.b_col, layout.h_col]].all()
@@ -113,9 +105,9 @@ def test_iteration_limit_on_separable_data_is_solver_failure(monkeypatch):
 
 
 def test_single_class_rejected():
-    with pytest.raises(SingleClass):
+    with pytest.raises(McmError, match="^training data contains a single class$"):
         formulations.build_problem(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), HARD)
-    with pytest.raises(SingleClass):
+    with pytest.raises(McmError, match="^training data contains a single class$"):
         formulations.build_problem(
             np.array([[1.0]]), np.array([1.0]),
             formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("linear")))
@@ -275,9 +267,9 @@ def test_extract_kernel_all_zero_coefficients():
 def test_extract_requires_optimal():
     problem, layout = formulations.build_problem(PAIR_X, PAIR_Y, HARD)
     bad = lp.LpSolution(lp.LpStatus.INFEASIBLE, None, None, (0, 0))
-    with pytest.raises(NotOptimal):
+    with pytest.raises(McmError, match="^solution status is infeasible$"):
         formulations.extract_linear(bad, layout, formulations.TrainConfig("hard-linear"))
-    with pytest.raises(NotOptimal):
+    with pytest.raises(McmError, match="^solution status is infeasible$"):
         formulations.extract_kernel(
             bad, layout, formulations.TrainConfig(
                 "kernel", C=1.0, kernel=KernelSpec("linear")), PAIR_X)
@@ -290,9 +282,9 @@ def test_label_count_mismatch(config):
     # too few labels used to index past the end, too many trained on a prefix
     X = SIX_POINTS[1:5]
     for y in (np.array([-1.0, -1.0, 1.0]), np.array([-1.0, -1.0, 1.0, 1.0, 1.0])):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(McmError, match=f"^{y.size} labels for 4 samples$"):
             formulations.build_problem(X, y, config)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(McmError, match=f"^{y.size} labels for 4 samples$"):
             formulations.train(X, y, config)
 
 
@@ -371,3 +363,21 @@ def test_charnes_cooper_equivalence_small_random():
         oracle = oracles.min_margin_ratio_2d(X, y, n_directions=4096)
         assert solution.objective_value == pytest.approx(oracle, abs=1e-3)
         done += 1
+
+
+@pytest.mark.xfail(strict=True, reason="poly-3 Gram matrix of far-apart 2-D blobs "
+                   "(condition number near 1e22): the simplex keeps 14 support vectors "
+                   "against rank 10, or calls the program unbounded; HiGHS finds 1.51 "
+                   "for the second draw")
+@pytest.mark.parametrize("seed, m", [(21943938, 38), (2, 34)])
+def test_ill_conditioned_poly3_program_keeps_the_rank_bound(seed, m):
+    # every feasible point has h >= 1, so the program is bounded below by 1
+    X, y = oracles.blobs(seed, m, 2, 8.0)
+    config = formulations.TrainConfig("kernel", C=1.0,
+                                      kernel=KernelSpec("poly", degree=3, coef0=1.0))
+    problem, layout = formulations.build_problem(X, y, config)
+    solution = lp.solve(problem)
+    assert solution.status is lp.LpStatus.OPTIMAL
+    assert solution.objective_value >= 1.0 - 1e-9
+    model = formulations.extract_kernel(solution, layout, config, X)
+    assert model.sv_count <= np.linalg.matrix_rank(gram(config.kernel, X))

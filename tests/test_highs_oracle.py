@@ -81,6 +81,16 @@ def test_fifteen_row_random_lp_matches_highs():
     assert np.allclose(values[eq], problem.rhs[eq], rtol=0.0, atol=1e-9)
 
 
+def test_poly2_sparsity_program_matches_highs():
+    # acceptance criterion 6's data under poly-2: 6 support vectors, a
+    # well-posed program (HiGHS: 18.234166281722)
+    X, y = oracles.two_blobs_200()
+    config = formulations.TrainConfig("kernel", C=1.0,
+                                      kernel=KernelSpec("poly", degree=2, coef0=1.0))
+    problem, _ = formulations.build_problem(X, y, config)
+    assert_agrees(problem)
+
+
 @pytest.mark.xfail(strict=True, reason="rank-deficient Gram matrix (condition number "
                    "near 1e18): the simplex returns objective 1.0 at a point violating "
                    "a row by about 1e7, HiGHS finds 2.31")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mcm import lp
-from mcm.errors import MalformedProblem
+from mcm.errors import McmError
 
 import oracles
 
 
 def test_two_variable_vertex():
-    problem = lp.make_problem([-1.0, -2.0], [([1.0, 1.0], "<=", 1.0)], ["nonneg"] * 2)
+    problem = oracles.make_problem([-1.0, -2.0], [([1.0, 1.0], "<=", 1.0)], ["nonneg"] * 2)
     sol = lp.solve(problem)
     assert sol.status is lp.LpStatus.OPTIMAL
     assert np.allclose(sol.primal_values, [0.0, 1.0], atol=1e-9)
@@ -18,30 +18,27 @@ def test_two_variable_vertex():
 
 
 def test_contradictory_bounds_infeasible():
-    problem = lp.make_problem([1.0], [([1.0], ">=", 1.0), ([1.0], "<=", 0.0)], ["nonneg"])
+    problem = oracles.make_problem(
+        [1.0], [([1.0], ">=", 1.0), ([1.0], "<=", 0.0)], ["nonneg"])
     assert lp.solve(problem).status is lp.LpStatus.INFEASIBLE
 
 
 def test_unbounded_certified():
-    problem = lp.make_problem([-1.0], [([1.0], ">=", 1.0)], ["nonneg"])
+    problem = oracles.make_problem([-1.0], [([1.0], ">=", 1.0)], ["nonneg"])
     sol = lp.solve(problem)
     assert sol.status is lp.LpStatus.UNBOUNDED
     assert sol.primal_values is None and sol.objective_value is None
 
 
 def test_dimension_mismatch_rejected():
-    problem = lp.make_problem([1.0, 2.0], [([1.0], "<=", 1.0)], ["nonneg"] * 2)
-    with pytest.raises(MalformedProblem):
+    problem = oracles.make_problem([1.0, 2.0], [([1.0], "<=", 1.0)], ["nonneg"] * 2)
+    with pytest.raises(McmError, match=r"^constraint matrix \(1, 1\) and 1 senses "
+                                       r"for 1 rows of 2 variables$"):
         lp.solve(problem)
-    with pytest.raises(MalformedProblem):
-        lp.solve(lp.make_problem([], [], []))  # no variables
-    with pytest.raises(MalformedProblem):
-        lp.make_problem([1.0], [([1.0], "!!", 1.0)], ["nonneg"])
-    with pytest.raises(MalformedProblem):
-        lp.make_problem([1.0], [([1.0], "<=", 1.0)], ["positive"])
-    with pytest.raises(MalformedProblem):
-        lp.make_problem([1.0, 2.0], [([1.0, 1.0], "<=", 1.0), ([1.0], "<=", 1.0)],
-                        ["nonneg"] * 2)
+    with pytest.raises(McmError, match="^a problem needs at least one variable$"):
+        lp.solve(oracles.make_problem([], [], []))
+    with pytest.raises(McmError, match="^unknown relation '!!'$"):
+        lp.solve(lp.LpProblem([1.0], [[1.0]], ["!!"], [1.0], [False]))
 
 
 def test_random_lp_matches_vertex_enumeration():
@@ -100,7 +97,7 @@ def test_determinism_bitwise():
 
 def test_beale_cycling_instance_terminates():
     # Beale's classic degenerate LP; greedy pivoting is known to cycle on it
-    problem = lp.make_problem(
+    problem = oracles.make_problem(
         [-0.75, 150.0, -0.02, 6.0],
         [([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
          ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
@@ -118,7 +115,7 @@ def test_beale_cycling_instance_terminates():
 def test_marshall_suurballe_cycling_instance_terminates():
     # degenerate at the origin (all rhs zero); the ray (0, 1, 1/7, 0) has
     # negative cost, so the certified answer is unboundedness
-    problem = lp.make_problem(
+    problem = oracles.make_problem(
         [-2.3, -2.15, 13.55, 0.4],
         [([0.4, 0.2, -1.4, -0.2], "<=", 0.0),
          ([-7.8, -1.4, 7.8, 0.4], "<=", 0.0)],
@@ -130,7 +127,7 @@ def test_marshall_suurballe_cycling_instance_terminates():
 
 
 def test_redundant_equalities_handled():
-    problem = lp.make_problem(
+    problem = oracles.make_problem(
         [1.0, 1.0],
         [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0)],
         ["nonneg"] * 2,
@@ -180,7 +177,7 @@ def test_lp_without_rows(n):
     bounds_of = {"nonneg": False, "free": True}
     for objective in itertools.product([-1.0, 0.0, 1.0, 1e-11, -1e-11], repeat=n):
         for bounds in itertools.product(bounds_of, repeat=n):
-            sol = lp.solve(lp.make_problem(objective, [], bounds))
+            sol = lp.solve(oracles.make_problem(objective, [], bounds))
             c = np.array(objective)
             free = np.array([bounds_of[kind] for kind in bounds])
             assert sol.phase_iterations == (0, 0)
@@ -213,7 +210,7 @@ def test_non_finite_tableau_ends_in_numerical_failure():
 
 
 def test_standardize_free_split_round_trip():
-    problem = lp.make_problem([1.0], [([1.0], ">=", -3.0)], ["free"])
+    problem = oracles.make_problem([1.0], [([1.0], ">=", -3.0)], ["free"])
     std = lp.standardize(problem)
     # the free column is kept once, followed by one surplus column
     assert std.problem.n_vars == 2
@@ -232,7 +229,7 @@ def test_standardize_free_split_round_trip():
 
 
 def test_standardize_idempotent_on_standard_form():
-    problem = lp.make_problem(
+    problem = oracles.make_problem(
         [1.0, 2.0], [([1.0, 1.0], "=", 1.0)], ["nonneg"] * 2)
     std = lp.standardize(problem)
     assert std.problem.n_vars == 2
@@ -452,7 +449,7 @@ def test_phase_iterations_split_the_pivot_count(monkeypatch):
     assert limited.status is lp.LpStatus.ITERATION_LIMIT
     assert limited.phase_iterations == (used[2], used[3]) == (43, 5)  # 48 pivots made
 
-    infeasible = lp.solve(lp.make_problem(
+    infeasible = lp.solve(oracles.make_problem(
         [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)], ["nonneg"]))
     assert infeasible.status is lp.LpStatus.INFEASIBLE
     assert infeasible.phase_iterations[1] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcm import model as model_mod
-from mcm.errors import DimensionMismatch, ParseError, VersionMismatch
+from mcm.errors import McmError, ParseError
 from mcm.kernels import KernelSpec, cross_gram
 from mcm.model import (
     KernelModel,
@@ -47,7 +47,7 @@ def test_predict_sign_rule():
 
 
 def test_decision_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(McmError, match="^2 features, model expects 1$"):
         decision_many(linear_model(), [[1.0, 2.0]])
 
 
@@ -122,7 +122,7 @@ def test_missing_field_is_parse_error():
 
 
 def test_version_mismatch():
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(ParseError, match="^model: file version 99, expected 1$"):
         model_from_json('{"format":"mcm-model","version":99,"type":"linear"}')
 
 

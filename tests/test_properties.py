@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mcm import formulations  # noqa: E402
 from mcm.errors import HardMarginInfeasible  # noqa: E402
+from mcm.kernels import KernelSpec, gram  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -63,3 +64,19 @@ def test_contradictory_duplicate_defeats_hard_margin_only(seed, m, d, which):
         formulations.train(X2, y2, HARD)
     soft = formulations.train(X2, y2, SOFT)
     assert np.isfinite(soft.objective_value) and soft.model.h >= 1.0 - 1e-9
+
+
+KERNELS = [KernelSpec("linear"), KernelSpec("poly", degree=2, coef0=1.0),
+           KernelSpec("poly", degree=3, coef0=1.0)]
+
+
+@derandomized
+@given(seed=seeds, m=st.integers(6, 40), d=st.integers(2, 5),
+       kernel=st.sampled_from(KERNELS))
+def test_support_vectors_never_exceed_the_gram_rank(seed, m, d, kernel):
+    # a basic optimum has at most rank(K) linearly independent Gram columns
+    # in its basis, so at most that many nonzero coefficients
+    X, y = oracles.blobs(seed, m, d, 2.0)
+    config = formulations.TrainConfig("kernel", C=1.0, kernel=kernel)
+    model = formulations.train(X, y, config).model
+    assert model.sv_count <= np.linalg.matrix_rank(gram(kernel, X))

@@ -147,8 +147,8 @@ def test_refactorized_solve_replays_split_form(seed, monkeypatch):
 
 def test_unbounded_free_direction_replays_split_form(monkeypatch):
     # minimize x + y with x free: x falls without limit along x + y <= 1
-    problem = lp.make_problem([1.0, 1.0], [([1.0, 1.0], "<=", 1.0), ([0.0, 1.0], "<=", 2.0)],
-                              ["free", "nonneg"])
+    problem = oracles.make_problem(
+        [1.0, 1.0], [([1.0, 1.0], "<=", 1.0), ([0.0, 1.0], "<=", 2.0)], ["free", "nonneg"])
     solution = assert_replays_split_form(problem, monkeypatch)
     assert solution.status is lp.LpStatus.UNBOUNDED
 
@@ -156,8 +156,8 @@ def test_unbounded_free_direction_replays_split_form(monkeypatch):
 def test_free_variable_seeds_its_row_in_the_negative_direction(monkeypatch):
     # x appears in one row only, with coefficient -1: its negative direction
     # is a unit column and starts basic, as the split form's x- did
-    problem = lp.make_problem([1.0, 2.0], [([-1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 4.0)],
-                              ["free", "nonneg"])
+    problem = oracles.make_problem(
+        [1.0, 2.0], [([-1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 4.0)], ["free", "nonneg"])
     solution = assert_replays_split_form(problem, monkeypatch)
     assert solution.status is lp.LpStatus.OPTIMAL
     assert solution.primal_values.tolist() == [-2.0, 0.0]
