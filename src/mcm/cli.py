@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 parse/IO/usage problems; 2 infeasible hard-margin
 training; 3 solver failure.  Data goes to stdout, diagnostics to stderr.
-JSON reports carry "report_version" and omit wall-clock fields, so reruns with
-the same seed are byte-identical.
+JSON reports carry "report_version".  The cv and grid reports omit wall-clock
+fields, so reruns with the same seed are byte-identical; the train report
+carries "train_seconds".
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import formulations, lp
 from .errors import HardMarginInfeasible, McmError, SolverFailure
 from .kernels import LINEAR, POLY, RBF, KernelSpec
 from .model import (
-    KernelModel,
     LinearModel,
     OvrModel,
     decision_many,
@@ -261,26 +261,18 @@ def _inspect_lines(model, train_size: int | None) -> list[str]:
             summary = _inspect_lines(member, train_size)
             lines.append(f"member {cls!r}: " + "; ".join(summary))
         return lines
-    if isinstance(model, LinearModel):
-        lines = [f"type: linear ({model.variant})", f"n: {model.n}",
-                 f"h: {model.h!r}", f"h_squared: {model.h * model.h!r}"]
-        if model.C is not None:
-            lines.append(f"C: {model.C!r}")
-        lines.append("sv_count: n/a (linear model)")
-        lines.append("expected_error_bound: n/a (linear model)")
-        return lines
-    assert isinstance(model, KernelModel)
-    lines = ["type: kernel", f"n: {model.n}", f"h: {model.h!r}",
-             f"h_squared: {model.h * model.h!r}",
-             f"kernel: {model.kernel.describe()}"]
+    linear = isinstance(model, LinearModel)
+    lines = [f"type: linear ({model.variant})" if linear else "type: kernel",
+             f"n: {model.n}", f"h: {model.h!r}", f"h_squared: {model.h * model.h!r}"]
+    if not linear:
+        lines.append(f"kernel: {model.kernel.describe()}")
     if model.C is not None:
         lines.append(f"C: {model.C!r}")
-    lines.append(f"sv_count: {model.sv_count}")
-    if train_size:
-        lines.append(f"expected_error_bound: {model.sv_count / train_size!r}")
-    else:
-        lines.append("expected_error_bound: n/a (pass --train-size M)")
-    return lines
+    if linear:
+        return lines + ["sv_count: n/a (linear model)",
+                        "expected_error_bound: n/a (linear model)"]
+    bound = repr(model.sv_count / train_size) if train_size else "n/a (pass --train-size M)"
+    return lines + [f"sv_count: {model.sv_count}", f"expected_error_bound: {bound}"]
 
 
 def cmd_inspect(args) -> int:

@@ -149,8 +149,7 @@ def extract_linear(solution: lp.LpSolution, layout: McmLpLayout,
         w=layout.weights(solution).copy(),
         b=layout.offset(solution),
         h=layout.ratio_bound(solution),
-        variant=config.variant,
-        C=config.C,
+        C=None if config.variant == HARD_LINEAR else config.C,
     )
 
 

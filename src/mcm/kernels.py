@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import McmError
+from .errors import McmError, ParseError
 
 LINEAR = "linear"
 RBF = "rbf"
@@ -43,7 +43,8 @@ class KernelSpec:
             raise McmError("kernel coef0 must be finite")
         if not math.isfinite(self.degree):
             raise McmError("kernel degree must be finite")
-        if self.kind == POLY and (int(self.degree) != self.degree or self.degree < 1):
+        if self.kind == POLY and (isinstance(self.degree, bool)
+                                  or int(self.degree) != self.degree or self.degree < 1):
             raise McmError("poly kernel requires integer degree >= 1")
 
     def describe(self) -> str:
@@ -57,6 +58,16 @@ class KernelSpec:
         """The JSON form model files and cv reports share."""
         return {"kind": self.kind, "gamma": self.gamma,
                 "degree": self.degree, "coef0": self.coef0}
+
+    @classmethod
+    def from_dict(cls, spec: dict, context: str) -> KernelSpec:
+        """Inverse of to_dict; `context` names the object in parse errors."""
+        if "kind" not in spec:
+            raise ParseError(f"{context}: missing field 'kind'")
+        degree = spec.get("degree", 3)
+        if not isinstance(degree, bool) and int(degree) == degree:
+            degree = int(degree)  # 2.0 reads as 2; int() rejects NaN and infinities
+        return cls(spec["kind"], spec.get("gamma"), degree, float(spec.get("coef0", 1.0)))
 
 
 def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:

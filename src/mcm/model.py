@@ -3,13 +3,14 @@
 Model files are UTF-8 JSON with schema keys {"format", "version", "type", "n",
 "w", "b", "h", "C", "kernel", "lambda", "support_vectors", "classes",
 "members"}; numbers round-trip exactly because floats are rendered with their
-shortest repr.  The conventional extension is ".mcm.json".
+shortest repr, and reading rejects non-finite ones.  The conventional
+extension is ".mcm.json".
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +26,7 @@ class LinearModel:
     w: np.ndarray
     b: float
     h: float
-    variant: str = "hard-linear"
-    C: float | None = None
+    C: float | None = None  # None marks a hard-margin fit
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
@@ -34,6 +34,10 @@ class LinearModel:
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    @property
+    def variant(self) -> str:
+        return "hard-linear" if self.C is None else "soft-linear"
 
 
 @dataclass(frozen=True)
@@ -135,49 +139,31 @@ def negated(model):
     """Model with the opposite decision function (the optimum under flipped
     labels, by the sign symmetry of the training programs)."""
     if isinstance(model, LinearModel):
-        return LinearModel(-model.w, -model.b, model.h, model.variant, model.C)
+        return replace(model, w=-model.w, b=-model.b)
     if isinstance(model, KernelModel):
-        return KernelModel(-model.lam, model.support_vectors, -model.b, model.h,
-                           model.kernel, model.n, model.C)
+        return replace(model, lam=-model.lam, b=-model.b)
     raise McmError(f"cannot negate {type(model).__name__}")
 
 
 # --- serialization ---
 
 def _model_dict(model) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "type": "linear",
-            "n": model.n,
-            "w": [float(v) for v in model.w],
-            "b": float(model.b),
-            "h": float(model.h),
-            "C": None if model.C is None else float(model.C),
-        }
-    if isinstance(model, KernelModel):
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "type": "kernel",
-            "n": model.n,
-            "b": float(model.b),
-            "h": float(model.h),
-            "C": None if model.C is None else float(model.C),
-            "kernel": model.kernel.to_dict(),
-            "lambda": [float(v) for v in model.lam],
-            "support_vectors": [[float(v) for v in row] for row in model.support_vectors],
-        }
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
     if isinstance(model, OvrModel):
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "type": "ovr",
-            "classes": list(model.class_labels),
-            "members": [_model_dict(member) for member in model.members],
-        }
-    raise McmError(f"cannot serialize {type(model).__name__}")
+        return header | {"type": "ovr", "classes": list(model.class_labels),
+                         "members": [_model_dict(member) for member in model.members]}
+    if not isinstance(model, (LinearModel, KernelModel)):
+        raise McmError(f"cannot serialize {type(model).__name__}")
+    fit = {"b": float(model.b), "h": float(model.h),
+           "C": None if model.C is None else float(model.C)}
+    if isinstance(model, LinearModel):
+        return header | {"type": "linear", "n": model.n,
+                         "w": [float(v) for v in model.w]} | fit
+    return header | {"type": "kernel", "n": model.n} | fit | {
+        "kernel": model.kernel.to_dict(),
+        "lambda": [float(v) for v in model.lam],
+        "support_vectors": [[float(v) for v in row] for row in model.support_vectors],
+    }
 
 
 def model_to_json(model) -> str:
@@ -190,6 +176,17 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _field(obj: dict, key: str, context: str, array: bool = False):
+    """A required number, or array of numbers if `array`.  json reads NaN,
+    Infinity and overflowing literals such as 1e999 as floats; no model
+    number may be one."""
+    value = _require(obj, key, context)
+    value = np.asarray(value, dtype=float) if array else float(value)
+    if not np.isfinite(value).all():
+        raise ParseError(f"{context}: field {key!r} is not finite")
+    return value
+
+
 def _model_from_dict(obj: dict, context: str = "model"):
     if not isinstance(obj, dict):
         raise ParseError(f"{context}: expected a JSON object")
@@ -200,38 +197,6 @@ def _model_from_dict(obj: dict, context: str = "model"):
         raise ParseError(f"{context}: file version {version}, expected {FORMAT_VERSION}")
     kind = _require(obj, "type", context)
     try:
-        if kind == "linear":
-            w = np.asarray(_require(obj, "w", context), dtype=float)
-            n = int(_require(obj, "n", context))
-            if w.shape != (n,):
-                raise ParseError(f"{context}: w has length {w.shape[0]}, n says {n}")
-            C = obj.get("C")
-            return LinearModel(
-                w=w,
-                b=float(_require(obj, "b", context)),
-                h=float(_require(obj, "h", context)),
-                variant="hard-linear" if C is None else "soft-linear",
-                C=None if C is None else float(C),
-            )
-        if kind == "kernel":
-            spec = _require(obj, "kernel", context)
-            kernel = KernelSpec(
-                kind=_require(spec, "kind", f"{context}.kernel"),
-                gamma=spec.get("gamma"),
-                degree=int(spec.get("degree", 3)),
-                coef0=float(spec.get("coef0", 1.0)),
-            )
-            n = int(_require(obj, "n", context))
-            return KernelModel(
-                lam=np.asarray(_require(obj, "lambda", context), dtype=float),
-                support_vectors=np.asarray(_require(obj, "support_vectors", context),
-                                           dtype=float).reshape(-1, n),
-                b=float(_require(obj, "b", context)),
-                h=float(_require(obj, "h", context)),
-                kernel=kernel,
-                n=n,
-                C=None if obj.get("C") is None else float(obj["C"]),
-            )
         if kind == "ovr":
             classes = _require(obj, "classes", context)
             members = _require(obj, "members", context)
@@ -242,9 +207,22 @@ def _model_from_dict(obj: dict, context: str = "model"):
                     for i, member in enumerate(members)
                 ),
             )
+        if kind not in ("linear", "kernel"):
+            raise ParseError(f"{context}: unknown model type {kind!r}")
+        n = int(_require(obj, "n", context))
+        b, h = _field(obj, "b", context), _field(obj, "h", context)
+        C = None if obj.get("C") is None else _field(obj, "C", context)
+        if kind == "linear":
+            w = _field(obj, "w", context, array=True)
+            if w.shape != (n,):
+                raise ParseError(f"{context}: w has length {len(w)}, n says {n}")
+            return LinearModel(w, b, h, C)
+        kernel = KernelSpec.from_dict(_require(obj, "kernel", context), f"{context}.kernel")
+        return KernelModel(_field(obj, "lambda", context, array=True),
+                           _field(obj, "support_vectors", context, array=True),
+                           b, h, kernel, n, C)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{context}: {exc}") from exc
-    raise ParseError(f"{context}: unknown model type {kind!r}")
 
 
 def model_from_json(text: str):

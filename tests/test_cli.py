@@ -419,6 +419,36 @@ def test_infinite_poly_degree_is_a_parse_error(tmp_path, capsys):
                        "cannot convert float infinity to integer\n")
 
 
+def test_non_finite_model_numbers_are_a_parse_error(tmp_path, capsys):
+    xor = write(tmp_path, "xor.csv", XOR_CSV)
+    model_path = tmp_path / "xor.mcm.json"
+    run(capsys, "train", "--data", xor, "--variant", "kernel", "--kernel", "rbf",
+        "--gamma", "1", "--C", "1e4", "--out", str(model_path))
+    stored = json.loads(model_path.read_text(encoding="utf-8"))
+    stored["members"][0]["b"] = float("nan")
+    stored["members"][0]["lambda"][0] = float("inf")
+    model_path.write_text(json.dumps(stored), encoding="utf-8")  # NaN, Infinity
+    for argv in (("inspect", "--model", str(model_path)),
+                 ("predict", "--model", str(model_path), "--data", xor, "--label-col", "-1",
+                  "--scores")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: model.members[0]: field 'b' is not finite\n")
+
+
+@pytest.mark.parametrize("degree", ["2.5", "true"])
+def test_poly_degree_in_model_file_must_be_an_integer(tmp_path, capsys, degree):
+    xor = write(tmp_path, "xor.csv", XOR_CSV)
+    model_path = tmp_path / "xor.mcm.json"
+    run(capsys, "train", "--data", xor, "--variant", "kernel", "--kernel", "poly",
+        "--degree", "2", "--C", "1e4", "--out", str(model_path))
+    text = model_path.read_text(encoding="utf-8")
+    model_path.write_text(text.replace('"degree": 2', f'"degree": {degree}'), encoding="utf-8")
+    for argv in (("inspect", "--model", str(model_path)),
+                 ("predict", "--model", str(model_path), "--data", xor, "--label-col", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: poly kernel requires integer degree >= 1\n")
+
+
 def test_empty_ovr_model_file_is_an_error(tmp_path, capsys):
     model_path = write(tmp_path, "empty.mcm.json", json.dumps(
         {"format": "mcm-model", "version": 1, "type": "ovr", "classes": [], "members": []}))

@@ -48,6 +48,9 @@ def test_kernel_spec_validation():
     for degree in (float("inf"), float("nan")):
         with pytest.raises(McmError, match="^kernel degree must be finite$"):
             KernelSpec("poly", degree=degree)
+    for degree in (2.5, True, False):
+        with pytest.raises(McmError, match="^poly kernel requires integer degree >= 1$"):
+            KernelSpec("poly", degree=degree)
     with pytest.raises(McmError):
         KernelSpec("sigmoid")
 

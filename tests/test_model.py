@@ -5,6 +5,7 @@ import pytest
 
 from mcm import model as model_mod
 from mcm.errors import McmError, ParseError
+from mcm.formulations import TrainConfig, train
 from mcm.kernels import KernelSpec, cross_gram
 from mcm.model import (
     KernelModel,
@@ -83,8 +84,7 @@ def test_ovr_determinism():
 
 def test_linear_round_trip_bit_identical():
     rng = np.random.default_rng(6)
-    model = LinearModel(rng.normal(size=5), rng.normal(), 1.7,
-                        variant="soft-linear", C=3.5)
+    model = LinearModel(rng.normal(size=5), rng.normal(), 1.7, C=3.5)
     clone = model_from_json(model_to_json(model))
     X = rng.normal(size=(100, 5))
     assert decision_many(model, X).tobytes() == decision_many(clone, X).tobytes()
@@ -126,6 +126,11 @@ def test_version_mismatch():
         model_from_json('{"format":"mcm-model","version":99,"type":"linear"}')
 
 
+def test_scalar_w_is_parse_error():
+    with pytest.raises(ParseError, match="^model: "):
+        model_from_json('{"type":"linear","n":1,"w":1.0,"b":0.0,"h":1.0}')
+
+
 def test_hand_written_minimal_file():
     text = ('{"format":"mcm-model","version":1,"type":"linear",'
             '"n":1,"w":[1.0],"b":0.0,"h":1.0}')
@@ -142,6 +147,171 @@ def test_schema_keys():
     assert set(obj) == {"format", "version", "type", "n", "b", "h", "C",
                        "kernel", "lambda", "support_vectors"}
     assert set(obj["kernel"]) == {"kind", "gamma", "degree", "coef0"}
+
+
+LINEAR_TEXT = """\
+{
+  "format": "mcm-model",
+  "version": 1,
+  "type": "linear",
+  "n": 2,
+  "w": [
+    0.5,
+    0.30000000000000004
+  ],
+  "b": -0.125,
+  "h": 1.7,
+  "C": null
+}
+"""
+
+KERNEL_TEXT = """\
+{
+  "format": "mcm-model",
+  "version": 1,
+  "type": "kernel",
+  "n": 2,
+  "b": 0.25,
+  "h": 1.0,
+  "C": 4.0,
+  "kernel": {
+    "kind": "rbf",
+    "gamma": 0.5,
+    "degree": 3,
+    "coef0": 1.0
+  },
+  "lambda": [
+    0.75,
+    -2.0
+  ],
+  "support_vectors": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.3333333333333333
+    ]
+  ]
+}
+"""
+
+
+OVR_TEXT = """\
+{
+  "format": "mcm-model",
+  "version": 1,
+  "type": "ovr",
+  "classes": [
+    "yes",
+    "no"
+  ],
+  "members": [
+    {
+      "format": "mcm-model",
+      "version": 1,
+      "type": "linear",
+      "n": 2,
+      "w": [
+        0.5,
+        0.30000000000000004
+      ],
+      "b": -0.125,
+      "h": 1.7,
+      "C": null
+    },
+    {
+      "format": "mcm-model",
+      "version": 1,
+      "type": "linear",
+      "n": 2,
+      "w": [
+        -0.5,
+        -0.30000000000000004
+      ],
+      "b": 0.125,
+      "h": 1.7,
+      "C": null
+    }
+  ]
+}
+"""
+
+
+def test_model_file_text_is_pinned():
+    """Key order, nested member headers and shortest float reprs."""
+    hard = LinearModel(np.array([0.5, 0.1 + 0.2]), -0.125, 1.7)
+    rbf = KernelModel(np.array([0.75, -2.0]), np.array([[1.0, 0.0], [0.0, 1 / 3]]),
+                      0.25, 1.0, KernelSpec("rbf", gamma=0.5), 2, C=4.0)
+    assert model_to_json(hard) == LINEAR_TEXT
+    assert model_to_json(rbf) == KERNEL_TEXT
+    assert model_to_json(OvrModel(("yes", "no"), (hard, negated(hard)))) == OVR_TEXT
+
+
+def test_hard_margin_fit_with_c_reloads_as_hard_margin():
+    X = np.array([[2.0, 0.5], [1.5, -1.0], [-1.0, 0.0], [-2.0, 1.0]])
+    fit = train(X, [1, 1, -1, -1], TrainConfig("hard-linear", C=5.0)).model
+    clone = model_from_json(model_to_json(fit))
+    assert fit.C is None and clone.C is None
+    assert clone.variant == "hard-linear"
+
+
+def with_token(model, path, token):
+    """model_to_json(model) with the number at `path` replaced by the raw
+    JSON token `token`."""
+    obj = json.loads(model_to_json(model))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@"
+    return json.dumps(obj).replace('"@"', token)
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999")
+SOFT = LinearModel(np.array([1.0, -0.5]), 0.25, 1.5, C=2.0)
+RBF = kernel_model([0.5, -0.5], [[0.0, 1.0], [1.0, 0.0]])
+POLY = KernelModel(np.array([1.0]), np.array([[1.0, 2.0]]), 0.0, 1.0,
+                   KernelSpec("poly", degree=2, coef0=0.5), 2, C=1.0)
+
+
+@pytest.mark.parametrize("model,path", [
+    pytest.param(SOFT, ("w", 1), id="linear-w"),
+    pytest.param(SOFT, ("b",), id="linear-b"),
+    pytest.param(SOFT, ("h",), id="linear-h"),
+    pytest.param(SOFT, ("C",), id="linear-C"),
+    pytest.param(RBF, ("lambda", 0), id="kernel-lambda"),
+    pytest.param(RBF, ("support_vectors", 1, 0), id="kernel-support_vectors"),
+    pytest.param(RBF, ("b",), id="kernel-b"),
+    pytest.param(RBF, ("h",), id="kernel-h"),
+    pytest.param(RBF, ("C",), id="kernel-C"),
+])
+def test_non_finite_model_number_is_a_parse_error(model, path):
+    model_from_json(with_token(model, path, "0.5"))  # the file is valid otherwise
+    for token in NON_FINITE:
+        with pytest.raises(ParseError, match=f"^model: field '{path[0]}' is not finite$"):
+            model_from_json(with_token(model, path, token))
+
+
+@pytest.mark.parametrize("model,key", [pytest.param(RBF, "gamma", id="gamma"),
+                                       pytest.param(POLY, "coef0", id="coef0"),
+                                       pytest.param(POLY, "degree", id="degree")])
+def test_non_finite_kernel_parameter_is_an_error(model, key):
+    for token in NON_FINITE:
+        with pytest.raises(McmError):
+            model_from_json(with_token(model, ("kernel", key), token))
+
+
+@pytest.mark.parametrize("token", ["2.7", "true", "0", "-2"])
+def test_poly_degree_must_be_an_integer_of_at_least_one(token):
+    with pytest.raises(McmError, match="^poly kernel requires integer degree >= 1$"):
+        model_from_json(with_token(POLY, ("kernel", "degree"), token))
+
+
+def test_integral_float_poly_degree_reads_as_int():
+    clone = model_from_json(with_token(POLY, ("kernel", "degree"), "2.0"))
+    assert clone.kernel == POLY.kernel and clone.kernel.describe() == POLY.kernel.describe()
+    assert model_to_json(clone) == model_to_json(POLY)
 
 
 def test_negated_flips_decisions():
