@@ -93,6 +93,10 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
     feature_names = None if header is None else [
         name.strip() for j, name in enumerate(header) if j != label_index]
 
+    parsed = _parse_rows(rows, width, label_index)
+    if parsed is not None:
+        return (*parsed, feature_names)
+    # some line is bad: the row loop raises for the first one in file order
     samples = []
     labels = None if label_index is None else []
     for number, line in rows:
@@ -110,6 +114,26 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
             _check_cells(number, cells, columns)
         samples.append(values)
     return np.asarray(samples, dtype=float), labels, feature_names
+
+
+def _parse_rows(rows: list, width: int, label_index: int | None):
+    """(samples, labels) of well-formed rows in one pass over all cells, or
+    None if any row is ragged or any feature cell is not a finite number."""
+    lines = [line for _, line in rows]
+    if any(line.count(",") != width - 1 for line in lines):
+        return None
+    cells = ",".join(lines).split(",")
+    labels = None
+    if label_index is not None:
+        labels = [cell.strip() for cell in cells[label_index::width]]
+        del cells[label_index::width]
+    try:
+        samples = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(samples).all():
+        return None
+    return samples.reshape(len(lines), len(cells) // len(lines)), labels
 
 
 def _check_cells(number: int, cells: list[str], columns: list[int]) -> None:

@@ -79,13 +79,12 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
     if kernel.kind == LINEAR:
         return X @ Y.T
     if kernel.kind == RBF:
-        # row chunks keep the (rows, |Y|, n) difference temporary within
-        # CHUNK_BYTES; each entry sees the broadcast's operations, same bits
+        # per row chunk, _sum_squares holds at most n (rows, |Y|) temporaries,
+        # within the CHUNK_BYTES bound on a (rows, |Y|, n) broadcast
         dist = np.empty((X.shape[0], Y.shape[0]))
         step = chunk_rows(Y.shape[0], X.shape[1])
         for start in range(0, X.shape[0], step):
-            sq = (X[start:start + step, None, :] - Y[None, :, :]) ** 2
-            sq.sum(axis=2, out=dist[start:start + step])
+            _sum_squares(X[start:start + step], Y, 0, X.shape[1], dist[start:start + step])
         dist *= -kernel.gamma
         return np.exp(dist, out=dist)
     return (X @ Y.T + kernel.coef0) ** kernel.degree
@@ -94,6 +93,56 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
 def chunk_rows(columns: int, features: int) -> int:
     """Rows of X per rbf chunk: as many as fit CHUNK_BYTES, at least one."""
     return max(1, CHUNK_BYTES // max(1, columns * features * 8))
+
+
+def _sum_squares(X, Y, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[i, j] = sum of (X[i, f] - Y[j, f]) ** 2 over features lo <= f < hi,
+    one feature at a time, added in the order of numpy's pairwise add.reduce
+    over a contiguous axis, so each entry has the bits of the broadcast's
+    ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2):
+
+    - fewer than 8 terms in sequence (numpy starts from 0.0, and 0.0 + t == t
+      for a square t);
+    - up to 128 terms in eight accumulators seeded by the first eight, each
+      taking every eighth term of the full blocks, combined as
+      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
+      in sequence;
+    - more than 128 as the sum of two halves split at n // 2 rounded down to
+      a multiple of 8, each summed by these rules.
+    """
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - n // 2 % 8
+        _sum_squares(X, Y, lo, mid, out)
+        rest = np.empty_like(out)
+        _sum_squares(X, Y, mid, hi, rest)
+        out += rest
+        return
+    if n == 0:
+        out.fill(0.0)
+        return
+    term = np.empty_like(out)
+    if n < 8:
+        _square(X, Y, lo, out)
+        for f in range(lo + 1, hi):
+            out += _square(X, Y, f, term)
+        return
+    acc = [out] + [np.empty_like(out) for _ in range(7)]
+    for j, into in enumerate(acc):
+        _square(X, Y, lo + j, into)
+    tail = hi - n % 8
+    for f in range(lo + 8, tail):
+        acc[(f - lo) % 8] += _square(X, Y, f, term)
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        acc[a] += acc[b]
+    for f in range(tail, hi):
+        out += _square(X, Y, f, term)
+
+
+def _square(X, Y, f: int, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = (X[i, f] - Y[j, f]) ** 2."""
+    np.subtract(X[:, f, None], Y[:, f], out=out)
+    return np.multiply(out, out, out=out)
 
 
 def gram(kernel: KernelSpec, samples) -> np.ndarray:

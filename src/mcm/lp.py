@@ -213,7 +213,11 @@ class _Tableau:
         selection, which numpy returns Fortran-ordered; there the block is
         gathered as rows of ``T.T`` and the outer product is built transposed
         to match, since a C-ordered product subtracted from a Fortran-ordered
-        block costs more than the update itself.  einsum then sums each
+        block costs more than the update itself.  The product comes from
+        ``einsum("i,j->ij")``, which is faster than ``np.multiply.outer``
+        and gives the same values; only the sign of an exact zero can
+        differ, and no comparison, ratio test, norm or ``basic_values``
+        reads that sign.  einsum then sums each
         touched column in the same order as over the whole tableau, so the
         refreshed norms are bit-identical to a full recomputation.  Negation
         is exact, so entering a free column with sign -1 writes the same bits
@@ -226,10 +230,10 @@ class _Tableau:
         factors[row] = 0.0
         if T.flags.f_contiguous:
             block = T.T.take(cols, axis=0).T
-            block -= np.multiply.outer(block[row], factors).T
+            block -= np.einsum("i,j->ij", block[row], factors).T
         else:
             block = T.take(cols, axis=1)
-            block -= np.multiply.outer(factors, block[row])
+            block -= np.einsum("i,j->ij", factors, block[row])
         entering = np.searchsorted(cols, col)
         block[:, entering] = 0.0
         block[row, entering] = sign

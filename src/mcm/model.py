@@ -3,8 +3,9 @@
 Model files are UTF-8 JSON with schema keys {"format", "version", "type", "n",
 "w", "b", "h", "C", "kernel", "lambda", "support_vectors", "classes",
 "members"}; numbers round-trip exactly because floats are rendered with their
-shortest repr, and reading rejects non-finite ones.  The conventional
-extension is ".mcm.json".
+shortest repr, and reading rejects non-finite ones, a non-integer "n", a
+"C" that is not positive and one-versus-rest members that are not binary.
+The conventional extension is ".mcm.json".
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ def _field(obj: dict, key: str, context: str, array: bool = False):
     return value
 
 
-def _model_from_dict(obj: dict, context: str = "model"):
+def _model_from_dict(obj: dict, context: str = "model", member: bool = False):
+    """`member` marks a one-versus-rest member, which must be binary."""
     if not isinstance(obj, dict):
         raise ParseError(f"{context}: expected a JSON object")
     if obj.get("format", FORMAT_NAME) != FORMAT_NAME:
@@ -197,21 +199,29 @@ def _model_from_dict(obj: dict, context: str = "model"):
         raise ParseError(f"{context}: file version {version}, expected {FORMAT_VERSION}")
     kind = _require(obj, "type", context)
     try:
+        if kind == "ovr" and member:
+            raise ParseError(f"{context}: a one-versus-rest member must be "
+                             "a linear or kernel model")
         if kind == "ovr":
             classes = _require(obj, "classes", context)
             members = _require(obj, "members", context)
             return OvrModel(
                 class_labels=tuple(classes),
                 members=tuple(
-                    _model_from_dict(member, f"{context}.members[{i}]")
-                    for i, member in enumerate(members)
+                    _model_from_dict(entry, f"{context}.members[{i}]", member=True)
+                    for i, entry in enumerate(members)
                 ),
             )
         if kind not in ("linear", "kernel"):
             raise ParseError(f"{context}: unknown model type {kind!r}")
-        n = int(_require(obj, "n", context))
+        n = _require(obj, "n", context)
+        if isinstance(n, bool) or int(n) != n:  # 2.0 reads as 2; 2.7 and true do not
+            raise ParseError(f"{context}: field 'n' is not an integer")
+        n = int(n)
         b, h = _field(obj, "b", context), _field(obj, "h", context)
         C = None if obj.get("C") is None else _field(obj, "C", context)
+        if C is not None and C <= 0:
+            raise ParseError(f"{context}: field 'C' must be positive")
         if kind == "linear":
             w = _field(obj, "w", context, array=True)
             if w.shape != (n,):

@@ -459,6 +459,31 @@ def test_empty_ovr_model_file_is_an_error(tmp_path, capsys):
         assert (code, out, err) == (1, "", "error: one-versus-rest model has no members\n")
 
 
+def test_bad_model_fields_fail_at_load(tmp_path, capsys):
+    data = write(tmp_path, "pair.csv", TRIVIAL_CSV)
+    model_path = tmp_path / "pair.mcm.json"
+    run(capsys, "train", "--data", data, "--variant", "soft-linear", "--C", "1",
+        "--out", str(model_path))
+    stored = json.loads(model_path.read_text(encoding="utf-8"))
+    n = stored["members"][0]["n"]
+    query = write(tmp_path, "query.csv", ",".join(["0"] * n) + "\n")
+    nested = dict(stored, members=[stored, stored])
+    fractional = json.loads(json.dumps(stored))
+    fractional["members"][1]["n"] = n + 0.5
+    negative_c = json.loads(json.dumps(stored))
+    negative_c["members"][0]["C"] = -3.0
+    for bad, message in (
+            (nested, "model.members[0]: a one-versus-rest member must be "
+                     "a linear or kernel model"),
+            (fractional, "model.members[1]: field 'n' is not an integer"),
+            (negative_c, "model.members[0]: field 'C' must be positive")):
+        model_path.write_text(json.dumps(bad), encoding="utf-8")
+        for argv in (("inspect", "--model", str(model_path)),
+                     ("predict", "--model", str(model_path), "--data", query)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_dump_lp_round_trips(tmp_path, capsys):
     data = write(tmp_path, "xor.csv", XOR_CSV)
     lp_path = tmp_path / "dump.lp"

@@ -106,6 +106,50 @@ def test_read_csv_features_only_first_bad_cell(tmp_path, text, error, message):
         data_mod.read_csv(path, label_column=None)
 
 
+@pytest.mark.parametrize("text, label_column, message", [
+    ("1,2,a\n3,b\n5,x,c\n7,inf,d\n", -1, "line 2: 2 fields, expected 3"),
+    ("1,2,a\n\n3,x,b\n5,6\n7,nan,d\n", -1, "line 3, column 2: 'x' is not numeric"),
+    ("1,2,a\n3, -inf ,b\n5,x,c\n7\n", -1, "line 2, column 2: non-finite value '-inf'"),
+    ("a,1,2\nb,3\nc,x,4\n", 3, "label column 3 out of range for 3 columns"),
+    ("1,2\n3\n", -3, "label column -3 out of range for 2 columns"),
+], ids=["ragged", "non-numeric", "non-finite", "label-column", "negative-label-column"])
+def test_read_csv_first_error_before_later_bad_lines(tmp_path, text, label_column, message):
+    path = write(tmp_path, "t.csv", text)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        data_mod.read_csv(path, label_column=label_column)
+
+
+CSV_TEXT = ("f1, f2 ,f3,class\n"  # any column can be the label
+            "1.5,-2, 3e-5 ,1\n"
+            "\n"
+            "  0.1 ,1e308,-0.0, -1 \n"
+            "7,1_000,2.5E+3,1\n"
+            "-1e-320,4,5,2.0\n")
+
+
+@pytest.mark.parametrize("label_column", [None, 0, 1, -1])
+def test_read_csv_one_pass_matches_row_loop(tmp_path, label_column, monkeypatch):
+    path = write(tmp_path, "t.csv", CSV_TEXT)
+    one_pass = []
+    parse_rows = data_mod._parse_rows
+    monkeypatch.setattr(data_mod, "_parse_rows",
+                        lambda *args: one_pass.append(parse_rows(*args)) or one_pass[-1])
+    samples, labels, names = data_mod.read_csv(path, label_column, has_header=True)
+    assert one_pass[0] is not None  # the one-pass parse read the file
+    monkeypatch.setattr(data_mod, "_parse_rows", lambda *args: None)
+    loop_samples, loop_labels, loop_names = data_mod.read_csv(path, label_column, has_header=True)
+    assert samples.shape == loop_samples.shape == (4, 4 - (label_column is not None))
+    assert samples.dtype == loop_samples.dtype and samples.flags.c_contiguous
+    assert samples.tobytes() == loop_samples.tobytes()
+    assert (labels, names) == (loop_labels, loop_names)
+
+
+def test_read_csv_label_only_rows(tmp_path):
+    path = write(tmp_path, "t.csv", "a\nb\n")
+    samples, labels, _ = data_mod.read_csv(path, label_column=0)
+    assert samples.shape == (2, 0) and labels == ["a", "b"]
+
+
 def test_load_libsvm_basic(tmp_path):
     path = write(tmp_path, "t.svm", "+1 1:0.5 3:2.0\n-1 2:1.0\n")
     ds = data_mod.load_libsvm(path)

@@ -116,27 +116,37 @@ def test_cross_gram_rectangular():
         cross_gram(KernelSpec("linear"), X, rng.normal(size=(3, 5)))
 
 
-SMALL_CHUNK = 4096  # bytes; a few rows per chunk at the widths below
+SMALL_CHUNK = 4096  # bytes, times n // 12 from 24 features on: a few rows per chunk
 
 
-@pytest.mark.parametrize("n", [3, 12])  # 12 features: pairwise summation
+# 8 to 128 features: eight accumulators; above 128: split in two halves, at
+# 96 rather than 100 for n = 200
+@pytest.mark.parametrize("n", [3, 12, 1, 7, 8, 9, 16, 17, 129, 200, 257])
 @pytest.mark.parametrize("rows", ["one", "chunk", "chunk+1", "several", "empty", "wide"])
 def test_chunked_rbf_matches_broadcast_bits(rows, n, monkeypatch):
-    monkeypatch.setattr(kernels, "CHUNK_BYTES", SMALL_CHUNK)
+    chunk = SMALL_CHUNK * max(1, n // 12)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", chunk)
     rng = np.random.default_rng(11)
     if rows == "wide":  # one row of the difference temporary overflows a chunk
-        Y = rng.normal(size=(SMALL_CHUNK // (8 * n) + 1, n))
+        Y = rng.normal(size=(chunk // (8 * n) + 1, n))
         assert kernels.chunk_rows(Y.shape[0], n) == 1
         m = 5
     else:
         Y = rng.normal(size=(7, n))
         step = kernels.chunk_rows(Y.shape[0], n)
-        assert 1 < step < 30
+        assert 1 < step < 80
         m = {"one": 1, "chunk": step, "chunk+1": step + 1, "several": 3 * step + 2,
              "empty": 0}[rows]
     X = rng.normal(size=(m, n))
     K = cross_gram(KernelSpec(RBF, gamma=0.7), X, Y)
     assert K.shape == (m, Y.shape[0])
+    assert K.tobytes() == oracles.rbf_broadcast(0.7, X, Y).tobytes()
+
+
+def test_zero_feature_rbf_is_all_ones():
+    X, Y = np.zeros((4, 0)), np.zeros((3, 0))
+    K = cross_gram(KernelSpec(RBF, gamma=0.7), X, Y)
+    assert K.shape == (4, 3) and np.all(K == 1.0)
     assert K.tobytes() == oracles.rbf_broadcast(0.7, X, Y).tobytes()
 
 
@@ -175,12 +185,13 @@ def test_chunk_bound_from_shapes():
 def test_chunked_rbf_peak_memory(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_BYTES", 64 * 1024)
     rng = np.random.default_rng(15)
-    X, Y = rng.normal(size=(2000, 10)), rng.normal(size=(100, 10))
-    out_bytes = 2000 * 100 * 8  # the broadcast temporary would be 10 times this
-    tracemalloc.start()
-    try:
-        cross_gram(KernelSpec(RBF, gamma=0.5), X, Y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < out_bytes + 4 * kernels.CHUNK_BYTES
+    for n in (10, 8):  # 8: the fewest features that take eight accumulators
+        X, Y = rng.normal(size=(2000, n)), rng.normal(size=(100, n))
+        out_bytes = 2000 * 100 * 8  # the broadcast temporary would be n times this
+        tracemalloc.start()
+        try:
+            cross_gram(KernelSpec(RBF, gamma=0.5), X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out_bytes + 4 * kernels.CHUNK_BYTES

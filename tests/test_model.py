@@ -314,6 +314,40 @@ def test_integral_float_poly_degree_reads_as_int():
     assert model_to_json(clone) == model_to_json(POLY)
 
 
+def test_nested_ovr_member_is_a_parse_error():
+    inner = json.loads(model_to_json(OvrModel(("a", "b"), (SOFT, negated(SOFT)))))
+    outer = {"format": "mcm-model", "version": 1, "type": "ovr",
+             "classes": ["x", "y"], "members": [inner, inner]}
+    with pytest.raises(ParseError, match=r"^model\.members\[0\]: a one-versus-rest member "
+                                         r"must be a linear or kernel model$"):
+        model_from_json(json.dumps(outer))
+
+
+@pytest.mark.parametrize("model", [SOFT, RBF], ids=["linear", "kernel"])
+@pytest.mark.parametrize("token", ["2.7", "true", "false", '"2"'])
+def test_feature_count_must_be_an_integer(model, token):
+    with pytest.raises(ParseError, match="^model: field 'n' is not an integer$"):
+        model_from_json(with_token(model, ("n",), token))
+
+
+def test_integral_float_feature_count_reads_as_int():
+    clone = model_from_json(with_token(RBF, ("n",), "2.0"))
+    assert clone.n == 2 and type(clone.n) is int
+    assert model_to_json(clone) == model_to_json(RBF)
+
+
+@pytest.mark.parametrize("model", [SOFT, RBF], ids=["linear", "kernel"])
+@pytest.mark.parametrize("token", ["-3.0", "0", "-0.0"])
+def test_nonpositive_c_is_a_parse_error(model, token):
+    with pytest.raises(ParseError, match="^model: field 'C' must be positive$"):
+        model_from_json(with_token(model, ("C",), token))
+
+
+def test_h_below_one_still_loads():
+    # an uncertified solve can write h < 1; reading keeps what was written
+    assert model_from_json(with_token(SOFT, ("h",), "0.5")).h == 0.5
+
+
 def test_negated_flips_decisions():
     rng = np.random.default_rng(8)
     model = kernel_model(rng.normal(size=3), rng.normal(size=(3, 2)), b=0.7)
