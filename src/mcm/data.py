@@ -89,31 +89,13 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
         label_index = label_column if label_column >= 0 else width + label_column
         if not 0 <= label_index < width:
             raise ParseError(f"label column {label_column} out of range for {width} columns")
-    columns = [j for j in range(width) if j != label_index]  # of the feature cells
     feature_names = None if header is None else [
         name.strip() for j, name in enumerate(header) if j != label_index]
 
     parsed = _parse_rows(rows, width, label_index)
-    if parsed is not None:
-        return (*parsed, feature_names)
-    # some line is bad: the row loop raises for the first one in file order
-    samples = []
-    labels = None if label_index is None else []
-    for number, line in rows:
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(f"line {number}: {len(cells)} fields, expected {width}")
-        if labels is not None:
-            labels.append(cells.pop(label_index).strip())
-        try:
-            values = [float(cell) for cell in cells]
-            finite = math.isfinite(sum(values))  # one test per row
-        except ValueError:
-            finite = False
-        if not finite:  # name the culprit; finite cells whose sum overflows pass
-            _check_cells(number, cells, columns)
-        samples.append(values)
-    return np.asarray(samples, dtype=float), labels, feature_names
+    if parsed is None:
+        _raise_first_error(rows, width, label_index)
+    return (*parsed, feature_names)
 
 
 def _parse_rows(rows: list, width: int, label_index: int | None):
@@ -136,16 +118,24 @@ def _parse_rows(rows: list, width: int, label_index: int | None):
     return samples.reshape(len(lines), len(cells) // len(lines)), labels
 
 
-def _check_cells(number: int, cells: list[str], columns: list[int]) -> None:
-    """Raise ParseError for the first feature cell that is not a finite number."""
-    for j, cell in zip(columns, cells):
-        cell = cell.strip()
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ParseError(f"line {number}, column {j + 1}: {cell!r} is not numeric") from None
-        if not math.isfinite(value):
-            raise ParseError(f"line {number}, column {j + 1}: non-finite value {cell!r}")
+def _raise_first_error(rows: list, width: int, label_index: int | None) -> None:
+    """Raise ParseError for the first ragged line, or feature cell that is not
+    a finite number, in file order."""
+    for number, line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"line {number}: {len(cells)} fields, expected {width}")
+        for j, cell in enumerate(cells):
+            if j == label_index:
+                continue
+            cell = cell.strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"line {number}, column {j + 1}: {cell!r} is not numeric") from None
+            if not math.isfinite(value):
+                raise ParseError(f"line {number}, column {j + 1}: non-finite value {cell!r}")
 
 
 def load_csv(path, label_column: int = -1, has_header: bool = False) -> Dataset:

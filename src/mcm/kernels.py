@@ -14,8 +14,8 @@ RBF = "rbf"
 POLY = "poly"
 _KINDS = (LINEAR, RBF, POLY)
 
-# bound on the float64 difference temporary of one rbf cross_gram chunk
-CHUNK_BYTES = 8 * 2**20
+# bound on the float64 temporaries of one rbf cross_gram row chunk
+CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class KernelSpec:
             raise McmError("kernel coef0 must be finite")
         if not math.isfinite(self.degree):
             raise McmError("kernel degree must be finite")
-        if self.kind == POLY and (isinstance(self.degree, bool)
-                                  or int(self.degree) != self.degree or self.degree < 1):
+        if self.kind == POLY and (integer(self.degree) is None or self.degree < 1):
             raise McmError("poly kernel requires integer degree >= 1")
 
     def describe(self) -> str:
@@ -65,9 +64,17 @@ class KernelSpec:
         if "kind" not in spec:
             raise ParseError(f"{context}: missing field 'kind'")
         degree = spec.get("degree", 3)
-        if not isinstance(degree, bool) and int(degree) == degree:
-            degree = int(degree)  # 2.0 reads as 2; int() rejects NaN and infinities
+        if integer(degree) is not None:
+            degree = int(degree)  # 2.0 reads as 2; __post_init__ rejects 2.5
         return cls(spec["kind"], spec.get("gamma"), degree, float(spec.get("coef0", 1.0)))
+
+
+def integer(value) -> int | None:
+    """`value` as an int if it is an integral number and not a bool (2.0 reads
+    as 2), else None; int() raises on NaN and infinities."""
+    if isinstance(value, bool) or int(value) != value:
+        return None
+    return int(value)
 
 
 def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
@@ -79,27 +86,47 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
     if kernel.kind == LINEAR:
         return X @ Y.T
     if kernel.kind == RBF:
-        # per row chunk, _sum_squares holds at most n (rows, |Y|) temporaries,
-        # within the CHUNK_BYTES bound on a (rows, |Y|, n) broadcast
+        # features are summed one at a time, so each is read contiguously
+        # from the transposed rows
         dist = np.empty((X.shape[0], Y.shape[0]))
+        Yt = np.ascontiguousarray(Y.T)
         step = chunk_rows(Y.shape[0], X.shape[1])
         for start in range(0, X.shape[0], step):
-            _sum_squares(X[start:start + step], Y, 0, X.shape[1], dist[start:start + step])
+            Xt = np.ascontiguousarray(X[start:start + step].T)
+            _sum_squares(Xt, Yt, 0, X.shape[1], dist[start:start + step])
         dist *= -kernel.gamma
         return np.exp(dist, out=dist)
     return (X @ Y.T + kernel.coef0) ** kernel.degree
 
 
 def chunk_rows(columns: int, features: int) -> int:
-    """Rows of X per rbf chunk: as many as fit CHUNK_BYTES, at least one."""
-    return max(1, CHUNK_BYTES // max(1, columns * features * 8))
+    """Rows of X per rbf chunk: as many as fit CHUNK_BYTES, at least one.  A
+    row costs its transposed features and one row of each of the
+    (rows, columns) temporaries _sum_squares holds at once."""
+    per_row = 8 * (columns * _held(features) + features)
+    return max(1, CHUNK_BYTES // max(1, per_row))
 
 
-def _sum_squares(X, Y, lo: int, hi: int, out: np.ndarray) -> None:
-    """out[i, j] = sum of (X[i, f] - Y[j, f]) ** 2 over features lo <= f < hi,
+def _held(n: int) -> int:
+    """The most (rows, |Y|) temporaries _sum_squares holds at once for n
+    features: a term below 8, seven more accumulators up to 128, and the
+    right half's sum while that half is summed above 128."""
+    if n > 128:
+        mid = _split(n)
+        return max(_held(mid), 1 + _held(n - mid))
+    return 0 if n == 0 else 1 if n < 8 else 8
+
+
+def _split(n: int) -> int:
+    """Where numpy's pairwise sum splits more than 128 terms."""
+    return n // 2 - n // 2 % 8
+
+
+def _sum_squares(Xt, Yt, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[i, j] = sum of (Xt[f, i] - Yt[f, j]) ** 2 over features lo <= f < hi,
     one feature at a time, added in the order of numpy's pairwise add.reduce
     over a contiguous axis, so each entry has the bits of the broadcast's
-    ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2):
+    ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2) with X = Xt.T, Y = Yt.T:
 
     - fewer than 8 terms in sequence (numpy starts from 0.0, and 0.0 + t == t
       for a square t);
@@ -112,10 +139,10 @@ def _sum_squares(X, Y, lo: int, hi: int, out: np.ndarray) -> None:
     """
     n = hi - lo
     if n > 128:
-        mid = lo + n // 2 - n // 2 % 8
-        _sum_squares(X, Y, lo, mid, out)
+        mid = lo + _split(n)
+        _sum_squares(Xt, Yt, lo, mid, out)
         rest = np.empty_like(out)
-        _sum_squares(X, Y, mid, hi, rest)
+        _sum_squares(Xt, Yt, mid, hi, rest)
         out += rest
         return
     if n == 0:
@@ -123,25 +150,25 @@ def _sum_squares(X, Y, lo: int, hi: int, out: np.ndarray) -> None:
         return
     term = np.empty_like(out)
     if n < 8:
-        _square(X, Y, lo, out)
+        _square(Xt, Yt, lo, out)
         for f in range(lo + 1, hi):
-            out += _square(X, Y, f, term)
+            out += _square(Xt, Yt, f, term)
         return
     acc = [out] + [np.empty_like(out) for _ in range(7)]
     for j, into in enumerate(acc):
-        _square(X, Y, lo + j, into)
+        _square(Xt, Yt, lo + j, into)
     tail = hi - n % 8
     for f in range(lo + 8, tail):
-        acc[(f - lo) % 8] += _square(X, Y, f, term)
+        acc[(f - lo) % 8] += _square(Xt, Yt, f, term)
     for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
         acc[a] += acc[b]
     for f in range(tail, hi):
-        out += _square(X, Y, f, term)
+        out += _square(Xt, Yt, f, term)
 
 
-def _square(X, Y, f: int, out: np.ndarray) -> np.ndarray:
-    """out[i, j] = (X[i, f] - Y[j, f]) ** 2."""
-    np.subtract(X[:, f, None], Y[:, f], out=out)
+def _square(Xt, Yt, f: int, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = (Xt[f, i] - Yt[f, j]) ** 2."""
+    np.subtract(Xt[f, :, None], Yt[f], out=out)
     return np.multiply(out, out, out=out)
 
 

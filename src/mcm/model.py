@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import McmError, ParseError
-from .kernels import KernelSpec, cross_gram
+from .kernels import KernelSpec, cross_gram, integer
 
 FORMAT_NAME = "mcm-model"
 FORMAT_VERSION = 1
@@ -188,8 +188,7 @@ def _field(obj: dict, key: str, context: str, array: bool = False):
     return value
 
 
-def _model_from_dict(obj: dict, context: str = "model", member: bool = False):
-    """`member` marks a one-versus-rest member, which must be binary."""
+def _model_from_dict(obj: dict, context: str = "model"):
     if not isinstance(obj, dict):
         raise ParseError(f"{context}: expected a JSON object")
     if obj.get("format", FORMAT_NAME) != FORMAT_NAME:
@@ -199,25 +198,20 @@ def _model_from_dict(obj: dict, context: str = "model", member: bool = False):
         raise ParseError(f"{context}: file version {version}, expected {FORMAT_VERSION}")
     kind = _require(obj, "type", context)
     try:
-        if kind == "ovr" and member:
-            raise ParseError(f"{context}: a one-versus-rest member must be "
-                             "a linear or kernel model")
         if kind == "ovr":
             classes = _require(obj, "classes", context)
-            members = _require(obj, "members", context)
-            return OvrModel(
-                class_labels=tuple(classes),
-                members=tuple(
-                    _model_from_dict(entry, f"{context}.members[{i}]", member=True)
-                    for i, entry in enumerate(members)
-                ),
-            )
+            members = []
+            for i, entry in enumerate(_require(obj, "members", context)):
+                members.append(_model_from_dict(entry, f"{context}.members[{i}]"))
+                if isinstance(members[-1], OvrModel):
+                    raise ParseError(f"{context}.members[{i}]: a one-versus-rest member "
+                                     "must be a linear or kernel model")
+            return OvrModel(class_labels=tuple(classes), members=tuple(members))
         if kind not in ("linear", "kernel"):
             raise ParseError(f"{context}: unknown model type {kind!r}")
-        n = _require(obj, "n", context)
-        if isinstance(n, bool) or int(n) != n:  # 2.0 reads as 2; 2.7 and true do not
+        n = integer(_require(obj, "n", context))
+        if n is None:
             raise ParseError(f"{context}: field 'n' is not an integer")
-        n = int(n)
         b, h = _field(obj, "b", context), _field(obj, "h", context)
         C = None if obj.get("C") is None else _field(obj, "C", context)
         if C is not None and C <= 0:

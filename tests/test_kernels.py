@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -127,9 +128,9 @@ def test_chunked_rbf_matches_broadcast_bits(rows, n, monkeypatch):
     chunk = SMALL_CHUNK * max(1, n // 12)
     monkeypatch.setattr(kernels, "CHUNK_BYTES", chunk)
     rng = np.random.default_rng(11)
-    if rows == "wide":  # one row of the difference temporary overflows a chunk
-        Y = rng.normal(size=(chunk // (8 * n) + 1, n))
-        assert kernels.chunk_rows(Y.shape[0], n) == 1
+    if rows == "wide":  # one row of the temporaries overflows a chunk
+        columns = next(c for c in itertools.count(1) if kernels.chunk_rows(c, n) == 1)
+        Y = rng.normal(size=(columns, n))
         m = 5
     else:
         Y = rng.normal(size=(7, n))
@@ -172,10 +173,11 @@ def test_chunked_gram_symmetric_with_unit_diagonal(monkeypatch):
 
 def test_chunk_bound_from_shapes():
     # 10^4 query rows against 10^3 support vectors in 100 features would
-    # need an 8 GB one-shot temporary; each chunk's stays within the bound
+    # need an 8 GB one-shot difference; a chunk holds seven accumulators and
+    # a term per support vector, plus its transposed features, within the bound
     columns, features = 1000, 100
     step = kernels.chunk_rows(columns, features)
-    per_row = columns * features * 8
+    per_row = (columns * 8 + features) * 8
     assert step * per_row <= kernels.CHUNK_BYTES < (step + 1) * per_row
     assert -(-10_000 // step) * step >= 10_000
     assert kernels.chunk_rows(10**6, 100) == 1  # a row wider than the bound
@@ -185,9 +187,10 @@ def test_chunk_bound_from_shapes():
 def test_chunked_rbf_peak_memory(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_BYTES", 64 * 1024)
     rng = np.random.default_rng(15)
-    for n in (10, 8):  # 8: the fewest features that take eight accumulators
-        X, Y = rng.normal(size=(2000, n)), rng.normal(size=(100, n))
-        out_bytes = 2000 * 100 * 8  # the broadcast temporary would be n times this
+    # 8: the fewest features that take eight accumulators; 300: two splits
+    for n, columns in ((10, 100), (8, 100), (300, 20)):
+        X, Y = rng.normal(size=(2000, n)), rng.normal(size=(columns, n))
+        out_bytes = 2000 * columns * 8  # the broadcast temporary would be n times this
         tracemalloc.start()
         try:
             cross_gram(KernelSpec(RBF, gamma=0.5), X, Y)
