@@ -1,38 +1,36 @@
 """Dense two-phase primal simplex solver for small and medium linear programs.
 
 An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
-``A x {<=,>=,=} rhs`` row by row (one sense per row), with each variable
-either nonnegative or free (a boolean mask).  ``solve`` standardizes the
-problem in one vectorized fill (inequalities slacked), runs phase 1 with
-artificial variables where no slack can seed the basis, then phase 2 on the
-original costs.  A free variable keeps a single tableau column and may enter
-in either direction: each basic variable carries a sign, and the tableau
-holds the basis matrix with its columns scaled by those signs.  This makes
-the same pivots, bit for bit, as splitting every free variable into two
-nonnegative parts, with the duplicate columns never stored or updated;
-pricing and every tie-break read the columns in that split form's order
-(originals, then the negative directions of the free ones, then slacks and
-artificials).  Pivoting prices by steepest edge and evicts on the largest
-pivot element among near-tied ratios; Bland's rule takes over whenever the
-objective stalls, so the solver terminates on degenerate (cycling-prone)
-instances.  Every phase ends in an ``LpStatus`` and the pivots it made, and
-``solve`` stops at the first phase that does not end ``OPTIMAL``: a run that
-exhausts its iteration budget ends in ``ITERATION_LIMIT`` with no point, and
-one whose tableau breaks down into non-finite values ends in
-``NUMERICAL_FAILURE``; ``LpSolution.phase_iterations`` splits the pivot count
-by phase.  Each pivot updates only the tableau columns where the pivot row is
-nonzero, in the tableau's own memory order (C in phase 1, Fortran in
-phase 2), and refreshes the cached edge norms of just those columns.
-Optimal bases are re-solved against the original data, giving exact vertex
-coordinates with true zeros in the degenerate positions.
+``A x {<=,>=,=} rhs`` row by row, with each variable nonnegative or free (a
+boolean mask).  ``solve`` standardizes it (inequalities slacked), runs
+phase 1 with artificial variables where no slack can seed the basis, then
+phase 2 on the original costs.  Each phase's tableau is one allocation:
+C-ordered in phase 1, a Fortran-ordered column selection of it in phase 2.
+A free variable keeps one tableau column and may enter in either direction:
+each basic variable carries a sign, and the tableau holds the basis matrix
+with its columns scaled by those signs.  This makes the same pivots, bit for
+bit, as splitting every free variable into two nonnegative parts; pricing
+and every tie-break read the columns in that split form's order (originals,
+the negative directions of the free ones, then slacks and artificials).
 
-Every LP is solved the same way: the tolerances and the stall patience are
-module constants (``_FEAS_TOL``, ``_PIVOT_TOL``, ``_STALL_ITERATIONS``), and
-``solve(problem, max_iterations=None)`` takes only the pivot budget.
+Pricing is steepest edge; the ratio test reads only the rows where the
+entering column is positive and evicts on the largest pivot element among
+near-tied ratios; Bland's rule takes over whenever the objective stalls, so
+degenerate (cycling-prone) instances terminate.  Each pivot updates only the
+columns where the pivot row is nonzero, in the tableau's memory order, and
+refreshes the cached edge norms of just those.  ``solve`` stops at the first
+phase not ending ``OPTIMAL`` (``LpSolution.phase_iterations`` counts each
+phase's pivots): ``ITERATION_LIMIT`` when the budget runs out,
+``NUMERICAL_FAILURE`` when the tableau turns non-finite or a singular basis
+cannot be rebuilt, and ``UNBOUNDED`` only off a tableau rebuilt from the
+original data.  Optimal bases are re-solved against the original data, giving
+exact vertex coordinates with true zeros in degenerate positions.  The
+tolerances are module constants; ``solve`` takes only the pivot budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -148,23 +146,21 @@ def standardize(problem: LpProblem) -> StandardForm:
 
 
 class _Tableau:
-    """Simplex state: rows are B^-1 [A | b], where column i of B is the
-    original column of basis[i] times sign[i].
+    """Simplex state: T holds the rows of B^-1 [A | b], where column i of B
+    is the original column of basis[i] times sign[i].  The caller builds T
+    and passes the original (A, b), from which ``refactor`` rebuilds it.
 
     A free variable has one column and may be basic with either sign; every
     other basic variable has sign +1.  So a stored column always holds the
     positive direction of its variable, and the negative direction of a free
     one is its negation.  ``free_cols`` and ``n_orig`` place each direction
     in the split form's column order (``directions``, ``split_index``).
-    The original (A, b) are kept so the tableau can be refactorized from
-    scratch, shedding the float drift that accumulates over many pivots.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray, sign: np.ndarray,
-                 free_cols: np.ndarray, n_orig: int,
-                 originals: tuple[np.ndarray, np.ndarray] | None = None):
-        self.A0, self.b0 = originals if originals is not None else (A.copy(), b.copy())
-        self.T = np.hstack([A, b[:, None]])
+    def __init__(self, T: np.ndarray, originals: tuple[np.ndarray, np.ndarray],
+                 basis: np.ndarray, sign: np.ndarray, free_cols: np.ndarray, n_orig: int):
+        self.T = T  # updated in place by pivot
+        self.A0, self.b0 = originals
         self.basis = basis
         self.sign = sign
         self.free_cols = free_cols  # ascending; all below n_orig
@@ -177,12 +173,9 @@ class _Tableau:
 
     @property
     def norms(self) -> np.ndarray:
-        """Squared steepest-edge norms of every column except the rhs.
-
-        Computed in full on first read and kept current by ``pivot``; callers
-        must not modify the returned array.  A negative direction has the
-        norm of its column.
-        """
+        """Squared steepest-edge norms of every column but the rhs (a negative
+        direction has its column's); computed in full on first read, then
+        kept current by ``pivot``.  Callers must not modify them."""
         if self._norms is None:
             body = self.T[:, :-1]
             self._norms = np.einsum("ij,ij->j", body, body)
@@ -200,41 +193,35 @@ class _Tableau:
         """Index of each row's basic direction in the split form's order."""
         cols = self.basis[rows]
         return np.where(self.sign[rows] < 0,
-                        self.n_orig + np.searchsorted(self.free_cols, cols),
+                        self.n_orig + self.free_cols.searchsorted(cols),
                         np.where(cols < self.n_orig, cols, cols + self.free_cols.size))
 
     def pivot(self, row: int, col: int, sign: float = 1.0) -> None:
         """Rank-one update restricted to the support of the pivot row; col
         enters in direction sign.
 
-        A column whose pivot-row entry is zero keeps its values, so only the
-        other columns are gathered, updated as ``T[i, j] - f_i * p_j`` and
-        scattered back, all in T's memory order.  Phase 2 starts from a column
-        selection, which numpy returns Fortran-ordered; there the block is
-        gathered as rows of ``T.T`` and the outer product is built transposed
-        to match, since a C-ordered product subtracted from a Fortran-ordered
-        block costs more than the update itself.  The product comes from
-        ``einsum("i,j->ij")``, which is faster than ``np.multiply.outer``
-        and gives the same values; only the sign of an exact zero can
-        differ, and no comparison, ratio test, norm or ``basic_values``
-        reads that sign.  einsum then sums each
-        touched column in the same order as over the whole tableau, so the
-        refreshed norms are bit-identical to a full recomputation.  Negation
-        is exact, so entering a free column with sign -1 writes the same bits
-        the split form's negative-part column would.
+        Only the columns where the pivot row is nonzero change.  They are
+        gathered, updated as ``T[i, j] - f_i * p_j`` with the product from
+        ``einsum("i,j->ij")`` and scattered back, in T's memory order: on a
+        Fortran-ordered T as rows of ``T.T``, with the product transposed to
+        match, and on a C-ordered T by ``take`` (``T[:, cols]`` would be
+        Fortran-ordered).  einsum then sums each touched column in the same
+        order as over the whole tableau, so the refreshed norms are
+        bit-identical to a full recomputation.  Negation is exact, so a free
+        column entering with sign -1 writes the split form's negative bits.
         """
         T = self.T
         T[row] /= sign * T[row, col]
-        cols = np.flatnonzero(T[row])
+        cols = T[row].nonzero()[0]
         factors = sign * T[:, col]
         factors[row] = 0.0
         if T.flags.f_contiguous:
             block = T.T.take(cols, axis=0).T
             block -= np.einsum("i,j->ij", block[row], factors).T
         else:
-            block = T.take(cols, axis=1)
+            block = T.take(cols, axis=1, mode="wrap")  # in range: wrap skips the check
             block -= np.einsum("i,j->ij", factors, block[row])
-        entering = np.searchsorted(cols, col)
+        entering = cols.searchsorted(col)
         block[:, entering] = 0.0
         block[row, entering] = sign
         T[:, cols] = block
@@ -252,14 +239,15 @@ class _Tableau:
     def _basis_matrix(self) -> np.ndarray:
         return self.A0[:, self.basis] * self.sign
 
-    def refactor(self) -> bool:
-        """Rebuild the tableau from the original data; False when the rebuilt
-        tableau is non-finite (a drifted basis, not one to resume)."""
+    def refactor(self) -> bool | None:
+        """Rebuild T from the original data: True once rebuilt, None if the
+        basis matrix is singular (T is kept), False if the rebuilt T is
+        non-finite (a drifted basis, not one to resume)."""
         stacked = np.hstack([self.A0, self.b0[:, None]])
         try:
             T = np.linalg.solve(self._basis_matrix(), stacked)
         except np.linalg.LinAlgError:
-            return True  # keep the iterated tableau; the basis matrix went singular
+            return None
         if not np.all(np.isfinite(T)):
             return False
         self.T = T
@@ -298,19 +286,14 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
                  artificial_start: int | None = None) -> tuple[LpStatus, int]:
     """Run one phase; return the status it ended in and the pivots it made.
 
-    Every phase ends in an ``LpStatus``: OPTIMAL or UNBOUNDED, ITERATION_LIMIT
-    once ``budget`` pivots are spent and another is due, or NUMERICAL_FAILURE
-    when a refactorization or the ratio test meets non-finite values.
-
-    Pricing is steepest-edge (most negative reduced cost per unit edge length;
-    the tableau caches the edge norms and refreshes those of the columns each
-    pivot touches).  The ratio test accepts a tiny Harris-style window of
-    near-tied rows and evicts on the largest pivot element, which keeps the
-    basis well conditioned; when artificial_start is given, artificial columns
-    win those ties so phase 1 sheds them quickly.
-    The reduced-cost row is carried through the pivots and refreshed
-    periodically, and the tableau itself is refactorized from the original
-    data at intervals; unboundedness is certified only on a fresh tableau.
+    A phase ends OPTIMAL; ITERATION_LIMIT once ``budget`` pivots are spent
+    and another is due; UNBOUNDED only if the entering column has no
+    positive entry on a tableau just rebuilt from the original data; or
+    NUMERICAL_FAILURE when a refactorization or the ratio test meets
+    non-finite values, or a singular basis leaves that tableau unrebuilt.
+    Pricing is steepest-edge (most negative reduced cost per unit edge
+    length).  The reduced-cost row is carried through the pivots and
+    refreshed periodically, and the tableau is refactorized at intervals.
 
     Prices are kept per direction, in the split form's column order: every
     column's positive direction, with the negative directions of the free
@@ -342,16 +325,13 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
         return red, float(cost_basis @ tab.rhs)
 
     reduced, obj = refresh()
-    bland = False
-    stall = 0
-    patience = _STALL_ITERATIONS
-    since_refresh = 0
-    since_refactor = 0
-    certifying = False
-    pivots = 0
+    bland, stall, patience = False, 0, _STALL_ITERATIONS
+    since_refresh = since_refactor = pivots = 0
+    certifying = False  # a column with no positive entry awaits a rebuilt tableau
     while True:
         if since_refactor >= _REFACTOR_EVERY:
-            if not tab.refactor():
+            rebuilt = tab.refactor()
+            if rebuilt is False:
                 return LpStatus.NUMERICAL_FAILURE, pivots
             since_refactor = 0
             reduced, obj = refresh()
@@ -361,52 +341,32 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
             since_refresh = 0
 
         if bland:
-            falling = np.flatnonzero(reduced < -tol)
+            falling = (reduced < -tol).nonzero()[0]
             direction = int(falling[0]) if falling.size else -1
         else:
             score = np.where(reduced < -tol, reduced / np.sqrt(1.0 + tab.norms[columns]), 0.0)
-            direction = int(np.argmin(score))
+            direction = int(score.argmin())
             if score[direction] >= 0.0:
                 direction = -1
         if direction < 0:
             reduced, obj = refresh()  # confirm against an exact cost row
             since_refresh = 0
-            direction = int(np.argmin(reduced))
+            direction = int(reduced.argmin())
             if reduced[direction] >= -tol:
                 return LpStatus.OPTIMAL, pivots
         entering = int(columns[direction])
         sign = -1.0 if negative.start <= direction < negative.stop else 1.0
 
         col = tab.T[:, entering] if sign > 0 else -tab.T[:, entering]
-        positive = col > tol
-        if not positive.any():
-            if not certifying:  # claim unboundedness only off a fresh tableau
-                if not tab.refactor():
-                    return LpStatus.NUMERICAL_FAILURE, pivots
-                since_refactor = 0
-                reduced, obj = refresh()
-                since_refresh = 0
-                certifying = True
+        leaving = _ratio_test(tab, col, bland, artificial_start)
+        if leaving is LpStatus.UNBOUNDED:
+            if not certifying:  # refactor at the top of the loop, then look again
+                certifying, since_refactor = True, _REFACTOR_EVERY
                 continue
-            return LpStatus.UNBOUNDED, pivots
+            return LpStatus.UNBOUNDED if rebuilt else LpStatus.NUMERICAL_FAILURE, pivots
+        if leaving is LpStatus.NUMERICAL_FAILURE:
+            return leaving, pivots
         certifying = False
-
-        rhs = np.maximum(tab.rhs, 0.0)
-        ratios = np.full(col.shape, np.inf)
-        ratios[positive] = rhs[positive] / col[positive]
-        best = ratios.min()
-        if not np.isfinite(best):
-            return LpStatus.NUMERICAL_FAILURE, pivots
-        if bland:
-            tied = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-            leaving = int(tied[np.argmin(tab.split_index(tied))] if tied.size > 1 else tied[0])
-        else:
-            window = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
-            if artificial_start is not None:
-                evictable = window[tab.basis[window] >= artificial_start]
-                if evictable.size:
-                    window = evictable
-            leaving = int(window[np.argmax(np.abs(col[window]))])
 
         if pivots >= budget:
             return LpStatus.ITERATION_LIMIT, pivots
@@ -418,7 +378,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
 
         step = rate * float(tab.rhs[leaving])
         obj += step
-        reduced = reduced - rate * per_direction(tab.T[leaving, :ncols])
+        reduced -= rate * per_direction(tab.T[leaving, :ncols])
         reduced[direction] = 0.0
 
         if step < -1e-12 * (1.0 + abs(obj)):
@@ -433,6 +393,61 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
                 stall = 0
 
 
+def _ratio_test(tab: _Tableau, col: np.ndarray, bland: bool,
+                artificial_start: int | None) -> int | LpStatus:
+    """The row that leaves as the direction with tableau column col enters,
+    read off the rows where col exceeds ``_PIVOT_TOL`` (UNBOUNDED if none
+    does, NUMERICAL_FAILURE if the smallest ratio is not finite).
+
+    Bland's rule takes the lowest split-form index among near-exact ties.
+    Otherwise the largest pivot element within a Harris window of the
+    smallest ratio wins, among basic artificials first when artificial_start
+    is given, so phase 1 sheds them quickly.
+    """
+    rows = (col > _PIVOT_TOL).nonzero()[0]
+    if not rows.size:
+        return LpStatus.UNBOUNDED
+    pivots = col[rows]
+    ratios = np.maximum(tab.rhs[rows], 0.0) / pivots
+    best = float(ratios.min())
+    if not math.isfinite(best):
+        return LpStatus.NUMERICAL_FAILURE
+    if bland:
+        tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        return int(tied[tab.split_index(tied).argmin()])
+    near = ratios <= best + 1e-9 * (1.0 + abs(best))
+    window, pivots = rows[near], pivots[near]
+    if artificial_start is not None:
+        evictable = tab.basis[window] >= artificial_start
+        if evictable.any():
+            window, pivots = window[evictable], pivots[evictable]
+    return int(window[pivots.argmax()])
+
+
+def _seed_basis(A: np.ndarray, flip: np.ndarray, free: np.ndarray,
+                n_orig: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis and signs seeded from the unit columns of ``A * flip[:, None]``,
+    with basis -1 on the rows none seeds.  The columns with one nonzero entry
+    are taken in the split form's order, and the first whose entry is 1 in
+    its direction seeds that row; so a free column whose one entry is -1
+    seeds in its negative direction."""
+    m = A.shape[0]
+    entries = A != 0
+    single = (np.count_nonzero(entries, axis=0) == 1).nonzero()[0]
+    # row i of entries.T[single] has its one True at flat index i * m + (its row)
+    single_row = entries.T[single].ravel().nonzero()[0] - m * np.arange(single.size)
+    split = single.searchsorted(n_orig)
+    negatives = free[single].nonzero()[0]
+    order = np.concatenate([np.arange(split), negatives, np.arange(split, single.size)])
+    cand, row = single[order], single_row[order]
+    cand_sign = np.repeat([1.0, -1.0, 1.0], [split, negatives.size, single.size - split])
+    unit = cand_sign * flip[row] * A[row, cand] == 1.0
+    seeded, first = np.unique(row[unit], return_index=True)
+    basis, sign = np.full(m, -1), np.ones(m)
+    basis[seeded], sign[seeded] = cand[unit][first], cand_sign[unit][first]
+    return basis, sign
+
+
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve to a basic optimal solution, or certify infeasibility/unboundedness.
 
@@ -445,30 +460,18 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     n_orig = problem.n_vars
     budget = 50 * (m + n) if max_iterations is None else max_iterations
 
-    flip = np.where(b < 0, -1.0, 1.0)  # flip rows to a nonnegative rhs
-    A, b = A * flip[:, None], b * flip
-
-    # phase 1: reuse unit columns (slacks) as the starting basis where they
-    # exist, add artificial variables only for the remaining rows; candidates
-    # go in the split form's column order, so a free column whose one entry
-    # is -1 can seed its row in the negative direction
-    basis = np.full(m, -1)
-    sign = np.ones(m)
-    single = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
-    seeds = ([(j, 1.0) for j in single if j < n_orig] + [(j, -1.0) for j in single if free[j]]
-             + [(j, 1.0) for j in single if j >= n_orig])
-    for j, s in seeds:
-        row = int(np.flatnonzero(A[:, j])[0])
-        if basis[row] < 0 and s * A[row, j] == 1.0:
-            basis[row], sign[row] = j, s
-    needs_artificial = np.nonzero(basis < 0)[0]
-    n_art = needs_artificial.shape[0]
-    art_cols = np.zeros((m, n_art))
-    for k, row in enumerate(needs_artificial):
-        art_cols[row, k] = 1.0
-        basis[row] = n + k
-    free_cols = np.flatnonzero(free)
-    tab = _Tableau(np.hstack([A, art_cols]), b, basis, sign, free_cols, n_orig)
+    # phase 1, on rows flipped to a nonnegative rhs: unit columns (slacks)
+    # seed the starting basis where they can, artificials the other rows
+    flip = np.where(b < 0, -1.0, 1.0)
+    basis, sign = _seed_basis(A, flip, free, n_orig)
+    needs_artificial = (basis < 0).nonzero()[0]
+    n_art = needs_artificial.size
+    basis[needs_artificial] = n + np.arange(n_art)
+    A0 = np.zeros((m, n + n_art))  # the flipped [A | artificials]: the originals
+    np.multiply(A, flip[:, None], out=A0[:, :n])
+    A0[needs_artificial, basis[needs_artificial]] = 1.0
+    b0, free_cols = b * flip, free.nonzero()[0]
+    tab = _Tableau(np.hstack([A0, b0[:, None]]), (A0, b0), basis, sign, free_cols, n_orig)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
     status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
     assert status is not LpStatus.UNBOUNDED  # phase 1 is bounded below by 0
@@ -481,10 +484,10 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     _drive_out_artificials(tab, n)
 
-    # phase 2 on structural columns only
-    keep = np.concatenate([np.arange(n), [tab.T.shape[1] - 1]])
-    tab2 = _Tableau(tab.T[:, keep][:, :-1], tab.T[:, -1], tab.basis, tab.sign, free_cols,
-                    n_orig, originals=(tab.A0[:, :n], tab.b0))
+    # phase 2 on the structural columns and the rhs, a Fortran-ordered copy
+    keep = np.append(np.arange(n), tab.T.shape[1] - 1)
+    tab2 = _Tableau(tab.T[:, keep], (tab.A0[:, :n], tab.b0), tab.basis, tab.sign,
+                    free_cols, n_orig)
     status, phase2 = _run_simplex(tab2, c, budget - phase1)
     phases = (phase1, phase2)
     if status is not LpStatus.OPTIMAL:
@@ -507,8 +510,8 @@ def _drive_out_artificials(tab: _Tableau, n_struct: int) -> None:
         if tab.basis[row] < n_struct:
             continue
         entries = np.abs(tab.T[row, columns])
-        entries[tab.split_index(np.flatnonzero(tab.basis < n_struct))] = 0.0
-        direction = int(np.argmax(entries))
+        entries[tab.split_index((tab.basis < n_struct).nonzero()[0])] = 0.0
+        direction = int(entries.argmax())
         if entries[direction] > _PIVOT_TOL:
             sign = -1.0 if negative.start <= direction < negative.stop else 1.0
             tab.pivot(row, int(columns[direction]), sign)
@@ -526,17 +529,13 @@ def write_lp_text(problem: LpProblem, names: list[str] | None = None) -> str:
     if len(names) != n:
         raise McmError(f"{len(names)} names for {n} variables")
 
-    def term(coef: float, name: str, lead: bool) -> str:
-        sign = "-" if coef < 0 else ("" if lead else "+")
-        return f"{sign} {abs(coef):.12f} {name}" if not lead else f"{sign}{abs(coef):.12f} {name}"
-
     def linear(coeffs: np.ndarray) -> str:
-        parts = []
-        for j in range(n):
-            if coeffs[j] == 0.0:
-                continue
-            parts.append(term(coeffs[j], names[j], lead=not parts))
-        return " ".join(parts) if parts else f"0.000000000000 {names[0]}"
+        terms = [f"{'-' if coeffs[j] < 0 else '+'} {abs(coeffs[j]):.12f} {names[j]}"
+                 for j in np.flatnonzero(coeffs)]
+        if not terms:
+            return f"0.000000000000 {names[0]}"
+        lead = terms[0][2:] if terms[0][0] == "+" else "-" + terms[0][2:]
+        return " ".join([lead] + terms[1:])
 
     lines = ["Minimize", f" obj: {linear(problem.objective)}", "Subject To"]
     for i, (coeffs, sense, rhs) in enumerate(zip(problem.A, problem.senses, problem.rhs)):

@@ -191,6 +191,59 @@ def merge_split(problem: lp.LpProblem, x_split: np.ndarray) -> np.ndarray:
     return x
 
 
+def ratio_test_full_length(tab, col: np.ndarray, bland: bool, artificial_start):
+    """The simplex ratio test written over every row, as lp.solve once ran
+    it: a row whose entry of col is not above the pivot tolerance gets an
+    infinite ratio.  Returns the leaving row, LpStatus.UNBOUNDED when no row
+    limits the step, or LpStatus.NUMERICAL_FAILURE when the smallest ratio is
+    not finite.  Reads tab.rhs, tab.basis, tab.sign, tab.free_cols and
+    tab.n_orig."""
+    positive = col > lp._PIVOT_TOL
+    if not positive.any():
+        return lp.LpStatus.UNBOUNDED
+    rhs = np.maximum(tab.rhs, 0.0)
+    ratios = np.full(col.shape, np.inf)
+    ratios[positive] = rhs[positive] / col[positive]
+    best = ratios.min()
+    if not np.isfinite(best):
+        return lp.LpStatus.NUMERICAL_FAILURE
+    if bland:
+        tied = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        # lowest index in the split form: originals, negative parts of the
+        # free columns, then the rest
+        free = list(tab.free_cols)
+        index = [tab.n_orig + free.index(j) if s < 0 else (j if j < tab.n_orig else j + len(free))
+                 for j, s in zip(tab.basis[tied], tab.sign[tied])]
+        return int(tied[int(np.argmin(index))])
+    window = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
+    if artificial_start is not None:
+        evictable = window[tab.basis[window] >= artificial_start]
+        if evictable.size:
+            window = evictable
+    return int(window[np.argmax(np.abs(col[window]))])
+
+
+def seed_basis_loop(A: np.ndarray, flip: np.ndarray, free: np.ndarray, n_orig: int):
+    """The phase-1 starting basis found one candidate column at a time, as
+    lp.solve once did: (basis, sign) with basis -1 on rows left for an
+    artificial.  Candidates are the columns of A * flip[:, None] with one
+    nonzero entry, in the split form's order (originals in the positive
+    direction, free ones in the negative direction, then the rest); the
+    first whose entry in its direction is 1 takes that entry's row."""
+    A = A * flip[:, None]
+    m, n = A.shape
+    basis, sign = np.full(m, -1), np.ones(m)
+    single = [j for j in range(n) if np.count_nonzero(A[:, j]) == 1]
+    candidates = ([(j, 1.0) for j in single if j < n_orig]
+                  + [(j, -1.0) for j in single if free[j]]
+                  + [(j, 1.0) for j in single if j >= n_orig])
+    for j, s in candidates:
+        row = int(np.flatnonzero(A[:, j])[0])
+        if basis[row] < 0 and s * A[row, j] == 1.0:
+            basis[row], sign[row] = j, s
+    return basis, sign
+
+
 def mcm_program(scores: np.ndarray, y: np.ndarray, C: float | None = None):
     """The MCM training LP written out sample by sample, as the arrays
     (objective, A, senses, rhs, free).

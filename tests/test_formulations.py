@@ -367,8 +367,8 @@ def test_charnes_cooper_equivalence_small_random():
 
 @pytest.mark.xfail(strict=True, reason="poly-3 Gram matrix of far-apart 2-D blobs "
                    "(condition number near 1e22): the simplex keeps 14 support vectors "
-                   "against rank 10, or calls the program unbounded; HiGHS finds 1.51 "
-                   "for the second draw")
+                   "against rank 10, or ends in a numerical failure on a singular basis; "
+                   "HiGHS finds 1.51 for the second draw")
 @pytest.mark.parametrize("seed, m", [(21943938, 38), (2, 34)])
 def test_ill_conditioned_poly3_program_keeps_the_rank_bound(seed, m):
     # every feasible point has h >= 1, so the program is bounded below by 1
@@ -381,3 +381,28 @@ def test_ill_conditioned_poly3_program_keeps_the_rank_bound(seed, m):
     assert solution.objective_value >= 1.0 - 1e-9
     model = formulations.extract_kernel(solution, layout, config, X)
     assert model.sv_count <= np.linalg.matrix_rank(gram(config.kernel, X))
+
+
+def test_singular_basis_does_not_certify_unboundedness(monkeypatch):
+    # the second draw above: every feasible point has h >= 1 (HiGHS: 1.5125),
+    # but the simplex meets an entering column with no positive entry where
+    # the basis matrix is singular, so the tableau cannot be rebuilt to check
+    # it; that is a numerical failure, not a proof of unboundedness
+    X, y = oracles.blobs(2, 34, 2, 8.0)
+    config = formulations.TrainConfig("kernel", C=1.0,
+                                      kernel=KernelSpec("poly", degree=3, coef0=1.0))
+    problem, _ = formulations.build_problem(X, y, config)
+    rebuilt = []
+    refactor = lp._Tableau.refactor
+
+    def recording(tab):
+        rebuilt.append(refactor(tab))
+        return rebuilt[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp._Tableau, "refactor", recording)
+        solution = lp.solve(problem)
+    assert solution.status is lp.LpStatus.NUMERICAL_FAILURE
+    assert rebuilt[-1] is None  # the last refactorization met a singular basis
+    with pytest.raises(SolverFailure, match="numerical_failure"):
+        formulations.train(X, y, config)

@@ -190,6 +190,17 @@ def test_lp_without_rows(n):
                 assert sol.objective_value == 0.0
 
 
+def test_unbounded_only_off_a_rebuilt_tableau(monkeypatch):
+    # minimize -x subject to x - y <= 1: x grows without limit along x = y
+    problem = oracles.make_problem([-1.0, 0.0], [([1.0, -1.0], "<=", 1.0)],
+                                   ["nonneg", "nonneg"])
+    assert lp.solve(problem).status is lp.LpStatus.UNBOUNDED
+    # a singular basis matrix leaves the iterated tableau in place, and that
+    # certifies nothing
+    monkeypatch.setattr(lp._Tableau, "refactor", lambda tab: None)
+    assert lp.solve(problem).status is lp.LpStatus.NUMERICAL_FAILURE
+
+
 def test_non_finite_tableau_ends_in_numerical_failure():
     # the failing LP of the ill-scaled grid in tests/test_cli.py: class "c"
     # against the rest on the training rows of fold 2, rbf gamma = 2, C = 1
@@ -301,11 +312,9 @@ def test_sparse_pivot_matches_dense_update_bitwise(order):
     b[1] = 1.5     # a pivot row whose rhs entry is nonzero
     S[1, 7] = -0.75
     A = np.hstack([S, np.eye(m)])
-    tabs = [lp._Tableau(A, b, np.arange(n, n + m), np.ones(m), np.array([3, 7]), n)
-            for _ in range(2)]
-    for tab in tabs:
-        tab.T = np.asarray(tab.T, order=order)
-    sparse, dense = tabs
+    sparse, dense = [lp._Tableau(np.hstack([A, b[:, None]]).copy(order=order), (A, b),
+                                 np.arange(n, n + m), np.ones(m), np.array([3, 7]), n)
+                     for _ in range(2)]
 
     def step(row, col, sign=1.0):
         cached = sparse.norms
@@ -373,6 +382,35 @@ def test_sparse_pivot_solve_matches_dense_solve(variant, monkeypatch):
     assert sparse.iterations == dense.iterations
     assert sparse.objective_value == dense.objective_value
     assert sparse.primal_values.tobytes() == dense.primal_values.tobytes()
+
+
+def _three_class_blobs(rng, m, d, gap):
+    labels = np.arange(m) % 3
+    X = rng.normal(size=(m, d)) + gap * np.eye(3, d)[labels]
+    return X, np.where(labels == 0, 1.0, -1.0)  # the first class against the rest
+
+
+@pytest.mark.parametrize("variant", ["rbf-gamma-0.125", "soft-linear-3-class"])
+def test_positive_row_ratio_test_solve_matches_full_length(variant, monkeypatch):
+    from mcm import formulations
+    from mcm.kernels import KernelSpec
+
+    rng = np.random.default_rng(43)
+    if variant == "rbf-gamma-0.125":
+        X, y = _two_blobs(rng, 60, 2, 3.0)
+        config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.125))
+    else:
+        X, y = _three_class_blobs(rng, 120, 5, 2.0)
+        config = formulations.TrainConfig("soft-linear", C=1.0)
+    problem, _ = formulations.build_problem(X, y, config)
+    fast = lp.solve(problem)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_ratio_test", oracles.ratio_test_full_length)
+        full = lp.solve(problem)
+    assert fast.status is full.status is lp.LpStatus.OPTIMAL
+    assert fast.iterations > 100
+    assert fast.phase_iterations == full.phase_iterations
+    assert fast.primal_values.tobytes() == full.primal_values.tobytes()
 
 
 def _phase_2_tableau(problem, monkeypatch):

@@ -168,10 +168,14 @@ def test_driving_out_artificials_prices_both_directions():
     # left 1e-9 in its column at row 1, where an artificial is basic.  The
     # split form zeroes only the basic x- there, so x+ is still the largest
     # entry of that row and enters; so must x, in its positive direction.
-    native = lp._Tableau(np.array([[-1.0, 0.0, 0.0], [1e-9, 5e-10, 1.0]]), np.zeros(2),
-                         np.array([0, 2]), np.array([-1.0, 1.0]), np.array([0]), 2)
-    split = lp._Tableau(np.array([[-1.0, 0.0, 1.0, 0.0], [1e-9, 5e-10, -1e-9, 1.0]]),
-                        np.zeros(2), np.array([2, 3]), np.ones(2), np.array([], dtype=int), 3)
+    def tableau(A, basis, sign, free_cols, n_orig):
+        A, b = np.array(A), np.zeros(2)
+        return lp._Tableau(np.hstack([A, b[:, None]]), (A, b), np.array(basis),
+                           np.array(sign), np.array(free_cols, dtype=int), n_orig)
+
+    native = tableau([[-1.0, 0.0, 0.0], [1e-9, 5e-10, 1.0]], [0, 2], [-1.0, 1.0], [0], 2)
+    split = tableau([[-1.0, 0.0, 1.0, 0.0], [1e-9, 5e-10, -1e-9, 1.0]], [2, 3], [1.0, 1.0],
+                    [], 3)
     lp._drive_out_artificials(native, 2)
     lp._drive_out_artificials(split, 3)
     assert native.split_index().tolist() == split.basis.tolist() == [2, 0]
