@@ -9,7 +9,7 @@ most accurate cell, breaking ties toward sparser, then smaller-C models.
 
 import numpy as np
 
-from mcm import Dataset, GridSpec, TrainConfig, KernelSpec, cross_validate, grid_search, make_folds
+from mcm import Dataset, TrainConfig, KernelSpec, cross_validate, grid_search, make_folds
 
 rng = np.random.default_rng(11)
 half = 40
@@ -34,7 +34,9 @@ kernel_report = cross_validate(
 print("rbf kernel, same folds (sv_count now meaningful):")
 print(kernel_report.to_table())
 
-grid = GridSpec(C_values=(0.25, 1.0, 4.0), gamma_values=(2.0 ** -7, 2.0 ** -5, 2.0 ** -3))
-result = grid_search(dataset, "kernel", grid, plan)
+# a grid is a list of configs, one cell each, scanned in order: C-major here
+grid = [TrainConfig("kernel", C=C, kernel=KernelSpec("rbf", gamma=gamma))
+        for C in (0.25, 1.0, 4.0) for gamma in (2.0 ** -7, 2.0 ** -5, 2.0 ** -3)]
+result = grid_search(dataset, grid, plan)
 print("grid search over 3 x 3 (C, gamma) cells picks the smooth corner:")
 print(result.to_table())

@@ -77,9 +77,6 @@ def capacity_report(model, train_samples, train_labels) -> CapacityReport:
     X = np.atleast_2d(np.asarray(train_samples, dtype=float))
     y = np.asarray(train_labels, dtype=float)
     M = X.shape[0]
-    if X.shape[1] != model.n:
-        raise McmError(f"{X.shape[1]} features, model expects {model.n}")
-
     h = _ratio(y * decision_many(model, X))
     if isinstance(model, LinearModel):
         try:

@@ -125,13 +125,16 @@ def _config_from_args(args) -> formulations.TrainConfig:
         if args.kernel is not None or args.gamma is not None:
             raise McmError("soft-linear takes no --kernel or --gamma")
         return config
+    return formulations.TrainConfig(
+        variant, C=args.C, kernel=_kernel_spec(kind, args.gamma, args.degree, args.coef0))
+
+
+def _kernel_spec(kind: str, gamma: float | None, degree: int, coef0: float) -> KernelSpec:
+    """The kernel of a kernel-variant config: gamma is the rbf kernel's alone,
+    and the other kinds carry (and check) degree and coef0."""
     if kind == RBF:
-        spec = KernelSpec(RBF, gamma=args.gamma)
-    elif kind == POLY:
-        spec = KernelSpec(POLY, degree=args.degree, coef0=args.coef0)
-    else:
-        spec = KernelSpec(LINEAR)
-    return formulations.TrainConfig(variant, C=args.C, kernel=spec)
+        return KernelSpec(RBF, gamma=gamma)
+    return KernelSpec(kind, degree=degree, coef0=coef0)
 
 
 def _load_dataset(args) -> data_mod.Dataset:
@@ -239,11 +242,18 @@ def cmd_grid(args) -> int:
     c_values = _parse_grid_list(args.grid_c, "--grid-c") or data_mod.DEFAULT_C_GRID
     gamma_values = (_parse_grid_list(args.grid_gamma, "--grid-gamma")
                     or data_mod.DEFAULT_GAMMA_GRID)
-    grid = data_mod.GridSpec(c_values, gamma_values)
-    result = data_mod.grid_search(
-        dataset, args.variant, grid, plan,
-        kernel_kind=args.kernel, kernel_degree=args.degree, kernel_coef0=args.coef0,
-        scale=args.scale)
+    # every C is checked before any gamma, and every gamma although only an
+    # rbf kernel scans them; the cells are C-major, gamma-minor
+    for C in c_values:
+        formulations.TrainConfig(args.variant, C=C, kernel=KernelSpec(LINEAR))
+    kernels = [_kernel_spec(RBF, gamma, args.degree, args.coef0) for gamma in gamma_values]
+    if args.variant == formulations.SOFT_LINEAR:
+        kernels = [None]
+    elif args.kernel != RBF:
+        kernels = [_kernel_spec(args.kernel, None, args.degree, args.coef0)]
+    configs = [formulations.TrainConfig(args.variant, C=C, kernel=kernel)
+               for C in c_values for kernel in kernels]
+    result = data_mod.grid_search(dataset, configs, plan, scale=args.scale)
     for cell in result.cells:
         if cell.error is not None:
             gamma = "" if cell.gamma is None else f" gamma={cell.gamma:g}"

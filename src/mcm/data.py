@@ -30,7 +30,6 @@ import numpy as np
 from . import formulations
 from .capacity import capacity_report
 from .errors import McmError, ParseError
-from .kernels import RBF, KernelSpec
 from .model import OvrModel, decision_many, negated, ovr_labels
 
 REPORT_VERSION = 1
@@ -415,21 +414,6 @@ def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
     return report
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    C_values: tuple[float, ...] = DEFAULT_C_GRID
-    gamma_values: tuple[float, ...] = DEFAULT_GAMMA_GRID
-
-    def __post_init__(self):
-        object.__setattr__(self, "C_values", tuple(float(v) for v in self.C_values))
-        object.__setattr__(self, "gamma_values", tuple(float(v) for v in self.gamma_values))
-        for name, values in (("C", self.C_values), ("gamma", self.gamma_values)):
-            if not values or any(v <= 0 for v in values):
-                raise McmError(f"{name} grid must be a nonempty list of positive values")
-            if not all(map(math.isfinite, values)):
-                raise McmError(f"{name} grid values must be finite")
-
-
 @dataclass
 class GridCell:
     C: float
@@ -502,33 +486,27 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-def grid_search(dataset: Dataset, variant: str, grid: GridSpec, plan: FoldPlan,
-                kernel_kind: str = RBF, kernel_degree: int = 3,
-                kernel_coef0: float = 1.0, scale: bool = False) -> GridResult:
-    """Cross-validate every grid cell; see `GridResult.best_cell` for the pick.
+def grid_search(dataset: Dataset, configs: list[formulations.TrainConfig], plan: FoldPlan,
+                scale: bool = False) -> GridResult:
+    """Cross-validate each config in order, one cell per config; see
+    `GridResult.best_cell` for the pick.
 
-    The gamma axis only exists for the rbf kernel; other kernels (and the
-    soft linear variant) scan C alone.  A cell whose cross-validation fails
-    is recorded with its error text; McmError is raised, naming the first
-    failure, only when every cell fails.
+    A cell's C and gamma are its config's C and kernel gamma (None without
+    one).  A cell whose cross-validation fails is recorded with its error
+    text; McmError is raised, naming the first failure, only when every cell
+    fails.
     """
-    if variant == formulations.HARD_LINEAR:
+    if not configs:
+        raise McmError("grid search needs at least one config")
+    if any(config.variant == formulations.HARD_LINEAR for config in configs):
         raise McmError("grid search needs a soft variant (nothing to scan for hard margins)")
-    rbf = variant == formulations.SOFT_KERNEL and kernel_kind == RBF
     cells: list[GridCell] = []
-    for C in grid.C_values:
-        for gamma in grid.gamma_values if rbf else (None,):
-            if variant == formulations.SOFT_LINEAR:
-                spec = None
-            elif rbf:
-                spec = KernelSpec(RBF, gamma=gamma)
-            else:
-                spec = KernelSpec(kernel_kind, degree=kernel_degree, coef0=kernel_coef0)
-            config = formulations.TrainConfig(variant, C=C, kernel=spec)
-            try:
-                cells.append(GridCell(C, gamma, cross_validate(dataset, config, plan, scale)))
-            except McmError as exc:
-                cells.append(GridCell(C, gamma, None, error=str(exc)))
+    for config in configs:
+        gamma = None if config.kernel is None else config.kernel.gamma
+        try:
+            cells.append(GridCell(config.C, gamma, cross_validate(dataset, config, plan, scale)))
+        except McmError as exc:
+            cells.append(GridCell(config.C, gamma, None, error=str(exc)))
     if all(cell.report is None for cell in cells):
         first = cells[0]
         gamma_text = "" if first.gamma is None else f", gamma={first.gamma:g}"

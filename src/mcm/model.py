@@ -4,7 +4,9 @@ Model files are UTF-8 JSON with schema keys {"format", "version", "type", "n",
 "w", "b", "h", "C", "kernel", "lambda", "support_vectors", "classes",
 "members"}; numbers round-trip exactly because floats are rendered with their
 shortest repr, and reading rejects non-finite ones, a non-integer "n", a
-"C" that is not positive and one-versus-rest members that are not binary.
+"C" that is not positive, support vectors that are not rows of "n" numbers,
+"classes" that are not a list of distinct labels and one-versus-rest
+members that are not binary.
 The conventional extension is ".mcm.json".
 """
 
@@ -200,6 +202,8 @@ def _model_from_dict(obj: dict, context: str = "model"):
     try:
         if kind == "ovr":
             classes = _require(obj, "classes", context)
+            if not isinstance(classes, list) or len(set(classes)) != len(classes):
+                raise ParseError(f"{context}: field 'classes' must be a list of distinct labels")
             members = []
             for i, entry in enumerate(_require(obj, "members", context)):
                 members.append(_model_from_dict(entry, f"{context}.members[{i}]"))
@@ -222,9 +226,11 @@ def _model_from_dict(obj: dict, context: str = "model"):
                 raise ParseError(f"{context}: w has length {len(w)}, n says {n}")
             return LinearModel(w, b, h, C)
         kernel = KernelSpec.from_dict(_require(obj, "kernel", context), f"{context}.kernel")
-        return KernelModel(_field(obj, "lambda", context, array=True),
-                           _field(obj, "support_vectors", context, array=True),
-                           b, h, kernel, n, C)
+        lam = _field(obj, "lambda", context, array=True)
+        sv = _field(obj, "support_vectors", context, array=True)
+        if sv.shape != (0,) and (sv.ndim != 2 or sv.shape[1] != n):
+            raise ParseError(f"{context}: support_vectors must be a list of rows of length {n}")
+        return KernelModel(lam, sv, b, h, kernel, n, C)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{context}: {exc}") from exc
 

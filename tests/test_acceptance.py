@@ -224,8 +224,8 @@ def test_criterion_8_heart_statlog_accuracy():
     dataset = data_mod.load_csv(HEART_PATH, label_column=-1)
     assert dataset.n_samples == 270 and dataset.n_features == 13
     plan = data_mod.make_folds(dataset.labels, k=5, seed=42)
-    grid = data_mod.GridSpec(C_values=data_mod.DEFAULT_C_GRID, gamma_values=(1.0,))
-    result = data_mod.grid_search(dataset, "soft-linear", grid, plan, scale=True)
+    configs = [formulations.TrainConfig("soft-linear", C=C) for C in data_mod.DEFAULT_C_GRID]
+    result = data_mod.grid_search(dataset, configs, plan, scale=True)
     accuracy = result.best_cell.report.aggregates()["accuracy_mean"] * 100.0
     assert abs(accuracy - 84.81) <= 5.0
     print(f"\nPASS criterion 8: heart-statlog grid-searched soft-linear CV "

@@ -327,9 +327,9 @@ def test_grid_every_cell_failing_names_the_first(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("grid", "--variant", "soft-linear", "--grid-c", "1,nan", "--json"),
-     "C grid values must be finite"),
+     "variant 'soft-linear' requires a finite C"),
     (("grid", "--variant", "kernel", "--grid-gamma", "0.5,inf", "--json"),
-     "gamma grid values must be finite"),
+     "kernel gamma must be finite"),
     (("cv", "--variant", "kernel", "--gamma", "inf", "--C", "1", "--json"),
      "kernel gamma must be finite"),
     (("cv", "--variant", "soft-linear", "--C", "nan", "--json"),
@@ -348,6 +348,68 @@ def test_non_finite_hyperparameters_are_rejected(tmp_path, capsys, argv, message
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--grid-c", "0"), "variant 'soft-linear' requires C > 0"),
+    (("--grid-c", "1,-2", "--variant", "kernel"), "variant 'kernel' requires C > 0"),
+    (("--grid-c", "inf", "--variant", "kernel"), "variant 'kernel' requires a finite C"),
+    (("--grid-c", ""), "--grid-c is empty"),
+    (("--grid-c", "1,x"), "--grid-c: could not convert string to float: 'x'"),
+    (("--grid-gamma", "0", "--variant", "kernel"), "rbf kernel requires gamma > 0"),
+    (("--grid-gamma", ","), "--grid-gamma is empty"),
+    # gamma values are checked where the grid does not scan them
+    (("--grid-gamma", "nan"), "kernel gamma must be finite"),
+    (("--grid-gamma", "-1", "--variant", "kernel", "--kernel", "poly"),
+     "rbf kernel requires gamma > 0"),
+    # the C list is named before the gamma list
+    (("--grid-c", "nan", "--grid-gamma", "0", "--variant", "kernel"),
+     "variant 'kernel' requires a finite C"),
+    (("--grid-c", "1,2,0", "--grid-gamma", "inf", "--variant", "kernel"),
+     "variant 'kernel' requires C > 0"),
+    (("--variant", "kernel", "--kernel", "poly", "--degree", "0"),
+     "poly kernel requires integer degree >= 1"),
+], ids=["c-zero", "c-negative", "c-inf", "c-empty", "c-text", "gamma-zero", "gamma-empty",
+        "gamma-nan-unscanned", "gamma-negative-poly", "c-before-gamma", "later-c-before-gamma",
+        "poly-degree"])
+def test_every_grid_value_rule_exits_1_with_one_line(tmp_path, capsys, flags, message):
+    data = blob_csv(tmp_path, "blobs.csv", m=12)
+    argv = ("grid", "--data", data, "--variant", "soft-linear", "--folds", "2", *flags)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_grid_ignores_flags_of_an_axis_it_does_not_scan(tmp_path, capsys):
+    data = blob_csv(tmp_path, "blobs.csv", m=12)
+    base = ("grid", "--data", data, "--grid-c", "1,4", "--folds", "2", "--json")
+    soft = run(capsys, *base, "--variant", "soft-linear")
+    assert soft == run(capsys, *base, "--variant", "soft-linear", "--kernel", "rbf",
+                       "--grid-gamma", "0.5,2")
+    poly = run(capsys, *base, "--variant", "kernel", "--kernel", "poly", "--degree", "2")
+    assert poly == run(capsys, *base, "--variant", "kernel", "--kernel", "poly",
+                       "--degree", "2", "--grid-gamma", "0.5,2")
+    for code, out, err in (soft, poly):
+        assert code == 0 and err == ""
+        assert [(c["C"], c["gamma"]) for c in json.loads(out)["cells"]] == [(1.0, None),
+                                                                            (4.0, None)]
+
+
+def test_cv_and_grid_build_the_same_kernel(tmp_path, capsys):
+    # a linear kernel carries --degree and --coef0 in both, and checks them
+    data = blob_csv(tmp_path, "blobs.csv", m=12)
+    flags = ("--data", data, "--variant", "kernel", "--kernel", "linear", "--degree", "2",
+             "--folds", "2", "--json")
+    code, cv_out, _ = run(capsys, "cv", "--C", "4", "--coef0", "0.5", *flags)
+    assert code == 0
+    code, grid_out, _ = run(capsys, "grid", "--grid-c", "4", "--coef0", "0.5", *flags)
+    assert code == 0
+    assert json.loads(grid_out)["best_report"] == json.loads(cv_out)
+    assert json.loads(cv_out)["kernel"] == {"kind": "linear", "gamma": None,
+                                            "degree": 2, "coef0": 0.5}
+    for command in (("cv", "--C", "4"), ("grid", "--grid-c", "4")):
+        code, out, err = run(capsys, *command, "--coef0", "inf", *flags)
+        assert (code, out, err) == (1, "", "error: kernel coef0 must be finite\n")
 
 
 def ill_scaled_blobs_csv(tmp_path):

@@ -379,10 +379,9 @@ def test_single_class_training_fold_message(labels, message):
     config = formulations.TrainConfig("soft-linear", C=1.0)
     with pytest.raises(McmError, match=f"^fold 0: {message}$"):
         data_mod.cross_validate(ds, config, plan)
-    grid = data_mod.GridSpec(C_values=(1.0,), gamma_values=(1.0,))
     with pytest.raises(McmError, match=("^every grid cell failed; first failure: "
                                         f"grid cell C=1: fold 0: {message}$")):
-        data_mod.grid_search(ds, "soft-linear", grid, plan)
+        data_mod.grid_search(ds, soft_linear_grid(1.0), plan)
 
 
 def test_fold_plan_must_match_dataset():
@@ -394,12 +393,21 @@ def test_fold_plan_must_match_dataset():
 
 # --- grid search ---
 
+def soft_linear_grid(*C_values):
+    return [formulations.TrainConfig("soft-linear", C=C) for C in C_values]
+
+
+def rbf_grid(C_values, gamma_values):
+    """The C-major, gamma-minor configs `mcm grid --variant kernel` scans."""
+    return [formulations.TrainConfig("kernel", C=C, kernel=KernelSpec("rbf", gamma=gamma))
+            for C in C_values for gamma in gamma_values]
+
+
 def test_grid_single_cell():
     rng = np.random.default_rng(36)
     ds = blob_dataset(rng, m=24, gap=5.0)
     plan = data_mod.make_folds(ds.labels, k=3, seed=1)
-    grid = data_mod.GridSpec(C_values=(2.0,), gamma_values=(0.5,))
-    result = data_mod.grid_search(ds, "soft-linear", grid, plan)
+    result = data_mod.grid_search(ds, soft_linear_grid(2.0), plan)
     assert len(result.cells) == 1
     assert result.best_cell.C == 2.0 and result.best_cell.gamma is None
 
@@ -408,10 +416,9 @@ def test_grid_exhaustive_cell_counts():
     rng = np.random.default_rng(37)
     ds = blob_dataset(rng, m=20, gap=5.0)
     plan = data_mod.make_folds(ds.labels, k=2, seed=1)
-    grid = data_mod.GridSpec(C_values=(0.5, 8.0), gamma_values=(0.1, 1.0, 4.0))
-    linear = data_mod.grid_search(ds, "soft-linear", grid, plan)
+    linear = data_mod.grid_search(ds, soft_linear_grid(0.5, 8.0), plan)
     assert len(linear.cells) == 2
-    kernel = data_mod.grid_search(ds, "kernel", grid, plan)
+    kernel = data_mod.grid_search(ds, rbf_grid((0.5, 8.0), (0.1, 1.0, 4.0)), plan)
     assert len(kernel.cells) == 6
     assert [(c.C, c.gamma) for c in kernel.cells] == [
         (0.5, 0.1), (0.5, 1.0), (0.5, 4.0), (8.0, 0.1), (8.0, 1.0), (8.0, 4.0)]
@@ -426,8 +433,7 @@ def test_grid_prefers_accurate_cell():
                    rng.normal(size=(half, 2)) * 0.8 + 3.0])
     ds = data_mod.Dataset(X, ["n"] * half + ["p"] * half)
     plan = data_mod.make_folds(ds.labels, k=4, seed=3)
-    grid = data_mod.GridSpec(C_values=(1e-6, 10.0), gamma_values=(1.0,))
-    result = data_mod.grid_search(ds, "soft-linear", grid, plan)
+    result = data_mod.grid_search(ds, soft_linear_grid(1e-6, 10.0), plan)
     accs = {cell.C: cell.report.aggregates()["accuracy_mean"] for cell in result.cells}
     assert accs[10.0] > accs[1e-6]
     assert result.best_cell.C == 10.0
@@ -437,8 +443,7 @@ def test_grid_accuracy_tie_breaks_to_smaller_c():
     rng = np.random.default_rng(39)
     ds = blob_dataset(rng, m=24, gap=8.0)  # easy data: every C is perfect
     plan = data_mod.make_folds(ds.labels, k=3, seed=5)
-    grid = data_mod.GridSpec(C_values=(4.0, 1.0, 16.0), gamma_values=(1.0,))
-    result = data_mod.grid_search(ds, "soft-linear", grid, plan)
+    result = data_mod.grid_search(ds, soft_linear_grid(4.0, 1.0, 16.0), plan)
     assert result.best_cell.report.aggregates()["accuracy_mean"] == 1.0
     assert result.best_cell.C == 1.0  # sv_count ties for linear cells, C decides
 
@@ -450,8 +455,7 @@ def test_grid_accuracy_tie_breaks_to_smaller_sv_count():
                    rng.normal(size=(half, 2)) * 0.4 + 6.0])
     ds = data_mod.Dataset(X, ["a"] * half + ["b"] * half)
     plan = data_mod.make_folds(ds.labels, k=3, seed=2)
-    grid = data_mod.GridSpec(C_values=(8.0,), gamma_values=(0.5, 0.01, 4.0))
-    result = data_mod.grid_search(ds, "kernel", grid, plan)
+    result = data_mod.grid_search(ds, rbf_grid((8.0,), (0.5, 0.01, 4.0)), plan)
     by_gamma = {cell.gamma: cell.report.aggregates() for cell in result.cells}
     assert by_gamma[0.01]["accuracy_mean"] == by_gamma[0.5]["accuracy_mean"] == 1.0
     assert by_gamma[0.5]["sv_count_mean"] < by_gamma[0.01]["sv_count_mean"]
@@ -464,20 +468,53 @@ def test_grid_fails_only_when_every_cell_fails():
     plan = data_mod.FoldPlan(2, np.array([0, 1, 0, 1]), seed=0)
     bad_plan = data_mod.FoldPlan(2, np.array([0, 0, 1, 1]), seed=0)  # single-class folds
 
-    grid = data_mod.GridSpec(C_values=(1.0,), gamma_values=(1.0,))
-    ok = data_mod.grid_search(ds, "soft-linear", grid, plan)
+    grid = soft_linear_grid(1.0)
+    ok = data_mod.grid_search(ds, grid, plan)
     assert ok.best_cell.error is None
 
     with pytest.raises(McmError, match=("^every grid cell failed; first failure: "
                                         "grid cell C=1: fold 0: training data contains")):
-        data_mod.grid_search(ds, "soft-linear", grid, bad_plan)
+        data_mod.grid_search(ds, grid, bad_plan)
 
 
 def test_grid_rejects_hard_variant():
     ds = blob_dataset(np.random.default_rng(40), m=10)
     plan = data_mod.make_folds(ds.labels, k=2, seed=0)
     with pytest.raises(McmError):
-        data_mod.grid_search(ds, "hard-linear", data_mod.GridSpec((1.0,), (1.0,)), plan)
+        data_mod.grid_search(ds, [formulations.TrainConfig("hard-linear")], plan)
+
+
+@pytest.mark.parametrize("configs", [
+    soft_linear_grid(0.5, 4.0),
+    rbf_grid((1.0, 16.0), (0.125, 2.0)),
+    [formulations.TrainConfig("kernel", C=C, kernel=KernelSpec("poly", degree=2, coef0=0.5))
+     for C in (1.0, 4.0)],
+], ids=["soft-linear", "rbf", "poly"])
+def test_grid_cell_is_the_cross_validation_of_its_config(configs):
+    ds = blob_dataset(np.random.default_rng(41), m=18, gap=2.0, noise_flips=2)
+    plan = data_mod.make_folds(ds.labels, k=3, seed=4)
+    result = data_mod.grid_search(ds, configs, plan)
+    assert len(result.cells) == len(configs)
+    for cell, config in zip(result.cells, configs):
+        assert cell.error is None and cell.report.config == config
+        assert (cell.C, cell.gamma) == (config.C, getattr(config.kernel, "gamma", None))
+        assert cell.report.to_json() == data_mod.cross_validate(ds, config, plan).to_json()
+
+
+def test_grid_search_needs_a_config():
+    ds = blob_dataset(np.random.default_rng(42), m=10)
+    plan = data_mod.make_folds(ds.labels, k=2, seed=0)
+    with pytest.raises(McmError, match="^grid search needs at least one config$"):
+        data_mod.grid_search(ds, [], plan)
+
+
+def test_grid_rejects_a_hard_config_among_soft_ones(monkeypatch):
+    ds = blob_dataset(np.random.default_rng(43), m=10)
+    plan = data_mod.make_folds(ds.labels, k=2, seed=0)
+    monkeypatch.setattr(data_mod, "cross_validate", None)  # nothing may be fitted
+    configs = soft_linear_grid(1.0) + [formulations.TrainConfig("hard-linear")]
+    with pytest.raises(McmError, match="^grid search needs a soft variant"):
+        data_mod.grid_search(ds, configs, plan)
 
 
 # --- report consistency ---
@@ -546,8 +583,8 @@ def test_grid_report_reads_its_cells(monkeypatch):
 
     monkeypatch.setattr(data_mod, "cross_validate", failing_at_c_2)
     # C = 1.5 and C = 1 tie on accuracy and support count; the smaller C wins
-    grid = data_mod.GridSpec(C_values=(1.5, 2.0, 0.01, 1.0, 8.0), gamma_values=(1.0,))
-    result = data_mod.grid_search(ds, "soft-linear", grid, plan, scale=True)
+    result = data_mod.grid_search(ds, soft_linear_grid(1.5, 2.0, 0.01, 1.0, 8.0), plan,
+                                  scale=True)
     payload = result.to_json_dict()
     assert list(payload) == GRID_KEYS
     assert all(list(cell) == CELL_KEYS for cell in payload["cells"] + [payload["best"]])

@@ -323,6 +323,34 @@ def test_nested_ovr_member_is_a_parse_error():
         model_from_json(json.dumps(outer))
 
 
+@pytest.mark.parametrize("token", ["[0.0, 1.0, 1.0, 0.0]", "[[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]",
+                                   "[[0.0], [1.0]]", "[[[0.0, 1.0]], [[1.0, 0.0]]]", "[[]]"],
+                         ids=["flat", "rows-too-long", "rows-too-short", "nested", "empty-row"])
+def test_support_vectors_must_be_rows_of_n_numbers(token):
+    with pytest.raises(ParseError, match="^model: support_vectors must be a list of rows "
+                                         "of length 2$"):
+        model_from_json(with_token(RBF, ("support_vectors",), token))
+
+
+def test_kernel_model_without_support_vectors_loads():
+    empty = kernel_model([], np.zeros((0, 2)), b=-0.25)
+    text = model_to_json(empty)
+    assert '"support_vectors": []' in text
+    clone = model_from_json(text)
+    assert clone.sv_count == 0 and clone.support_vectors.shape == (0, 2)
+    assert model_to_json(clone) == text
+
+
+@pytest.mark.parametrize("token", ['"ab"', '["a", "a"]', '{"a": 0, "b": 1}', "null"],
+                         ids=["string", "repeated", "object", "null"])
+def test_ovr_classes_must_be_a_list_of_distinct_labels(token):
+    bundle = OvrModel(("a", "b"), (SOFT, negated(SOFT)))
+    model_from_json(with_token(bundle, ("classes",), '["a", "b"]'))  # valid otherwise
+    with pytest.raises(ParseError, match="^model: field 'classes' must be a list of "
+                                         "distinct labels$"):
+        model_from_json(with_token(bundle, ("classes",), token))
+
+
 @pytest.mark.parametrize("model", [SOFT, RBF], ids=["linear", "kernel"])
 @pytest.mark.parametrize("token", ["2.7", "true", "false", '"2"'])
 def test_feature_count_must_be_an_integer(model, token):
