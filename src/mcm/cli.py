@@ -191,22 +191,19 @@ def cmd_predict(args) -> int:
         if X.shape[0] and X.shape[1] < model.n:  # sparse tail of zeros
             X = np.hstack([X, np.zeros((X.shape[0], model.n - X.shape[1]))])
 
-    lines = []
+    text = ""
     if X.shape[0]:
         if isinstance(model, OvrModel):
             stacked = decision_many(model, X)
             labels = ovr_labels(model, stacked)
-            scores = np.max(stacked, axis=0)
+            scores = np.max(stacked, axis=0).tolist()
         else:
-            values = decision_many(model, X)
-            labels = ["1" if v >= 0 else "-1" for v in values]
-            scores = values
-        for i, label in enumerate(labels):
-            if args.scores:
-                lines.append(f"{label}\t{float(scores[i])!r}")
-            else:
-                lines.append(str(label))
-    text = "\n".join(lines) + ("\n" if lines else "")
+            scores = decision_many(model, X).tolist()
+            labels = ["1" if v >= 0 else "-1" for v in scores]
+        if args.scores:
+            text = "".join(f"{label}\t{score!r}\n" for label, score in zip(labels, scores))
+        else:
+            text = "".join(f"{label}\n" for label in labels)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

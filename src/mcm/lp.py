@@ -25,7 +25,8 @@ phase's pivots): ``ITERATION_LIMIT`` when the budget runs out,
 cannot be rebuilt, and ``UNBOUNDED`` only off a tableau rebuilt from the
 original data.  Optimal bases are re-solved against the original data, giving
 exact vertex coordinates with true zeros in degenerate positions.  The
-tolerances are module constants; ``solve`` takes only the pivot budget.
+tolerances and the memory budget are module constants; ``solve`` takes only
+the pivot budget.
 """
 
 from __future__ import annotations
@@ -280,6 +281,7 @@ _PIVOT_TOL = 1e-10       # reduced costs and pivot entries within this count as 
 _STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
+_MAX_TABLEAU_BYTES = 2**30  # phase-1 tableau and its originals, together
 
 
 def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
@@ -453,6 +455,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     max_iterations caps the pivots of both phases together (None: 50 times
     the standardized rows plus columns); running out gives ITERATION_LIMIT.
+    Raises McmError, before allocating either, when the phase-1 tableau and
+    its originals would take more than _MAX_TABLEAU_BYTES together.
     """
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
@@ -467,6 +471,12 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     needs_artificial = (basis < 0).nonzero()[0]
     n_art = needs_artificial.size
     basis[needs_artificial] = n + np.arange(n_art)
+    # the tableau [A0 | b0] and its originals A0 and b0 take the same bytes
+    nbytes = 8 * m * (n + n_art + 1)
+    if 2 * nbytes > _MAX_TABLEAU_BYTES:
+        raise McmError(f"an LP of {m} rows and {n + n_art} columns needs {nbytes} bytes "
+                       f"for its phase-1 tableau and {nbytes} for its originals, over "
+                       f"the budget of {_MAX_TABLEAU_BYTES} bytes")
     A0 = np.zeros((m, n + n_art))  # the flipped [A | artificials]: the originals
     np.multiply(A, flip[:, None], out=A0[:, :n])
     A0[needs_artificial, basis[needs_artificial]] = 1.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import McmError, ParseError
-from .kernels import KernelSpec, cross_gram, integer
+from .kernels import KernelSpec, chunk_rows, cross_gram, integer
 
 FORMAT_NAME = "mcm-model"
 FORMAT_VERSION = 1
@@ -55,7 +55,12 @@ class KernelModel:
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
-        sv = np.asarray(self.support_vectors, dtype=float).reshape(-1, self.n)
+        sv = np.asarray(self.support_vectors, dtype=float)
+        if sv.size == 0:
+            sv = sv.reshape(0, self.n)
+        if sv.ndim != 2 or sv.shape[1] != self.n:
+            raise McmError(f"support vectors of shape {sv.shape}, "
+                           f"expected rows of {self.n} features")
         if lam.shape[0] != sv.shape[0]:
             raise McmError(
                 f"{lam.shape[0]} coefficients for {sv.shape[0]} support vectors")
@@ -94,32 +99,68 @@ class OvrModel:
 def decision_many(model, X) -> np.ndarray:
     """Decision values for a batch of rows.  For an OvrModel, the (classes,
     rows) stack of member decisions; members with the same kernel and
-    support vectors share one cross-Gram matrix."""
+    support vectors share one cross-Gram matrix.
+
+    Rows are taken in blocks, so no more than one block of kernel rows is
+    held at a time.  A block has the rows `kernels.chunk_rows` allows for
+    the widest support set, rounded down to a multiple of 64 and at least
+    64, and a 1-row remainder joins the block before it.  So each
+    matrix-vector product makes the same groups of rows as the one-shot
+    product over all of X, and every value has its bits."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n:
         raise McmError(f"{X.shape[1]} features, model expects {model.n}")
-    if not isinstance(model, OvrModel):
-        return _binary_decision(model, X, [])
-    grams: list = []
-    return np.vstack([_binary_decision(member, X, grams) for member in model.members])
+    members = model.members if isinstance(model, OvrModel) else (model,)
+    shared = _support_sets(members)
+    widest = max((sv.shape[0] for _, sv, _ in shared), default=0)
+    values = np.empty((len(members), X.shape[0]))
+    for rows in _row_blocks(X.shape[0], chunk_rows(widest, X.shape[1])):
+        block = X[rows]
+        for i, member in enumerate(members):
+            if isinstance(member, LinearModel):
+                values[i, rows] = block @ member.w + member.b
+            elif member.sv_count == 0:
+                values[i, rows] = member.b
+        for kernel, sv, users in shared:
+            K = cross_gram(kernel, block, sv)
+            for i in users:
+                values[i, rows] = K @ members[i].lam + members[i].b
+            del K  # freed before the next matrix is built
+    return values if isinstance(model, OvrModel) else values[0]
 
 
-def _binary_decision(model, X, grams: list) -> np.ndarray:
-    """`grams` holds the (kernel, support vectors, cross-Gram) triples
-    computed so far for this X."""
-    if isinstance(model, LinearModel):
-        return X @ model.w + model.b
-    if isinstance(model, KernelModel):
-        if model.sv_count == 0:
-            return np.full(X.shape[0], model.b)
-        for kernel, sv, K in grams:
-            if kernel == model.kernel and np.array_equal(sv, model.support_vectors):
+def _support_sets(members) -> list:
+    """(kernel, support vectors, indices of the members using them) for each
+    distinct pair among the kernel members with support vectors, in order
+    of first use."""
+    shared = []
+    for i, member in enumerate(members):
+        if isinstance(member, LinearModel):
+            continue
+        if not isinstance(member, KernelModel):
+            raise McmError(f"no decision function for {type(member).__name__}")
+        if member.sv_count == 0:
+            continue
+        for kernel, sv, users in shared:
+            if kernel == member.kernel and np.array_equal(sv, member.support_vectors):
+                users.append(i)
                 break
         else:
-            K = cross_gram(model.kernel, X, model.support_vectors)
-            grams.append((model.kernel, model.support_vectors, K))
-        return K @ model.lam + model.b
-    raise McmError(f"no decision function for {type(model).__name__}")
+            shared.append((member.kernel, member.support_vectors, [i]))
+    return shared
+
+
+def _row_blocks(count: int, step: int) -> list[slice]:
+    """Slices covering range(count) in blocks of `step` rows rounded down to
+    a multiple of 64 (at least 64).  A 1-row remainder joins the block
+    before it: BLAS gemv treats rows in groups of 4 with a separate tail
+    kernel, and numpy computes a 1-row product with dot; blocks like these
+    give the bits of the one-shot product."""
+    step = max(64, step - step % 64)
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
 
 
 def predict_many(model, X) -> np.ndarray:

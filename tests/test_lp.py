@@ -30,6 +30,22 @@ def test_unbounded_certified():
     assert sol.primal_values is None and sol.objective_value is None
 
 
+def test_memory_budget_is_checked_before_allocating(monkeypatch):
+    # 2 rows of 2 variables, a slack, a surplus and one artificial: the
+    # tableau [A0 | b0] and its originals take 8 * 2 * 6 = 96 bytes each
+    problem = oracles.make_problem(
+        [-1.0, -2.0], [([1.0, 1.0], "<=", 1.0), ([1.0, 0.0], ">=", 0.5)], ["nonneg"] * 2)
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 191)
+    with pytest.raises(McmError, match=r"^an LP of 2 rows and 5 columns needs 96 bytes for "
+                                       r"its phase-1 tableau and 96 for its originals, over "
+                                       r"the budget of 191 bytes$"):
+        lp.solve(problem)
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 192)
+    sol = lp.solve(problem)
+    assert sol.status is lp.LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(-1.5, abs=1e-9)
+
+
 def test_dimension_mismatch_rejected():
     problem = oracles.make_problem([1.0, 2.0], [([1.0], "<=", 1.0)], ["nonneg"] * 2)
     with pytest.raises(McmError, match=r"^constraint matrix \(1, 1\) and 1 senses "

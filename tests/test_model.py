@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mcm import kernels
 from mcm import model as model_mod
 from mcm.errors import McmError, ParseError
 from mcm.formulations import TrainConfig, train
@@ -444,3 +446,104 @@ def test_kernel_ovr_exact_tie_picks_first_class():
     ovr = OvrModel(("first", "second", "third"), (member, member, member))
     assert predict_ovr_many(ovr, rng.normal(size=(8, 2))) == ["first"] * 8
 
+
+def test_support_vectors_must_have_shape_lam_by_n():
+    with pytest.raises(McmError, match=r"^support vectors of shape \(2, 3\), "
+                                       r"expected rows of 2 features$"):
+        kernel_model(np.ones(3), np.arange(6.0).reshape(2, 3))
+    with pytest.raises(McmError, match=r"^support vectors of shape \(4,\), "
+                                       r"expected rows of 2 features$"):
+        kernel_model(np.ones(2), np.arange(4.0))
+    with pytest.raises(McmError, match="^3 coefficients for 2 support vectors$"):
+        kernel_model(np.ones(3), np.zeros((2, 2)))
+    with pytest.raises(McmError, match="^1 coefficients for 0 support vectors$"):
+        kernel_model([1.0], [])
+    assert kernel_model([], []).support_vectors.shape == (0, 2)
+
+
+# decisions in row blocks: with CHUNK_BYTES at 1, every block has 64 rows,
+# and with at most 40 support vectors and 200 rows every product stays below
+# the size at which OpenBLAS starts threads
+
+# query rows -> rows of each block
+BLOCKS = {1: [1], 63: [63], 64: [64], 65: [65], 129: [64, 65], 200: [64, 64, 64, 8]}
+
+
+def one_shot(model, X) -> np.ndarray:
+    """The whole cross-Gram matrix (or X) times the coefficients, at once."""
+    if isinstance(model, LinearModel):
+        return X @ model.w + model.b
+    return cross_gram(model.kernel, X, model.support_vectors) @ model.lam + model.b
+
+
+def blocked(monkeypatch, model, X) -> tuple[np.ndarray, list]:
+    """decision_many with 64-row blocks, and the rows of each cross_gram call."""
+    rows = []
+
+    def recording(kernel, X, Y):
+        rows.append(X.shape[0])
+        return cross_gram(kernel, X, Y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "CHUNK_BYTES", 1)
+        patch.setattr(model_mod, "cross_gram", recording)
+        return decision_many(model, X), rows
+
+
+@pytest.mark.parametrize("count, blocks", BLOCKS.items())
+def test_blocks_are_multiples_of_64_rows_with_no_one_row_tail(monkeypatch, count, blocks):
+    rng = np.random.default_rng(13)
+    model = kernel_model(rng.normal(size=7), rng.normal(size=(7, 2)), b=0.1)
+    _, rows = blocked(monkeypatch, model, rng.normal(size=(count, 2)))
+    assert rows == blocks
+
+
+@pytest.mark.parametrize("count", BLOCKS)
+def test_blocked_binary_rbf_decision_has_one_shot_bits(monkeypatch, count):
+    rng = np.random.default_rng(14)
+    model = kernel_model(rng.normal(size=40), rng.normal(size=(40, 2)), b=-0.3, gamma=0.5)
+    X = rng.normal(scale=2.0, size=(count, 2))
+    values, _ = blocked(monkeypatch, model, X)
+    assert values.shape == (count,)
+    assert values.tobytes() == one_shot(model, X).tobytes()
+
+
+@pytest.mark.parametrize("count", BLOCKS)
+def test_blocked_three_class_rbf_decision_has_one_shot_bits(monkeypatch, count):
+    rng = np.random.default_rng(15)
+    sv = [rng.normal(size=(k, 3)) for k in (40, 17, 29)]
+    members = tuple(KernelModel(rng.normal(size=s.shape[0]), s, rng.normal(), 1.0,
+                                KernelSpec("rbf", gamma=0.25), 3) for s in sv)
+    ovr = OvrModel(("a", "b", "c"), members)
+    X = rng.normal(scale=2.0, size=(count, 3))
+    values, rows = blocked(monkeypatch, ovr, X)
+    assert rows == [r for r in BLOCKS[count] for _ in sv]  # one call per set and block
+    assert values.shape == (3, count)
+    assert values.tobytes() == np.vstack([one_shot(m, X) for m in members]).tobytes()
+
+
+@pytest.mark.parametrize("count", BLOCKS)
+def test_blocked_linear_decision_has_one_shot_bits(monkeypatch, count):
+    rng = np.random.default_rng(16)
+    model = LinearModel(rng.normal(size=5), rng.normal(), 1.0, C=1.0)
+    X = rng.normal(size=(count, 5))
+    values, rows = blocked(monkeypatch, model, X)
+    assert rows == []
+    assert values.tobytes() == one_shot(model, X).tobytes()
+
+
+def test_decision_memory_is_bounded_by_one_block():
+    """200 support vectors over 20 000 rows: the whole cross-Gram matrix
+    would take 32 MB, and one block's matrix and temporaries fit in
+    2 * CHUNK_BYTES."""
+    rng = np.random.default_rng(17)
+    model = KernelModel(rng.normal(size=200), rng.normal(size=(200, 5)), 0.1, 1.0,
+                        KernelSpec("rbf", gamma=0.5), 5)
+    X = rng.normal(size=(20_000, 5))
+    tracemalloc.start()
+    try:
+        values = decision_many(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * kernels.CHUNK_BYTES + values.nbytes + 2**18
