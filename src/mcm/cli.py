@@ -35,10 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate minimal-complexity hyperplane classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_flags(p, label_default=-1):
+    def add_data_flags(p):
         p.add_argument("--data", required=True, help="input dataset file")
         p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-        p.add_argument("--label-col", type=int, default=label_default,
+        p.add_argument("--label-col", type=int, default=-1,
                        help="CSV column holding the label (default: last)")
         p.add_argument("--header", action="store_true",
                        help="CSV file starts with a header row")
@@ -144,15 +144,6 @@ def _load_dataset(args) -> data_mod.Dataset:
     return data_mod.load_libsvm(args.data)
 
 
-def _lp_names(layout: formulations.McmLpLayout) -> list[str]:
-    prefix = "lam" if layout.variant == formulations.SOFT_KERNEL else "w"
-    names = [f"{prefix}{j + 1}" for j in range(layout.weight_cols.shape[0])]
-    names += ["b", "h"]
-    if layout.q_cols is not None:
-        names += [f"q{i + 1}" for i in range(layout.q_cols.shape[0])]
-    return names
-
-
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     dataset = _load_dataset(args)
@@ -165,7 +156,7 @@ def cmd_train(args) -> int:
         _, y_first = data_mod.binarize(dataset, classes[0])
         problem, layout = formulations.build_problem(dataset.samples, y_first, config)
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
-            handle.write(lp.write_lp_text(problem, _lp_names(layout)))
+            handle.write(lp.write_lp_text(problem, formulations.lp_names(layout, config)))
 
     model, results, outcome = data_mod.evaluate_fold(
         dataset.samples, dataset.labels, dataset.samples, dataset.labels, config)

@@ -47,21 +47,11 @@ class Dataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2:
-            self.samples = self.samples.reshape(len(self.labels), -1)
-        if self.samples.shape[0] != len(self.labels):
-            raise McmError(
-                f"{self.samples.shape[0]} rows for {len(self.labels)} labels")
+        if self.samples.ndim != 2 or self.samples.shape[0] != len(self.labels):
+            raise McmError(f"samples of shape {self.samples.shape} for {len(self.labels)} "
+                           f"labels, expected a 2-d array with one row per label")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise McmError("features must be finite")
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.samples.shape[1]
 
     def classes(self) -> list[str]:
         return list(dict.fromkeys(self.labels))
@@ -308,24 +298,25 @@ class CvReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
+    def sv_text(self, value: float) -> str:
+        """A support count as both text tables print it (n/a without SVs)."""
+        return f"{value:>8.1f}" if self.sv_applicable else f"{'n/a':>8}"
+
     def to_table(self) -> str:
         def h_text(h):
             return "undef" if h is None else f"{h:.4f}"
 
-        def sv_text(value):
-            return f"{value:>8.1f}" if self.sv_applicable else f"{'n/a':>8}"
-
         lines = [f"{'fold':>4}  {'accuracy':>8}  {'sv_count':>8}  {'h':>10}  {'seconds':>8}"]
         for f in self.folds:
             lines.append(
-                f"{f.fold:>4}  {f.accuracy:>8.4f}  {sv_text(f.sv_count)}  "
+                f"{f.fold:>4}  {f.accuracy:>8.4f}  {self.sv_text(f.sv_count)}  "
                 f"{h_text(f.h):>10}  {f.train_seconds:>8.3f}")
         stats = self.aggregates()
         lines.append(f"{'mean':>4}  {stats['accuracy_mean']:>8.4f}  "
-                     f"{sv_text(stats['sv_count_mean'])}  {h_text(stats['h_mean']):>10}  "
+                     f"{self.sv_text(stats['sv_count_mean'])}  {h_text(stats['h_mean']):>10}  "
                      f"{sum(f.train_seconds for f in self.folds):>8.3f}")
         lines.append(f"{'std':>4}  {stats['accuracy_std']:>8.4f}  "
-                     f"{sv_text(stats['sv_count_std'])}  {h_text(stats['h_std']):>10}")
+                     f"{self.sv_text(stats['sv_count_std'])}  {h_text(stats['h_std']):>10}")
         return "\n".join(lines) + "\n"
 
 
@@ -477,8 +468,8 @@ class GridResult:
                 lines.append(f"{cell.C:>12.6g}  {gamma:>12}  {'ERROR':>8}  {cell.error}")
             else:
                 stats = cell.report.aggregates()
-                lines.append(f"{cell.C:>12.6g}  {gamma:>12}  "
-                             f"{stats['accuracy_mean']:>8.4f}  {stats['sv_count_mean']:>8.1f}")
+                lines.append(f"{cell.C:>12.6g}  {gamma:>12}  {stats['accuracy_mean']:>8.4f}  "
+                             f"{cell.report.sv_text(stats['sv_count_mean'])}")
         best = self.best_cell
         gamma = "-" if best.gamma is None else f"{best.gamma:.6g}"
         lines.append(f"best: C={best.C:.6g} gamma={gamma} "

@@ -61,26 +61,21 @@ class McmLpLayout:
     and slacks q for the soft variants; ``scores`` holds the rows s_i the
     weights multiply (the samples, or the training Gram matrix)."""
 
-    variant: str
     scores: np.ndarray
     weight_cols: np.ndarray
     b_col: int
     h_col: int
     q_cols: np.ndarray | None
 
-    def weights(self, solution: lp.LpSolution) -> np.ndarray:
-        return solution.primal_values[self.weight_cols]
 
-    def offset(self, solution: lp.LpSolution) -> float:
-        return float(solution.primal_values[self.b_col])
-
-    def ratio_bound(self, solution: lp.LpSolution) -> float:
-        return float(solution.primal_values[self.h_col])
-
-    def slacks(self, solution: lp.LpSolution) -> np.ndarray | None:
-        if self.q_cols is None:
-            return None
-        return solution.primal_values[self.q_cols]
+def lp_names(layout: McmLpLayout, config: TrainConfig) -> list[str]:
+    """The LP's column names in the layout's order: w1... (lam1... for the
+    kernel variant), b, h, then q1... for the soft variants."""
+    prefix = "lam" if config.variant == SOFT_KERNEL else "w"
+    names = [f"{prefix}{j + 1}" for j in range(layout.weight_cols.size)] + ["b", "h"]
+    if layout.q_cols is not None:
+        names += [f"q{i + 1}" for i in range(layout.q_cols.size)]
+    return names
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -109,10 +104,13 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     y = _check_labels(labels)
     if y.shape != (X.shape[0],):
         raise McmError(f"{y.size} labels for {X.shape[0]} samples")
-    scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
-    M, n_weights = scores.shape
+    M = X.shape[0]
+    n_weights = M if config.variant == SOFT_KERNEL else X.shape[1]
     with_slack = config.variant != HARD_LINEAR
     n_cols = n_weights + 2 + (M if with_slack else 0)
+    # lp.solve's phase-1 shape: one slack per row, one artificial per floor row
+    lp.check_budget(2 * M, n_cols + 3 * M)
+    scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
 
     objective = np.zeros(n_cols)
     objective[n_weights + 1] = 1.0
@@ -131,7 +129,6 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
         np.arange(n_cols) < n_weights + 2,  # weights, b and h are free
     )
     layout = McmLpLayout(
-        variant=config.variant,
         scores=scores,
         weight_cols=np.arange(n_weights),
         b_col=n_weights,
@@ -145,10 +142,11 @@ def extract_linear(solution: lp.LpSolution, layout: McmLpLayout,
                    config: TrainConfig) -> LinearModel:
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise McmError(f"solution status is {solution.status.value}")
+    x = solution.primal_values
     return LinearModel(
-        w=layout.weights(solution).copy(),
-        b=layout.offset(solution),
-        h=layout.ratio_bound(solution),
+        w=x[layout.weight_cols],
+        b=float(x[layout.b_col]),
+        h=float(x[layout.h_col]),
         C=None if config.variant == HARD_LINEAR else config.C,
     )
 
@@ -168,8 +166,8 @@ def extract_kernel(solution: lp.LpSolution, layout: McmLpLayout,
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise McmError(f"solution status is {solution.status.value}")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-    lam_full = layout.weights(solution)
-    b = layout.offset(solution)
+    x = solution.primal_values
+    lam_full = x[layout.weight_cols]
     cutoff = max(SV_RELATIVE_TOL * float(np.abs(lam_full).max(initial=0.0)),
                  SV_ABSOLUTE_TOL)
     while True:
@@ -181,10 +179,10 @@ def extract_kernel(solution: lp.LpSolution, layout: McmLpLayout,
             break
         cutoff /= 16.0
     return KernelModel(
-        lam=lam_full[keep].copy(),
-        support_vectors=X[keep].copy(),
-        b=b,
-        h=layout.ratio_bound(solution),
+        lam=lam_full[keep],
+        support_vectors=X[keep],
+        b=float(x[layout.b_col]),
+        h=float(x[layout.h_col]),
         kernel=config.kernel,
         n=X.shape[1],
         C=config.C,

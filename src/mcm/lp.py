@@ -450,13 +450,25 @@ def _seed_basis(A: np.ndarray, flip: np.ndarray, free: np.ndarray,
     return basis, sign
 
 
+def check_budget(rows: int, columns: int) -> None:
+    """Raise McmError when a phase-1 tableau of ``rows`` rows and ``columns``
+    columns (slacks and artificials included) and its originals would take
+    more than _MAX_TABLEAU_BYTES together."""
+    # the tableau [A0 | b0] and its originals A0 and b0 take the same bytes
+    nbytes = 8 * rows * (columns + 1)
+    if 2 * nbytes > _MAX_TABLEAU_BYTES:
+        raise McmError(f"an LP of {rows} rows and {columns} columns needs {nbytes} bytes "
+                       f"for its phase-1 tableau and {nbytes} for its originals, over "
+                       f"the budget of {_MAX_TABLEAU_BYTES} bytes")
+
+
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve to a basic optimal solution, or certify infeasibility/unboundedness.
 
     max_iterations caps the pivots of both phases together (None: 50 times
     the standardized rows plus columns); running out gives ITERATION_LIMIT.
-    Raises McmError, before allocating either, when the phase-1 tableau and
-    its originals would take more than _MAX_TABLEAU_BYTES together.
+    Raises McmError (``check_budget``) before allocating the phase-1 tableau
+    or its originals.
     """
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
@@ -471,12 +483,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     needs_artificial = (basis < 0).nonzero()[0]
     n_art = needs_artificial.size
     basis[needs_artificial] = n + np.arange(n_art)
-    # the tableau [A0 | b0] and its originals A0 and b0 take the same bytes
-    nbytes = 8 * m * (n + n_art + 1)
-    if 2 * nbytes > _MAX_TABLEAU_BYTES:
-        raise McmError(f"an LP of {m} rows and {n + n_art} columns needs {nbytes} bytes "
-                       f"for its phase-1 tableau and {nbytes} for its originals, over "
-                       f"the budget of {_MAX_TABLEAU_BYTES} bytes")
+    check_budget(m, n + n_art)
     A0 = np.zeros((m, n + n_art))  # the flipped [A | artificials]: the originals
     np.multiply(A, flip[:, None], out=A0[:, :n])
     A0[needs_artificial, basis[needs_artificial]] = 1.0

@@ -135,8 +135,8 @@ def test_criterion_6_support_vector_sparsity():
     M = X.shape[0]
     assert model.sv_count < M  # strictly sparser than the sample count
 
-    lam_full = layout.weights(solution)
-    b = layout.offset(solution)
+    lam_full = solution.primal_values[layout.weight_cols]
+    b = solution.primal_values[layout.b_col]
     full = gram(config.kernel, X) @ lam_full + b
     pruned = decision_many(model, X)
     assert np.array_equal(full >= 0.0, pruned >= 0.0)  # sign-exact agreement
@@ -222,7 +222,7 @@ HEART_PATH = os.environ.get("MCM_HEART_STATLOG", "")
                            "(270 rows, 13 numeric features, label last)")
 def test_criterion_8_heart_statlog_accuracy():
     dataset = data_mod.load_csv(HEART_PATH, label_column=-1)
-    assert dataset.n_samples == 270 and dataset.n_features == 13
+    assert dataset.samples.shape == (270, 13)
     plan = data_mod.make_folds(dataset.labels, k=5, seed=42)
     configs = [formulations.TrainConfig("soft-linear", C=C) for C in data_mod.DEFAULT_C_GRID]
     result = data_mod.grid_search(dataset, configs, plan, scale=True)

@@ -243,6 +243,63 @@ def test_predict_libsvm_pads_missing_tail(tmp_path, capsys):
     assert out.splitlines() == ["1", "-1"]
 
 
+def test_predict_libsvm_pads_a_narrow_query_and_refuses_a_wide_one(tmp_path, capsys):
+    xor = write(tmp_path, "xor.csv", XOR_CSV)
+    model_path = str(tmp_path / "xor.mcm.json")
+    run(capsys, "train", "--data", xor, "--variant", "kernel", "--kernel", "rbf",
+        "--gamma", "1", "--C", "1e4", "--out", model_path)
+    # no index above 1: one feature, padded to the model's two
+    narrow = write(tmp_path, "narrow.svm", "0 1:1.0\n0 1:0.0\n")
+    dense = write(tmp_path, "dense.csv", "1.0,0.0\n0.0,0.0\n")
+    code, out, _ = run(capsys, "predict", "--model", model_path, "--data", narrow,
+                       "--format", "libsvm", "--scores")
+    assert code == 0
+    assert (code, out) == run(capsys, "predict", "--model", model_path, "--data", dense,
+                              "--scores")[:2]
+    wide = write(tmp_path, "wide.svm", "0 1:1.0 3:1.0\n")
+    assert run(capsys, "predict", "--model", model_path, "--data", wide,
+               "--format", "libsvm") == (1, "", "error: 3 features, model expects 2\n")
+
+
+def test_predict_with_a_binary_model_file(tmp_path, capsys):
+    model_path = str(tmp_path / "binary.mcm.json")
+    save_model(LinearModel(w=np.array([1.0, 0.0]), b=-0.5, h=2.0), model_path)
+    query = write(tmp_path, "q.csv", "0,0\n1,0\n2.5,3\n")
+    assert run(capsys, "predict", "--model", model_path, "--data", query) == (
+        0, "-1\n1\n1\n", "")
+    assert run(capsys, "predict", "--model", model_path, "--data", query, "--scores") == (
+        0, "-1\t-0.5\n1\t0.5\n1\t2.0\n", "")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--variant", "soft-linear", "--C", "1"),
+    ("--variant", "kernel", "--kernel", "rbf", "--gamma", "0.5", "--C", "1"),
+], ids=["soft-linear", "rbf"])
+def test_libsvm_input_trains_and_cross_validates_as_csv(tmp_path, capsys, flags):
+    rows = [((0.0, 0.0), "a"), ((0.0, 1.5), "a"), ((0.5, 2.0), "a"),
+            ((3.0, 0.0), "b"), ((3.0, 1.0), "b"), ((3.5, 2.5), "b")]
+    paths = {
+        "csv": write(tmp_path, "d.csv", "".join(
+            f"{x!r},{y!r},{label}\n" for (x, y), label in rows)),
+        "libsvm": write(tmp_path, "d.svm", "".join(
+            " ".join([label] + [f"{j + 1}:{v!r}" for j, v in enumerate(x) if v]) + "\n"
+            for x, label in rows)),
+    }
+    outputs = {}
+    for fmt, path in paths.items():
+        model_path = tmp_path / f"{fmt}.mcm.json"
+        code, out, _ = run(capsys, "train", "--format", fmt, "--data", path, *flags,
+                           "--out", str(model_path))
+        assert code == 0
+        report = json.loads(out)
+        del report["train_seconds"]
+        code, cv_out, _ = run(capsys, "cv", "--format", fmt, "--data", path, *flags,
+                              "--folds", "3", "--json")
+        assert code == 0
+        outputs[fmt] = (model_path.read_bytes(), report, cv_out)
+    assert outputs["libsvm"] == outputs["csv"]
+
+
 def test_cv_table_and_json(tmp_path, capsys):
     data = blob_csv(tmp_path, "blobs.csv")
     code, table, _ = run(capsys, "cv", "--data", data, "--variant", "soft-linear",
@@ -558,6 +615,29 @@ def test_dump_lp_round_trips(tmp_path, capsys):
     solution = lp.solve(reparsed)
     assert solution.status is lp.LpStatus.OPTIMAL
     assert solution.objective_value == pytest.approx(reported, abs=1e-6)
+
+
+@pytest.mark.parametrize("flags, names", [
+    (("--variant", "hard-linear"), "w1 w2 b h"),
+    (("--variant", "soft-linear", "--C", "1"), "w1 w2 b h q1 q2 q3 q4"),
+    (("--variant", "kernel", "--kernel", "rbf", "--gamma", "1", "--C", "1"),
+     "lam1 lam2 lam3 lam4 b h q1 q2 q3 q4"),
+    (("--variant", "kernel", "--kernel", "poly", "--degree", "2", "--C", "1"),
+     "lam1 lam2 lam3 lam4 b h q1 q2 q3 q4"),
+], ids=["hard-linear", "soft-linear", "rbf", "poly"])
+def test_dump_lp_column_names(tmp_path, capsys, flags, names):
+    data = write(tmp_path, "d.csv", "0,0,-1\n0,1,-1\n3,0,1\n3,1,1\n")
+    lp_path = tmp_path / "dump.lp"
+    code, _, _ = run(capsys, "train", "--data", data, *flags,
+                     "--out", str(tmp_path / "m.json"), "--dump-lp", str(lp_path))
+    assert code == 0
+    lines = lp_path.read_text().splitlines()
+    # the free columns (weights, b, h) in column order, then the objective's
+    # slacks after h
+    free = [line.split()[0] for line in lines[lines.index("Bounds") + 1:-1]]
+    objective = lines[1].split()[2::3]
+    assert objective[0] == "h"
+    assert " ".join(free + objective[1:]) == names
 
 
 def query_csv(tmp_path, rows=50, seed=54):

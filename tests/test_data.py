@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def test_load_csv_header(tmp_path):
     path = write(tmp_path, "t.csv", "f1,f2,label\n1.0,2.0,A\n3.0,4.0,B\n")
     ds = data_mod.load_csv(path, label_column=2, has_header=True)
     assert ds.feature_names == ["f1", "f2"]
-    assert ds.n_samples == 2
+    assert ds.samples.shape[0] == 2
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
@@ -170,6 +172,25 @@ def test_load_libsvm_bad_pair(tmp_path):
     path = write(tmp_path, "t.svm", "+1 1:abc\n")
     with pytest.raises(ParseError):
         data_mod.load_libsvm(path)
+
+
+@pytest.mark.parametrize("samples, labels", [
+    (np.arange(6.0), ["a", "b", "c"]),          # 1-d: was reshaped to 3 x 2
+    (np.zeros((1, 2, 3)), ["a"]),               # 3-d: was reshaped to 1 x 6
+    (np.arange(6.0), ["a", "b", "c", "d"]),     # escaped as numpy's ValueError
+    (np.zeros((3, 2)), ["a", "b"]),
+], ids=["1-d", "3-d", "1-d-uneven", "rows-mismatch"])
+def test_dataset_requires_one_2d_row_per_label(samples, labels):
+    shape = np.asarray(samples).shape
+    with pytest.raises(McmError, match=(rf"^samples of shape {re.escape(str(shape))} for "
+                                        rf"{len(labels)} labels, expected a 2-d array "
+                                        r"with one row per label$")):
+        data_mod.Dataset(samples, labels)
+
+
+def test_dataset_of_an_empty_file_loads(tmp_path):
+    ds = data_mod.load_csv(write(tmp_path, "empty.csv", ""))
+    assert ds.samples.shape == (0, 0) and ds.labels == []
 
 
 # --- binarize / scaling ---
@@ -607,6 +628,39 @@ def test_grid_report_reads_its_cells(monkeypatch):
         if report is not None:
             stats = report.to_json_dict()
             assert [cell[key] for key in CELL_KEYS[3:]] == [stats[key] for key in CELL_KEYS[3:]]
+
+
+def test_grid_table_soft_linear_has_no_sv_count():
+    ds = blob_dataset(np.random.default_rng(41), m=18, gap=2.0, noise_flips=2)
+    plan = data_mod.make_folds(ds.labels, k=3, seed=4)
+    result = data_mod.grid_search(ds, soft_linear_grid(0.5, 4.0), plan)
+    assert result.to_table() == (
+        "           C         gamma  accuracy  sv_count\n"
+        "         0.5             -    0.7778       n/a\n"
+        "           4             -    0.8889       n/a\n"
+        "best: C=4 gamma=- accuracy=0.8889\n")
+    assert result.cells[0].report.to_table().splitlines()[1].split()[2] == "n/a"
+
+
+def test_grid_table_rbf_with_a_failing_cell(monkeypatch):
+    ds = blob_dataset(np.random.default_rng(41), m=18, gap=2.0, noise_flips=2)
+    plan = data_mod.make_folds(ds.labels, k=3, seed=4)
+    real_cross_validate = data_mod.cross_validate
+
+    def failing_at_16_2(dataset, config, plan, scale=False):
+        if (config.C, config.kernel.gamma) == (16.0, 2.0):
+            raise McmError("fold 1: injected failure")
+        return real_cross_validate(dataset, config, plan, scale)
+
+    monkeypatch.setattr(data_mod, "cross_validate", failing_at_16_2)
+    result = data_mod.grid_search(ds, rbf_grid((1.0, 16.0), (0.125, 2.0)), plan)
+    assert result.to_table() == (
+        "           C         gamma  accuracy  sv_count\n"
+        "           1         0.125    0.7778      11.3\n"
+        "           1             2    0.6667      11.0\n"
+        "          16         0.125    0.7778      11.3\n"
+        "          16             2     ERROR  fold 1: injected failure\n"
+        "best: C=1 gamma=0.125 accuracy=0.7778\n")
 
 
 def test_default_grids_match_protocol_sizes():

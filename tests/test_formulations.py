@@ -47,6 +47,45 @@ def test_layout_covers_columns():
 
 
 @pytest.mark.parametrize("config", [
+    HARD, soft(0.3),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("rbf", gamma=0.5)),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("poly", degree=2)),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("linear")),
+], ids=["hard-linear", "soft-linear", "rbf", "poly", "linear-kernel"])
+def test_build_problem_checks_the_budget_lp_solve_checks(monkeypatch, config):
+    # the phase-1 shape build_problem predicts is the one lp.solve counts,
+    # a zero feature included
+    rng = np.random.default_rng(27)
+    X = rng.normal(size=(9, 3))
+    X[:, 1] = 0.0
+    y = rng.permutation([-1.0] * 4 + [1.0] * 5)
+    real_check = lp.check_budget
+    calls = []
+
+    def recording(rows, columns):
+        calls.append((rows, columns))
+        real_check(rows, columns)
+
+    monkeypatch.setattr(lp, "check_budget", recording)
+    problem, _ = formulations.build_problem(X, y, config)
+    lp.solve(problem)  # checked before phase 1, feasible or not
+    assert len(calls) == 2 and calls[0] == calls[1]
+
+
+def test_over_budget_fit_is_refused_before_its_gram_matrix(monkeypatch):
+    X, y = oracles.blobs(0, 30, 2, 1.0)
+    config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5))
+    problem, _ = formulations.build_problem(X, y, config)
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 1)
+    with pytest.raises(McmError, match="^an LP of 60 rows and ") as solved:
+        lp.solve(problem)
+    monkeypatch.setattr(formulations, "gram", None)  # no kernel may be evaluated
+    with pytest.raises(McmError) as trained:
+        formulations.train(X, y, config)
+    assert str(trained.value) == str(solved.value)
+
+
+@pytest.mark.parametrize("config", [
     HARD, soft(0.3), formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("rbf", gamma=0.5)),
 ], ids=lambda config: config.variant)
 def test_build_problem_matches_per_sample_reference(config):
@@ -119,9 +158,9 @@ def test_soft_linear_large_c_recovers_hard_margin():
     problem, layout = formulations.build_problem(SIX_POINTS, SIX_LABELS, soft(1e6))
     solution = lp.solve(problem)
     assert solution.status is lp.LpStatus.OPTIMAL
-    slacks = layout.slacks(solution)
+    slacks = solution.primal_values[layout.q_cols]
     assert np.all(slacks <= 1e-6)
-    assert layout.ratio_bound(solution) == pytest.approx(hard.model.h, abs=1e-4)
+    assert solution.primal_values[layout.h_col] == pytest.approx(hard.model.h, abs=1e-4)
 
 
 def test_soft_linear_always_feasible():
@@ -131,9 +170,9 @@ def test_soft_linear_always_feasible():
         problem, layout = formulations.build_problem(X, y, soft(C))
         solution = lp.solve(problem)
         assert solution.status is lp.LpStatus.OPTIMAL
-        w = layout.weights(solution)
-        b = layout.offset(solution)
-        q = layout.slacks(solution)
+        w = solution.primal_values[layout.weight_cols]
+        b = solution.primal_values[layout.b_col]
+        q = solution.primal_values[layout.q_cols]
         assert np.all(y * (X @ w + b) + q >= 1.0 - 1e-8)
 
 
@@ -150,7 +189,7 @@ def test_soft_linear_slack_lands_on_mislabeled_point():
     problem, layout = formulations.build_problem(X, flipped, soft(1.0))
     solution = lp.solve(problem)
     assert solution.status is lp.LpStatus.OPTIMAL
-    q = layout.slacks(solution)
+    q = solution.primal_values[layout.q_cols]
     assert q[3] > 1.0 - 1e-6  # the flipped point needs slack to cross the margin
     # at small C a whiff of slack may leak onto minimum-margin points (the
     # slack also appears in the h constraint); it stays two orders smaller
@@ -158,7 +197,7 @@ def test_soft_linear_slack_lands_on_mislabeled_point():
     # a larger penalty isolates the slack exactly
     problem10, layout10 = formulations.build_problem(X, flipped, soft(10.0))
     solution10 = lp.solve(problem10)
-    q10 = layout10.slacks(solution10)
+    q10 = solution10.primal_values[layout10.q_cols]
     assert q10[3] > 1.0 - 1e-6
     assert np.all(np.delete(q10, 3) <= 1e-6)
     # cross-check the optimum by solving the standardized form
@@ -195,8 +234,8 @@ def test_kernel_pruning_preserves_training_decisions():
     problem, layout = formulations.build_problem(X, y, config)
     solution = lp.solve(problem)
     model = formulations.extract_kernel(solution, layout, config, X)
-    lam_full = layout.weights(solution)
-    b = layout.offset(solution)
+    lam_full = solution.primal_values[layout.weight_cols]
+    b = solution.primal_values[layout.b_col]
     K = gram(KernelSpec("rbf", gamma=1.0), X)
     full = K @ lam_full + b
     pruned = decision_many(model, X)
@@ -339,7 +378,7 @@ def test_total_slack_nonincreasing_in_c():
         problem, layout = formulations.build_problem(X, noisy, soft(C))
         solution = lp.solve(problem)
         assert solution.status is lp.LpStatus.OPTIMAL
-        totals.append(float(layout.slacks(solution).sum()))
+        totals.append(float(solution.primal_values[layout.q_cols].sum()))
     for earlier, later in zip(totals, totals[1:]):
         assert later <= earlier + 1e-9
 
