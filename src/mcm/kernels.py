@@ -173,11 +173,13 @@ def _square(Xt, Yt, f: int, out: np.ndarray) -> np.ndarray:
 
 
 def gram(kernel: KernelSpec, samples) -> np.ndarray:
-    """Full M x M kernel matrix; the upper triangle is mirrored so the result
-    is exactly symmetric, and the rbf diagonal is exactly one."""
+    """Full M x M kernel matrix; the upper triangle is mirrored in place so
+    the result is exactly symmetric, and the rbf diagonal is exactly one."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     entries = cross_gram(kernel, samples, samples)
-    entries = np.triu(entries) + np.triu(entries, 1).T
+    for i in range(1, entries.shape[0]):
+        entries[i, :i] = entries[:i, i]
+    entries += 0.0  # -0.0 reads +0.0, as in the sum triu(K) + triu(K, 1).T
     if kernel.kind == RBF:
         np.fill_diagonal(entries, 1.0)
     return entries

@@ -5,7 +5,9 @@ An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
 boolean mask).  ``solve`` standardizes it (inequalities slacked), runs
 phase 1 with artificial variables where no slack can seed the basis, then
 phase 2 on the original costs.  Each phase's tableau is one allocation:
-C-ordered in phase 1, a Fortran-ordered column selection of it in phase 2.
+C-ordered in phase 1, a Fortran-ordered column selection of it in phase 2,
+which releases phase 1's.  Beside it a solve holds one copy of the program,
+standardize's matrix flipped in place; artificial columns are built on the fly.
 A free variable keeps one tableau column and may enter in either direction:
 each basic variable carries a sign, and the tableau holds the basis matrix
 with its columns scaled by those signs.  This makes the same pivots, bit for
@@ -147,9 +149,11 @@ def standardize(problem: LpProblem) -> StandardForm:
 
 
 class _Tableau:
-    """Simplex state: T holds the rows of B^-1 [A | b], where column i of B
-    is the original column of basis[i] times sign[i].  The caller builds T
-    and passes the original (A, b), from which ``refactor`` rebuilds it.
+    """Simplex state: T holds the rows of B^-1 [A | artificials | b], where
+    column i of B is the original column of basis[i] times sign[i].  Column
+    A.shape[1] + k, an artificial, is the unit vector on row art_rows[k] (zero
+    once that row is dropped), built where needed, never stored.  ``refactor``
+    rebuilds T from the originals (A, b), as __init__ does when T is None.
 
     A free variable has one column and may be basic with either sign; every
     other basic variable has sign +1.  So a stored column always holds the
@@ -159,9 +163,11 @@ class _Tableau:
     """
 
     def __init__(self, T: np.ndarray, originals: tuple[np.ndarray, np.ndarray],
-                 basis: np.ndarray, sign: np.ndarray, free_cols: np.ndarray, n_orig: int):
-        self.T = T  # updated in place by pivot
+                 basis: np.ndarray, sign: np.ndarray, free_cols: np.ndarray, n_orig: int,
+                 art_rows: np.ndarray = np.empty(0, dtype=int)):
         self.A0, self.b0 = originals
+        self.art_rows = art_rows  # each artificial's unit row; -1 once dropped
+        self.T = self._stacked() if T is None else T  # updated in place by pivot
         self.basis = basis
         self.sign = sign
         self.free_cols = free_cols  # ascending; all below n_orig
@@ -237,33 +243,44 @@ class _Tableau:
             self._norms[cols[:structural]] = np.einsum("ij,ij->j", body, body)
             self._norms[col] = 1.0
 
+    def _stacked(self) -> np.ndarray:
+        """A fresh C-ordered [A | artificials | b]: the originals as T's columns."""
+        n = self.A0.shape[1]
+        stacked = np.zeros((self.A0.shape[0], n + self.art_rows.size + 1))
+        stacked[:, :n], stacked[:, -1] = self.A0, self.b0
+        stacked[:, n:-1] = np.arange(stacked.shape[0])[:, None] == self.art_rows
+        return stacked
+
     def _basis_matrix(self) -> np.ndarray:
-        return self.A0[:, self.basis] * self.sign
+        n = self.A0.shape[1]
+        B = self.A0.take(self.basis, axis=1, mode="clip")  # artificials: overwritten below
+        art = (self.basis >= n).nonzero()[0]
+        B[:, art] = np.arange(B.shape[0])[:, None] == self.art_rows[self.basis[art] - n]
+        B *= self.sign
+        return B
 
     def refactor(self) -> bool | None:
         """Rebuild T from the original data: True once rebuilt, None if the
         basis matrix is singular (T is kept), False if the rebuilt T is
         non-finite (a drifted basis, not one to resume)."""
-        stacked = np.hstack([self.A0, self.b0[:, None]])
         try:
-            T = np.linalg.solve(self._basis_matrix(), stacked)
+            T = np.linalg.solve(self._basis_matrix(), self._stacked())
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(T)):
             return False
-        self.T = T
-        self._norms = None
-        rhs = self.T[:, -1]
-        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+        self.T, self._norms = T, None
+        T[(T[:, -1] < 0.0) & (T[:, -1] > -1e-11), -1] = 0.0
         return True
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop every row not listed in keep (redundant constraints)."""
+        dropped = ~np.isin(self.art_rows, keep)  # row -1: a zero column from now on
+        self.art_rows = np.where(dropped, -1, keep.searchsorted(self.art_rows))
         self.T = self.T[keep]
         self.basis = self.basis[keep]
         self.sign = self.sign[keep]
-        self.A0 = self.A0[keep]
-        self.b0 = self.b0[keep]
+        self.A0, self.b0 = self.A0[keep], self.b0[keep]
         self._norms = None
 
     def basic_values(self) -> np.ndarray:
@@ -452,9 +469,9 @@ def _seed_basis(A: np.ndarray, flip: np.ndarray, free: np.ndarray,
 
 def check_budget(rows: int, columns: int) -> None:
     """Raise McmError when a phase-1 tableau of ``rows`` rows and ``columns``
-    columns (slacks and artificials included) and its originals would take
-    more than _MAX_TABLEAU_BYTES together."""
-    # the tableau [A0 | b0] and its originals A0 and b0 take the same bytes
+    columns (slacks and artificials included), counted twice, would take more
+    than _MAX_TABLEAU_BYTES.  A solve holds it, the flipped standardized matrix
+    and, at the switch, the phase-2 copy: on linear_cv's LPs 25% above that."""
     nbytes = 8 * rows * (columns + 1)
     if 2 * nbytes > _MAX_TABLEAU_BYTES:
         raise McmError(f"an LP of {rows} rows and {columns} columns needs {nbytes} bytes "
@@ -468,7 +485,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     max_iterations caps the pivots of both phases together (None: 50 times
     the standardized rows plus columns); running out gives ITERATION_LIMIT.
     Raises McmError (``check_budget``) before allocating the phase-1 tableau
-    or its originals.
+    or flipping the standardized matrix into its originals.
     """
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
@@ -484,11 +501,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     n_art = needs_artificial.size
     basis[needs_artificial] = n + np.arange(n_art)
     check_budget(m, n + n_art)
-    A0 = np.zeros((m, n + n_art))  # the flipped [A | artificials]: the originals
-    np.multiply(A, flip[:, None], out=A0[:, :n])
-    A0[needs_artificial, basis[needs_artificial]] = 1.0
-    b0, free_cols = b * flip, free.nonzero()[0]
-    tab = _Tableau(np.hstack([A0, b0[:, None]]), (A0, b0), basis, sign, free_cols, n_orig)
+    np.multiply(A, flip[:, None], out=A)  # standardize's own copy: now the originals
+    tab = _Tableau(None, (A, b * flip), basis, sign, free.nonzero()[0], n_orig, needs_artificial)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
     status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
     assert status is not LpStatus.UNBOUNDED  # phase 1 is bounded below by 0
@@ -503,8 +517,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     # phase 2 on the structural columns and the rhs, a Fortran-ordered copy
     keep = np.append(np.arange(n), tab.T.shape[1] - 1)
-    tab2 = _Tableau(tab.T[:, keep], (tab.A0[:, :n], tab.b0), tab.basis, tab.sign,
-                    free_cols, n_orig)
+    tab2 = _Tableau(tab.T[:, keep], (tab.A0, tab.b0), tab.basis, tab.sign, tab.free_cols, n_orig)
+    del tab  # the phase-1 tableau, once phase 2's copy exists
     status, phase2 = _run_simplex(tab2, c, budget - phase1)
     phases = (phase1, phase2)
     if status is not LpStatus.OPTIMAL:

@@ -198,3 +198,30 @@ def test_chunked_rbf_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < out_bytes + 4 * kernels.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("poly", degree=3, coef0=0.0),
+                                  KernelSpec(RBF, gamma=0.5)], ids=["linear", "poly", "rbf"])
+def test_gram_mirror_has_the_bits_of_the_triangle_sum(spec):
+    # p.q = -1.5e-200 underflows to -0.0 when cubed: the sum of the triangles
+    # reads it as +0.0, in both triangles
+    X = np.array([[1e-200, 0.0], [-1e-200, -0.0], [0.5, -2.0], [1.5, 0.25], [-1.0, 3.0]])
+    entries = cross_gram(spec, X, X)
+    if spec.kind == "poly":
+        assert np.signbit(np.triu(entries, 1)[entries == 0.0]).any()
+    expected = np.triu(entries) + np.triu(entries, 1).T
+    if spec.kind == RBF:
+        np.fill_diagonal(expected, 1.0)
+    assert gram(spec, X).tobytes() == expected.tobytes()
+
+
+def test_gram_peak_memory_is_the_matrix_and_one_chunk():
+    X = np.random.default_rng(16).normal(size=(1000, 5))
+    tracemalloc.start()
+    try:
+        gram(KernelSpec(RBF, gamma=0.5), X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the triangle sum held three more M x M temporaries (23.8 MiB here)
+    assert peak < 8 * 1000 * 1000 + 2 * kernels.CHUNK_BYTES

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,3 +510,127 @@ def test_phase_iterations_split_the_pivot_count(monkeypatch):
     assert infeasible.status is lp.LpStatus.INFEASIBLE
     assert infeasible.phase_iterations[1] == 0
     assert infeasible.iterations == infeasible.phase_iterations[0]
+
+
+def test_solve_leaves_its_problem_unchanged():
+    from mcm import formulations
+
+    X, y = _two_blobs(np.random.default_rng(41), 30, 2, 1.0)
+    soft, _ = formulations.build_problem(X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    # negative right-hand sides: solve flips these rows in its own copy
+    flipped = oracles.make_problem(
+        [1.0, -1.0],
+        [([1.0, 2.0], ">=", -1.0), ([-1.0, 1.0], "<=", -0.5), ([1.0, 1.0], "=", 2.0)],
+        ["free", "nonneg"])
+    problems = [soft, flipped]
+    for problem in problems:
+        before = [problem.A.tobytes(), problem.rhs.tobytes(), problem.objective.tobytes()]
+        assert lp.solve(problem).status is lp.LpStatus.OPTIMAL
+        assert [problem.A.tobytes(), problem.rhs.tobytes(), problem.objective.tobytes()] == before
+
+
+def _flipped_originals(problem):
+    """The flipped standardized [A | artificials] and b of problem, built in
+    full: the originals the tableau rebuilds its artificial columns of."""
+    std = lp.standardize(problem).problem
+    m, n = std.A.shape
+    flip = np.where(std.rhs < 0, -1.0, 1.0)
+    rows = (lp._seed_basis(std.A, flip, std.free, problem.n_vars)[0] < 0).nonzero()[0]
+    full = np.zeros((m, n + rows.size))
+    full[:, :n] = std.A * flip[:, None]
+    full[rows, n + np.arange(rows.size)] = 1.0
+    return full, std.rhs * flip, n
+
+
+def _compare_to_flipped_originals(problem, monkeypatch) -> list[tuple]:
+    """Solve problem, checking at every refactor and row drop that the basis
+    matrix and the rebuilt tableau have the bits of the full flipped
+    originals' (rows dropped, the tableau's columns kept); return (event,
+    tableau width, an artificial is basic) of each check."""
+    full, b0, n = _flipped_originals(problem)
+    kept = [np.arange(full.shape[0])]
+    checks = []
+    refactor, keep_rows = lp._Tableau.refactor, lp._Tableau.keep_rows
+
+    def check(tab, event):
+        A = full[kept[0]][:, :tab.T.shape[1] - 1]
+        B = A[:, tab.basis] * tab.sign
+        T = np.linalg.solve(B, np.hstack([A, b0[kept[0], None]]))
+        T[(T[:, -1] < 0.0) & (T[:, -1] > -1e-11), -1] = 0.0
+        assert tab._basis_matrix().tobytes() == B.tobytes()
+        probe = copy.copy(tab)
+        assert refactor(probe) is True
+        assert probe.T.tobytes() == T.tobytes()
+        checks.append((event, tab.T.shape[1], bool((tab.basis >= n).any())))
+
+    def checked_refactor(tab):
+        check(tab, "refactor")
+        return refactor(tab)
+
+    def checked_keep_rows(tab, keep):
+        keep_rows(tab, keep)
+        kept[0] = kept[0][keep]
+        check(tab, "drop")
+
+    monkeypatch.setattr(lp._Tableau, "refactor", checked_refactor)
+    monkeypatch.setattr(lp._Tableau, "keep_rows", checked_keep_rows)
+    assert lp.solve(problem).status is lp.LpStatus.OPTIMAL
+    return checks
+
+
+def test_refactors_match_the_flipped_originals(monkeypatch):
+    from mcm import formulations
+
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 10)
+    X, y = _two_blobs(np.random.default_rng(37), 40, 1, 1.0)
+    problem, _ = formulations.build_problem(
+        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    n = lp.standardize(problem).problem.A.shape[1]
+    checks = _compare_to_flipped_originals(problem, monkeypatch)
+    # phase 1 (43 pivots) with artificials still basic, then phase 2 (11)
+    assert ("refactor", n + 40 + 1, True) in checks
+    assert ("refactor", n + 1, False) in checks
+
+
+def test_dropped_rows_match_the_flipped_originals(monkeypatch):
+    # the second row repeats the first, so one of their artificials stays
+    # basic on a row with no structural entry, and that row is dropped; the
+    # third row's artificial moves up a row, the dropped one's has none
+    problem = oracles.make_problem(
+        [1.0, 2.0],
+        [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0), ([1.0, -1.0], "=", 0.0),
+         ([1.0, 0.0], "<=", 5.0)],
+        ["nonneg"] * 2)
+    drops = []
+    keep_rows = lp._Tableau.keep_rows
+
+    def recording(tab, keep):
+        keep_rows(tab, keep)
+        drops.append(tab.art_rows.tolist())
+
+    monkeypatch.setattr(lp._Tableau, "keep_rows", recording)
+    checks = _compare_to_flipped_originals(problem, monkeypatch)
+    assert checks == [("drop", 2 + 1 + 3 + 1, False)]
+    assert len(drops) == 1 and -1 in drops[0] and sorted(drops[0])[1:] == [0, 1]
+
+
+def test_solve_holds_one_copy_of_the_program():
+    # one linear_cv fold's shape: 192 samples of 5 features, soft-linear
+    from mcm import formulations
+
+    X, y = oracles.blobs(3, 192, 5, 2.0)
+    problem, _ = formulations.build_problem(
+        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    full, _, n = _flipped_originals(problem)
+    m, n_art = full.shape[0], full.shape[1] - n
+    del full
+    tracemalloc.start()
+    try:
+        solution = lp.solve(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.status is lp.LpStatus.OPTIMAL
+    # the phase-1 tableau, the flipped standardized matrix and the phase-2
+    # copy, plus two m x m arrays for the final basis solve
+    assert peak <= 8 * m * ((n + n_art + 1) + n + (n + 1)) + 16 * m * m
