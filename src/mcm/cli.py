@@ -151,15 +151,14 @@ def cmd_train(args) -> int:
     if len(classes) < 2:
         raise McmError("training data contains a single class")
 
-    if args.dump_lp:
-        # for multi-class data this is the first one-versus-rest member's LP
-        _, y_first = data_mod.binarize(dataset, classes[0])
-        problem, layout = formulations.build_problem(dataset.samples, y_first, config)
+    def dump_lp(problem, layout):
+        # the first solve's LP: for multi-class data, the first class's member
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
             handle.write(lp.write_lp_text(problem, formulations.lp_names(layout, config)))
 
     model, results, outcome = data_mod.evaluate_fold(
-        dataset.samples, dataset.labels, dataset.samples, dataset.labels, config)
+        dataset.samples, dataset.labels, dataset.samples, dataset.labels, config,
+        on_problem=dump_lp if args.dump_lp else None)
     save_model(model, args.out)
     report = {
         "report_version": data_mod.REPORT_VERSION,

@@ -38,6 +38,9 @@ REPORT_VERSION = 1
 DEFAULT_C_GRID = tuple(float(2.0 ** e) for e in range(-5, 16, 2))
 DEFAULT_GAMMA_GRID = tuple(float(2.0 ** e) for e in range(-15, 4, 2))
 
+# lines of a CSV file that read_csv converts at once
+CSV_BLOCK_LINES = 1024
+
 
 @dataclass
 class Dataset:
@@ -63,16 +66,20 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
     `label_column` holds the raw string label (negative counts from the end);
     None means every column is a feature and labels is None.  Every other
     cell must be a finite number; errors name the line and 1-based column of
-    the first bad cell in file order."""
+    the first bad cell in file order.  Beside the file's lines the parse
+    holds one block of CSV_BLOCK_LINES lines' cells at a time."""
     with open(path, "r", encoding="utf-8") as handle:
-        rows = [(number, line)
-                for number, line in enumerate(handle.read().splitlines(), start=1)
-                if line.strip()]
-    header = rows.pop(0)[1].split(",") if has_header and rows else None
-    if not rows:
+        lines = handle.read().splitlines()
+    nonblank = (i for i, line in enumerate(lines) if line.strip())
+    first = next(nonblank, None)
+    header = None
+    if has_header and first is not None:
+        header, first = lines[first].split(","), next(nonblank, None)
+    if first is None:
         return np.zeros((0, 0)), None if label_column is None else [], None
+    n_rows = 1 + sum(1 for _ in nonblank)
 
-    width = len(rows[0][1].split(","))
+    width = len(lines[first].split(","))
     label_index = None
     if label_column is not None:
         label_index = label_column if label_column >= 0 else width + label_column
@@ -81,36 +88,47 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
     feature_names = None if header is None else [
         name.strip() for j, name in enumerate(header) if j != label_index]
 
-    parsed = _parse_rows(rows, width, label_index)
+    parsed = _parse_rows(lines, first, n_rows, width, label_index)
     if parsed is None:
-        _raise_first_error(rows, width, label_index)
+        _raise_first_error(lines, first, width, label_index)
     return (*parsed, feature_names)
 
 
-def _parse_rows(rows: list, width: int, label_index: int | None):
-    """(samples, labels) of well-formed rows in one pass over all cells, or
+def _parse_rows(lines: list, first: int, n_rows: int, width: int, label_index: int | None):
+    """(samples, labels) of the n_rows nonblank lines from lines[first] on,
+    converted a block of lines at a time into one preallocated array, or
     None if any row is ragged or any feature cell is not a finite number."""
-    lines = [line for _, line in rows]
-    if any(line.count(",") != width - 1 for line in lines):
-        return None
-    cells = ",".join(lines).split(",")
-    labels = None
-    if label_index is not None:
-        labels = [cell.strip() for cell in cells[label_index::width]]
-        del cells[label_index::width]
-    try:
-        samples = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        return None
-    if not np.isfinite(samples).all():
-        return None
-    return samples.reshape(len(lines), len(cells) // len(lines)), labels
+    samples = np.empty((n_rows, width - (label_index is not None)))
+    flat = samples.reshape(-1)  # a view: each block's values land in place
+    labels = None if label_index is None else []
+    filled = 0
+    for start in range(first, len(lines), CSV_BLOCK_LINES):
+        block = [line for line in lines[start:start + CSV_BLOCK_LINES] if line.strip()]
+        if not block:
+            continue
+        if any(line.count(",") != width - 1 for line in block):
+            return None
+        cells = ",".join(block).split(",")
+        if labels is not None:
+            labels += [cell.strip() for cell in cells[label_index::width]]
+            del cells[label_index::width]
+        try:
+            values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        flat[filled:filled + values.size] = values
+        filled += values.size
+    return samples, labels
 
 
-def _raise_first_error(rows: list, width: int, label_index: int | None) -> None:
+def _raise_first_error(lines: list, first: int, width: int, label_index: int | None) -> None:
     """Raise ParseError for the first ragged line, or feature cell that is not
-    a finite number, in file order."""
-    for number, line in rows:
+    a finite number, from lines[first] on in file order."""
+    for number, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
         cells = line.split(",")
         if len(cells) != width:
             raise ParseError(f"line {number}: {len(cells)} fields, expected {width}")
@@ -320,17 +338,20 @@ class CvReport:
         return "\n".join(lines) + "\n"
 
 
-def train_ovr(samples, raw_labels, config: formulations.TrainConfig, classes=None):
+def train_ovr(samples, raw_labels, config: formulations.TrainConfig, classes=None,
+              on_problem=None):
     """One binary model per class, and the TrainResult of each solve.  Two
     classes take one solve: the second member is the negated first, the
     optimum under flipped labels.  `classes` fixes the class order (default:
-    first appearance in the labels)."""
+    first appearance in the labels); `on_problem` sees the first solve's LP
+    (see `formulations.train`)."""
     labels = np.asarray(list(raw_labels), dtype=object)
     classes = list(dict.fromkeys(labels) if classes is None else classes)
     if len(classes) < 2:
         raise McmError("one-versus-rest needs at least two classes")
-    results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config)
-               for cls in (classes if len(classes) > 2 else classes[:1])]
+    results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config,
+                                  on_problem if k == 0 else None)
+               for k, cls in enumerate(classes if len(classes) > 2 else classes[:1])]
     members = [result.model for result in results]
     if len(classes) == 2:
         members.append(negated(members[0]))
@@ -338,10 +359,11 @@ def train_ovr(samples, raw_labels, config: formulations.TrainConfig, classes=Non
 
 
 def evaluate_fold(X_train, labels_train, X_eval, labels_eval,
-                  config: formulations.TrainConfig, fold: int = 0, classes=None):
-    """Train a one-versus-rest bundle (`train_ovr`) on the training rows and
-    score it on the evaluation rows; returns (bundle, TrainResults,
-    FoldOutcome).
+                  config: formulations.TrainConfig, fold: int = 0, classes=None,
+                  on_problem=None):
+    """Train a one-versus-rest bundle (`train_ovr`, which `on_problem` is
+    passed to) on the training rows and score it on the evaluation rows;
+    returns (bundle, TrainResults, FoldOutcome).
 
     Accuracy is the argmax label's; capacity (h, sv_count) is the mean over
     the members actually solved, on the training rows; the mean of the
@@ -349,7 +371,7 @@ def evaluate_fold(X_train, labels_train, X_eval, labels_eval,
     evaluation labels together hold more than two classes."""
     labels_train = np.asarray(labels_train, dtype=object)
     labels_eval = np.asarray(labels_eval, dtype=object)
-    ovr, results = train_ovr(X_train, labels_train, config, classes)
+    ovr, results = train_ovr(X_train, labels_train, config, classes, on_problem)
     stacked = decision_many(ovr, X_eval)
     accuracy = float(np.mean(np.asarray(ovr_labels(ovr, stacked), dtype=object) == labels_eval))
     caps = [capacity_report(result.model, X_train, np.where(labels_train == cls, 1.0, -1.0))

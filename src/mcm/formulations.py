@@ -197,10 +197,17 @@ class TrainResult:
     lp_iterations: int
 
 
-def train(samples, labels, config: TrainConfig) -> TrainResult:
-    """Build the LP for the requested variant, solve it, extract the model."""
+def train(samples, labels, config: TrainConfig, on_problem=None) -> TrainResult:
+    """Build the LP for the requested variant, solve it, extract the model.
+    ``on_problem``, if given, is called with the assembled (problem, layout)
+    before the solve.
+
+    Every feasible point has h >= y_i f(x_i) [+ q_i] >= 1, so an optimal
+    objective below 1 - ``lp._FEAS_TOL`` is a solver failure."""
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     problem, layout = build_problem(X, labels, config)
+    if on_problem is not None:
+        on_problem(problem, layout)
     start = time.perf_counter()
     solution = lp.solve(problem)
     seconds = time.perf_counter() - start
@@ -211,6 +218,9 @@ def train(samples, labels, config: TrainConfig) -> TrainResult:
         raise SolverFailure("soft-margin program reported infeasible")
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise SolverFailure(f"solver returned {solution.status.value}")
+    if solution.objective_value < 1.0 - lp._FEAS_TOL:
+        raise SolverFailure(f"solver returned objective {solution.objective_value!r}, "
+                            f"below 1, the least of any feasible point")
     if config.variant == SOFT_KERNEL:
         model = extract_kernel(solution, layout, config, X)
     else:

@@ -23,12 +23,12 @@ columns where the pivot row is nonzero, in the tableau's memory order, and
 refreshes the cached edge norms of just those.  ``solve`` stops at the first
 phase not ending ``OPTIMAL`` (``LpSolution.phase_iterations`` counts each
 phase's pivots): ``ITERATION_LIMIT`` when the budget runs out,
-``NUMERICAL_FAILURE`` when the tableau turns non-finite or a singular basis
-cannot be rebuilt, and ``UNBOUNDED`` only off a tableau rebuilt from the
-original data.  Optimal bases are re-solved against the original data, giving
-exact vertex coordinates with true zeros in degenerate positions.  The
-tolerances and the memory budget are module constants; ``solve`` takes only
-the pivot budget.
+``NUMERICAL_FAILURE`` when the tableau or the cost row turns non-finite or a
+singular basis cannot be rebuilt, and ``UNBOUNDED`` only off a tableau
+rebuilt from the original data.  Optimal bases are re-solved against the
+original data, giving exact vertex coordinates with true zeros in degenerate
+positions.  The tolerances and the memory budget are module constants;
+``solve`` takes only the pivot budget.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"  # budget ran out first; nothing is certified
-    NUMERICAL_FAILURE = "numerical_failure"  # the tableau went non-finite; nothing is certified
+    NUMERICAL_FAILURE = "numerical_failure"  # non-finite tableau or costs; nothing is certified
 
 
 @dataclass(frozen=True)
@@ -308,11 +308,12 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
     A phase ends OPTIMAL; ITERATION_LIMIT once ``budget`` pivots are spent
     and another is due; UNBOUNDED only if the entering column has no
     positive entry on a tableau just rebuilt from the original data; or
-    NUMERICAL_FAILURE when a refactorization or the ratio test meets
-    non-finite values, or a singular basis leaves that tableau unrebuilt.
-    Pricing is steepest-edge (most negative reduced cost per unit edge
-    length).  The reduced-cost row is carried through the pivots and
-    refreshed periodically, and the tableau is refactorized at intervals.
+    NUMERICAL_FAILURE when a refactorization, a cost-row refresh (which
+    precedes every OPTIMAL) or the ratio test meets non-finite values, or a
+    singular basis leaves that tableau unrebuilt.  Pricing is steepest-edge
+    (most negative reduced cost per unit edge length).  The reduced-cost row
+    is carried through the pivots and refreshed periodically, and the
+    tableau is refactorized at intervals.
 
     Prices are kept per direction, in the split form's column order: every
     column's positive direction, with the negative directions of the free
@@ -338,26 +339,29 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
         return out
 
     def refresh():
+        """The exact cost row and objective, or None if either overflowed."""
         cost_basis = costs[tab.basis] * tab.sign
-        red = per_direction(costs[:ncols] - cost_basis @ tab.T[:, :ncols])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as None
+            red = per_direction(costs[:ncols] - cost_basis @ tab.T[:, :ncols])
+            obj = float(cost_basis @ tab.rhs)
         red[tab.split_index()] = 0.0
-        return red, float(cost_basis @ tab.rhs)
+        return (red, obj) if math.isfinite(obj) and np.isfinite(red).all() else None
 
-    reduced, obj = refresh()
     bland, stall, patience = False, 0, _STALL_ITERATIONS
-    since_refresh = since_refactor = pivots = 0
+    since_refactor = pivots = 0
+    since_refresh = _REFRESH_EVERY  # the first pass prices off a fresh cost row
     certifying = False  # a column with no positive entry awaits a rebuilt tableau
     while True:
         if since_refactor >= _REFACTOR_EVERY:
             rebuilt = tab.refactor()
             if rebuilt is False:
                 return LpStatus.NUMERICAL_FAILURE, pivots
-            since_refactor = 0
-            reduced, obj = refresh()
-            since_refresh = 0
-        elif since_refresh >= _REFRESH_EVERY:
-            reduced, obj = refresh()
-            since_refresh = 0
+            since_refactor, since_refresh = 0, _REFRESH_EVERY
+        if since_refresh >= _REFRESH_EVERY:
+            fresh = refresh()
+            if fresh is None:
+                return LpStatus.NUMERICAL_FAILURE, pivots
+            (reduced, obj), since_refresh = fresh, 0
 
         if bland:
             falling = (reduced < -tol).nonzero()[0]
@@ -368,8 +372,10 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
             if score[direction] >= 0.0:
                 direction = -1
         if direction < 0:
-            reduced, obj = refresh()  # confirm against an exact cost row
-            since_refresh = 0
+            fresh = refresh()  # confirm against an exact cost row
+            if fresh is None:
+                return LpStatus.NUMERICAL_FAILURE, pivots
+            (reduced, obj), since_refresh = fresh, 0
             direction = int(reduced.argmin())
             if reduced[direction] >= -tol:
                 return LpStatus.OPTIMAL, pivots

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mcm import lp
+from mcm import data as data_mod
+from mcm import formulations, lp
 from mcm import model as model_mod
 from mcm.cli import main
-from mcm.kernels import cross_gram
+from mcm.kernels import KernelSpec, cross_gram, gram
 from mcm.model import LinearModel, OvrModel, decision_many, load_model, save_model
 
 import oracles
@@ -463,22 +464,48 @@ def ill_scaled_blobs_csv(tmp_path):
 
 
 def test_non_finite_tableau_is_a_solver_failure(tmp_path, capsys):
-    # this grid used to die in the ratio test with a ValueError traceback
+    # this grid used to die in the ratio test with a ValueError traceback; no
+    # cell stands now: the gamma = 0.125 programs end infeasible, C = 1's
+    # gamma = 2 tableau overflows, and C = 16's reach objectives below 1
     data = ill_scaled_blobs_csv(tmp_path)
     code, out, err = run(capsys, "grid", "--data", data, "--variant", "kernel",
                          "--grid-c", "1,16", "--grid-gamma", "0.125,2", "--folds", "3",
                          "--seed", "1", "--json")
-    assert code == 0  # the C = 16, gamma = 2 cell still solves
-    assert "grid cell C=1 gamma=2 failed: fold 2: solver returned numerical_failure" \
-        in err.splitlines()
-    assert all(line.startswith("grid cell ") for line in err.splitlines())
-    payload = json.loads(out)
-    assert len(payload["cells"]) == 4  # the failed cell is reported, not skipped
-    assert payload["best"]["error"] is None
+    assert (code, out) == (1, "")
+    assert err == ("error: every grid cell failed; first failure: grid cell C=1, "
+                   "gamma=0.125: fold 0: soft-margin program reported infeasible\n")
     code, out, err = run(capsys, "cv", "--data", data, "--variant", "kernel", "--kernel", "rbf",
                          "--gamma", "2", "--C", "1", "--folds", "3", "--seed", "1")
     assert code == 3
     assert err == "error: fold 2: solver returned numerical_failure\n"
+
+
+def test_objective_below_one_is_a_solver_failure(tmp_path, capsys):
+    # lp.solve ends this fold's solves OPTIMAL at 0.0 and 0.158, although
+    # every feasible point has h >= 1
+    data = ill_scaled_blobs_csv(tmp_path)
+    code, out, err = run(capsys, "cv", "--data", data, "--variant", "kernel", "--kernel", "rbf",
+                         "--gamma", "2", "--C", "16", "--folds", "3", "--seed", "1")
+    assert (code, out) == (3, "")
+    assert err == ("error: fold 1: solver returned objective 0.0, below 1, "
+                   "the least of any feasible point\n")
+
+
+def test_overflowing_costs_fail_their_grid_cell(tmp_path, capsys):
+    # C = 1e308 overflows the cost row; the cell used to report accuracy 1.0
+    rng = np.random.default_rng(0)
+    rows = [(f"{float(a)!r},{float(b)!r},{label}")
+            for label, centre in (("a", 0.0), ("b", 5.0))
+            for a, b in rng.normal(centre, 0.5, size=(6, 2))]
+    data = write(tmp_path, "twelve.csv", "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "grid", "--data", data, "--variant", "soft-linear",
+                         "--grid-c", "1,1e308", "--folds", "3", "--seed", "1", "--json")
+    assert code == 0
+    assert err == "grid cell C=1e+308 failed: fold 0: solver returned numerical_failure\n"
+    payload = json.loads(out)
+    assert [(c["C"], c["error"], c["accuracy_mean"]) for c in payload["cells"]] == [
+        (1.0, None, 1.0), (1e308, "fold 0: solver returned numerical_failure", None)]
+    assert payload["best"]["C"] == 1.0
 
 
 def test_inspect_reports_h(tmp_path, capsys):
@@ -604,6 +631,31 @@ def test_dump_lp_round_trips(tmp_path, capsys):
     solution = lp.solve(reparsed)
     assert solution.status is lp.LpStatus.OPTIMAL
     assert solution.objective_value == pytest.approx(reported, abs=1e-6)
+
+
+def test_dump_lp_is_the_program_the_fit_solves(tmp_path, capsys, monkeypatch):
+    # one Gram matrix for the dump and the fit, and the same model bytes
+    data = write(tmp_path, "xor.csv", XOR_CSV)
+    argv = ("train", "--data", data, "--variant", "kernel", "--kernel", "rbf",
+            "--gamma", "1", "--C", "1e4")
+    assert run(capsys, *argv, "--out", str(tmp_path / "plain.json"))[0] == 0
+    calls = []
+
+    def counting_gram(*args, **kwargs):
+        calls.append(args)
+        return gram(*args, **kwargs)
+
+    monkeypatch.setattr(formulations, "gram", counting_gram)
+    lp_path = tmp_path / "dump.lp"
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "dumped.json"),
+                     "--dump-lp", str(lp_path))
+    assert code == 0 and len(calls) == 1
+    assert (tmp_path / "dumped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    dataset = data_mod.load_csv(data)
+    config = formulations.TrainConfig("kernel", C=1e4, kernel=KernelSpec("rbf", gamma=1.0))
+    problem, layout = formulations.build_problem(
+        dataset.samples, data_mod.binarize(dataset, "-1")[1], config)
+    assert lp_path.read_text() == lp.write_lp_text(problem, formulations.lp_names(layout, config))
 
 
 @pytest.mark.parametrize("flags, names", [

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,73 @@ def test_read_csv_one_pass_matches_row_loop(tmp_path, label_column):
     assert samples.dtype == loop_samples.dtype and samples.flags.c_contiguous
     assert samples.tobytes() == loop_samples.tobytes()
     assert (labels, names) == (loop_labels, loop_names)
+
+
+def block_csv(rows, header=False, blank_every=0):
+    """A 4-column CSV of `rows` rows in the cell spellings read_csv accepts,
+    so any column can be the label, with blank lines after every
+    `blank_every`-th row: runs of three after odd rows, which fill whole
+    blocks of two or three lines."""
+    cells = ["1.5", " -2 ", "3e-5", "-0.0", "1e308", "1_000", "  0.1 ", "-1e-320", "7"]
+    lines = ["f1, f2 ,f3,class"] if header else []
+    for i in range(rows):
+        lines.append(",".join([cells[i % 9], cells[(i + 4) % 9], cells[(2 * i) % 9],
+                               f" {i % 3 - 1} "]))
+        if blank_every and i % blank_every == 0:
+            lines += ["", "  ", ""] if i % 2 else [""]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("rows, header, blank_every", [
+    (1, False, 0), (6, False, 0), (7, True, 0), (12, True, 1), (13, False, 2), (5, True, 4),
+], ids=["one-row", "whole-blocks", "header-partial", "blank-each", "blank-alternate",
+        "header-blank"])
+def test_read_csv_blocks_match_row_loop(tmp_path, monkeypatch, block, rows, header,
+                                        blank_every):
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_LINES", block)
+    path = write(tmp_path, "t.csv", block_csv(rows, header, blank_every))
+    for label_column in (None, 0, 1, -1):
+        samples, labels, names = data_mod.read_csv(path, label_column, header)
+        loop = oracles.csv_row_loop(path, label_column, header)
+        assert samples.shape == loop[0].shape == (rows, 4 - (label_column is not None))
+        assert samples.flags.c_contiguous and samples.tobytes() == loop[0].tobytes()
+        assert (labels, names) == loop[1:]
+
+
+@pytest.mark.parametrize("bad_lines, message", [
+    ({7: "1,2"}, "line 7: 2 fields, expected 4"),
+    ({7: "1,x,2,a"}, "line 7, column 2: 'x' is not numeric"),
+    ({8: "1,2,inf,a"}, "line 8, column 3: non-finite value 'inf'"),
+    ({3: "1,2,3", 8: "x,2,3,a"}, "line 3: 3 fields, expected 4"),
+    ({2: "1,nan,3,a", 7: "1,2"}, "line 2, column 2: non-finite value 'nan'"),
+    ({4: "1,2,3,4,5", 5: "x,2,3,a"}, "line 4: 5 fields, expected 4"),
+], ids=["ragged-later", "non-numeric-later", "non-finite-later", "ragged-then-bad-cell",
+        "non-finite-then-ragged", "same-block"])
+def test_read_csv_names_first_error_across_blocks(tmp_path, monkeypatch, bad_lines, message):
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_LINES", 3)
+    lines = block_csv(9).splitlines()
+    for number, line in bad_lines.items():
+        lines[number - 1] = line
+    path = write(tmp_path, "t.csv", "\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        data_mod.read_csv(path, label_column=-1)
+
+
+def test_read_csv_holds_one_block_of_cells(tmp_path):
+    # 20 000 x 5 floats, 2 MB of text: the file's lines, the samples and one
+    # block of cells, where splitting the whole file at once took 14 MB
+    X = np.random.default_rng(0).normal(size=(20000, 5))
+    path = write(tmp_path, "q.csv", "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in X.tolist()))
+    tracemalloc.start()
+    try:
+        samples = data_mod.read_csv(path, label_column=None)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.tobytes() == X.tobytes()
+    assert peak <= 8 * 10**6
 
 
 def test_read_csv_label_only_rows(tmp_path):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from mcm import formulations  # noqa: E402
-from mcm.errors import HardMarginInfeasible  # noqa: E402
+from mcm import formulations, lp  # noqa: E402
+from mcm.errors import HardMarginInfeasible, SolverFailure  # noqa: E402
 from mcm.kernels import KernelSpec, gram  # noqa: E402
 
 import oracles  # noqa: E402
@@ -80,3 +80,22 @@ def test_support_vectors_never_exceed_the_gram_rank(seed, m, d, kernel):
     config = formulations.TrainConfig("kernel", C=1.0, kernel=kernel)
     model = formulations.train(X, y, config).model
     assert model.sv_count <= np.linalg.matrix_rank(gram(kernel, X))
+
+
+POLY3 = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("poly", degree=3, coef0=1.0))
+
+
+@derandomized
+@given(seed=seeds, m=sizes, d=dims,
+       config=st.sampled_from([HARD, SOFT, POLY3, formulations.TrainConfig(
+           "kernel", C=16.0, kernel=KernelSpec("rbf", gamma=2.0))]))
+@example(seed=307, m=13, d=2, config=POLY3)  # lp.solve: OPTIMAL at 0.995
+def test_an_optimal_fit_meets_the_least_feasible_objective(seed, m, d, config):
+    # every feasible point has h >= y_i f(x_i) [+ q_i] >= 1, so a fit that
+    # returns reports an objective of at least 1; the rest are solver failures
+    X, y = oracles.blobs(seed, m, d, 8.0)
+    try:
+        result = formulations.train(X, y, config)
+    except (HardMarginInfeasible, SolverFailure):
+        return
+    assert result.objective_value >= 1.0 - lp._FEAS_TOL
