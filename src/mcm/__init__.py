@@ -15,7 +15,6 @@ from .data import (
     Dataset,
     FoldPlan,
     apply_scale,
-    binarize,
     cross_validate,
     fit_minmax,
     grid_search,
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityReport", "compute_h", "capacity_report", "radius_margin_ratio",
-    "CvReport", "Dataset", "FoldPlan", "apply_scale", "binarize",
+    "CvReport", "Dataset", "FoldPlan", "apply_scale",
     "cross_validate", "fit_minmax", "grid_search", "load_csv", "load_libsvm",
     "make_folds", "train_ovr",
     "HARD_LINEAR", "SOFT_KERNEL", "SOFT_LINEAR", "McmLpLayout", "TrainConfig",

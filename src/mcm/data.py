@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import formulations
+from . import formulations, lp
 from .capacity import capacity_report
 from .errors import McmError, ParseError
 from .model import OvrModel, decision_many, negated, ovr_labels
@@ -46,7 +46,6 @@ CSV_BLOCK_LINES = 1024
 class Dataset:
     samples: np.ndarray
     labels: list[str]
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -61,22 +60,22 @@ class Dataset:
 
 
 def read_csv(path, label_column: int | None = -1, has_header: bool = False):
-    """Comma-separated rows as (samples, labels, feature_names).
+    """Comma-separated rows as (samples, labels).
 
     `label_column` holds the raw string label (negative counts from the end);
-    None means every column is a feature and labels is None.  Every other
-    cell must be a finite number; errors name the line and 1-based column of
-    the first bad cell in file order.  Beside the file's lines the parse
-    holds one block of CSV_BLOCK_LINES lines' cells at a time."""
+    None means every column is a feature and labels is None.  `has_header`
+    skips the first nonblank line unread.  Every other cell must be a finite
+    number; errors name the line and 1-based column of the first bad cell in
+    file order.  Beside the file's lines the parse holds one block of
+    CSV_BLOCK_LINES lines' cells at a time."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     nonblank = (i for i, line in enumerate(lines) if line.strip())
+    if has_header:
+        next(nonblank, None)
     first = next(nonblank, None)
-    header = None
-    if has_header and first is not None:
-        header, first = lines[first].split(","), next(nonblank, None)
     if first is None:
-        return np.zeros((0, 0)), None if label_column is None else [], None
+        return np.zeros((0, 0)), None if label_column is None else []
     n_rows = 1 + sum(1 for _ in nonblank)
 
     width = len(lines[first].split(","))
@@ -85,19 +84,14 @@ def read_csv(path, label_column: int | None = -1, has_header: bool = False):
         label_index = label_column if label_column >= 0 else width + label_column
         if not 0 <= label_index < width:
             raise ParseError(f"label column {label_column} out of range for {width} columns")
-    feature_names = None if header is None else [
-        name.strip() for j, name in enumerate(header) if j != label_index]
-
-    parsed = _parse_rows(lines, first, n_rows, width, label_index)
-    if parsed is None:
-        _raise_first_error(lines, first, width, label_index)
-    return (*parsed, feature_names)
+    return _parse_rows(lines, first, n_rows, width, label_index)
 
 
 def _parse_rows(lines: list, first: int, n_rows: int, width: int, label_index: int | None):
     """(samples, labels) of the n_rows nonblank lines from lines[first] on,
-    converted a block of lines at a time into one preallocated array, or
-    None if any row is ragged or any feature cell is not a finite number."""
+    converted a block of lines at a time into one preallocated array.  A
+    block with a ragged row or a feature cell that is not a finite number
+    raises its first error: every earlier block passed."""
     samples = np.empty((n_rows, width - (label_index is not None)))
     flat = samples.reshape(-1)  # a view: each block's values land in place
     labels = None if label_index is None else []
@@ -107,7 +101,7 @@ def _parse_rows(lines: list, first: int, n_rows: int, width: int, label_index: i
         if not block:
             continue
         if any(line.count(",") != width - 1 for line in block):
-            return None
+            _raise_first_error(lines, start, width, label_index)
         cells = ",".join(block).split(",")
         if labels is not None:
             labels += [cell.strip() for cell in cells[label_index::width]]
@@ -115,18 +109,18 @@ def _parse_rows(lines: list, first: int, n_rows: int, width: int, label_index: i
         try:
             values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
         except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
+            values = None
+        if values is None or not np.isfinite(values).all():
+            _raise_first_error(lines, start, width, label_index)
         flat[filled:filled + values.size] = values
         filled += values.size
     return samples, labels
 
 
-def _raise_first_error(lines: list, first: int, width: int, label_index: int | None) -> None:
+def _raise_first_error(lines: list, start: int, width: int, label_index: int | None) -> None:
     """Raise ParseError for the first ragged line, or feature cell that is not
-    a finite number, from lines[first] on in file order."""
-    for number, line in enumerate(lines[first:], start=first + 1):
+    a finite number, in the block of CSV_BLOCK_LINES lines from lines[start]."""
+    for number, line in enumerate(lines[start:start + CSV_BLOCK_LINES], start=start + 1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -151,18 +145,19 @@ def load_csv(path, label_column: int = -1, has_header: bool = False) -> Dataset:
 
 
 def load_libsvm(path) -> Dataset:
-    """Sparse "label index:value ..." lines with 1-based indices, densified
-    with zeros; the feature count is the largest index seen."""
+    """Sparse "label index:value ..." lines, densified with zeros in one pass.
+    Indices are 1-based and ascend along each line; the feature count is the
+    largest index seen.  A dense array over the LP memory budget
+    (lp._MAX_TABLEAU_BYTES) is refused before it is allocated."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    parsed = []
-    n = 0
+    labels, rows, cols, values = [], [], [], []
+    n = widest_line = 0
     for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         tokens = line.split()
-        label = tokens[0]
-        pairs = []
+        if not tokens:
+            continue
+        previous = 0
         for token in tokens[1:]:
             if ":" not in token:
                 raise ParseError(f"line {number}: expected index:value, got {token!r}")
@@ -174,26 +169,25 @@ def load_libsvm(path) -> Dataset:
                 raise ParseError(f"line {number}: bad pair {token!r}") from None
             if index <= 0:
                 raise ParseError(f"line {number}: index {index} (indices are 1-based)")
-            if not np.isfinite(value):
+            if index <= previous:
+                raise ParseError(f"line {number}: index {index} after index {previous} "
+                                 f"(indices must ascend)")
+            if not math.isfinite(value):
                 raise ParseError(f"line {number}: non-finite value {token!r}")
-            pairs.append((index, value))
-            n = max(n, index)
-        parsed.append((label, pairs))
-    samples = np.zeros((len(parsed), n))
-    labels = []
-    for row, (label, pairs) in enumerate(parsed):
-        labels.append(label)
-        for index, value in pairs:
-            samples[row, index - 1] = value
+            rows.append(len(labels))
+            cols.append(index - 1)
+            values.append(value)
+            previous = index
+        labels.append(tokens[0])
+        if previous > n:
+            n, widest_line = previous, number
+    nbytes = 8 * len(labels) * n
+    if nbytes > lp._MAX_TABLEAU_BYTES:
+        raise ParseError(f"line {widest_line}: index {n} densifies {len(labels)} rows to "
+                         f"{nbytes} bytes, over the budget of {lp._MAX_TABLEAU_BYTES} bytes")
+    samples = np.zeros((len(labels), n))
+    samples[rows, cols] = values
     return Dataset(samples, labels)
-
-
-def binarize(dataset: Dataset, positive_label: str):
-    """+1 for rows of positive_label, -1 for everything else."""
-    if positive_label not in dataset.labels:
-        raise McmError(f"label {positive_label!r} not present in dataset")
-    y = np.where(np.asarray(dataset.labels, dtype=object) == positive_label, 1.0, -1.0)
-    return dataset.samples, y
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,12 @@ def make_problem(objective, rows, bounds) -> lp.LpProblem:
 
 
 def csv_row_loop(path, label_column: int | None = -1, has_header: bool = False):
-    """(samples, labels, feature_names) of a well-formed CSV file, parsed one
-    row at a time with a per-row float() of each feature cell."""
+    """(samples, labels) of a well-formed CSV file, parsed one row at a time
+    with a per-row float() of each feature cell."""
     with open(path, encoding="utf-8") as handle:
         lines = [line for line in handle.read().splitlines() if line.strip()]
-    header = lines.pop(0).split(",") if has_header else None
+    if has_header:
+        lines.pop(0)
     width = len(lines[0].split(","))
     label_index = None if label_column is None else label_column % width
     samples, labels = [], None if label_index is None else []
@@ -50,9 +51,7 @@ def csv_row_loop(path, label_column: int | None = -1, has_header: bool = False):
         if labels is not None:
             labels.append(cells.pop(label_index).strip())
         samples.append([float(cell) for cell in cells])
-    names = None if header is None else [
-        name.strip() for j, name in enumerate(header) if j != label_index]
-    return np.asarray(samples, dtype=float), labels, names
+    return np.asarray(samples, dtype=float), labels
 
 
 def random_feasible_bounded_lp(rng: np.random.Generator, n_vars: int | None = None,

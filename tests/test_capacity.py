@@ -5,7 +5,7 @@ from mcm import formulations
 from mcm.capacity import capacity_report, compute_h, radius_margin_ratio
 from mcm.errors import DegenerateMargin, McmError
 from mcm.kernels import KernelSpec
-from mcm.model import LinearModel
+from mcm.model import LinearModel, OvrModel, negated
 
 PAIR_X = np.array([[1.0], [-1.0]])
 PAIR_Y = np.array([1.0, -1.0])
@@ -27,6 +27,11 @@ def test_h_undefined_when_misclassifying():
 def test_h_zero_weight():
     with pytest.raises(McmError, match="^weight vector is identically zero$"):
         compute_h(PAIR_X, PAIR_Y, [0.0], 1.0)
+
+
+def test_h_feature_count_mismatch():
+    with pytest.raises(McmError, match="^1 features, weight vector has 2$"):
+        compute_h(PAIR_X, PAIR_Y, [1.0, 0.0], 0.0)
 
 
 def test_h_scale_invariance():
@@ -132,3 +137,9 @@ def test_report_dimension_mismatch():
     result = formulations.train(PAIR_X, PAIR_Y, formulations.TrainConfig("hard-linear"))
     with pytest.raises(McmError, match="^3 features, model expects 1$"):
         capacity_report(result.model, np.zeros((2, 3)), PAIR_Y)
+
+
+def test_report_refuses_a_bundle():
+    model = LinearModel(np.array([1.0]), 0.0, 1.0)
+    with pytest.raises(McmError, match="^no capacity report for OvrModel$"):
+        capacity_report(OvrModel(("a", "b"), (model, negated(model))), PAIR_X, PAIR_Y)

@@ -301,6 +301,32 @@ def test_libsvm_input_trains_and_cross_validates_as_csv(tmp_path, capsys, flags)
     assert outputs["libsvm"] == outputs["csv"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a 1:0 1:1\nb 2:1\n", "line 1: index 1 after index 1 (indices must ascend)"),
+    ("a 1:0\nb 2:1 1:5\n", "line 2: index 1 after index 2 (indices must ascend)"),
+    ("a 1:0\nb 1000000000000:1\n", "line 2: index 1000000000000 densifies 2 rows to "
+                                    "16000000000000 bytes, over the budget of 1073741824 bytes"),
+], ids=["repeated-index", "descending-index", "index-too-large"])
+def test_bad_libsvm_file_exits_1_with_one_line(tmp_path, capsys, text, message):
+    data = write(tmp_path, "bad.svm", text)
+    flags = ("--format", "libsvm", "--data", data, "--variant", "soft-linear", "--C", "1")
+    for argv in (("cv", *flags, "--folds", "2"),
+                 ("train", *flags, "--out", str(tmp_path / "m.json"))):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("train", "--variant", "hard-linear", "--C", "1"), "hard-linear takes no --C"),
+    (("train", "--variant", "soft-linear", "--C", "1"), "training data contains a single class"),
+    (("cv", "--variant", "soft-linear", "--C", "1", "--folds", "2"),
+     "cross-validation needs at least two classes"),
+], ids=["hard-linear-with-C", "train-one-class", "cv-one-class"])
+def test_one_class_and_hard_linear_c_exit_1_with_one_line(tmp_path, capsys, argv, message):
+    data = write(tmp_path, "one.csv", "0,0,a\n1,0,a\n0,1,a\n")
+    out = ("--out", str(tmp_path / "m.json")) if argv[0] == "train" else ()
+    assert run(capsys, *argv, "--data", data, *out) == (1, "", f"error: {message}\n")
+
+
 def test_cv_table_and_json(tmp_path, capsys):
     data = blob_csv(tmp_path, "blobs.csv")
     code, table, _ = run(capsys, "cv", "--data", data, "--variant", "soft-linear",
@@ -532,6 +558,17 @@ def test_inspect_kernel_model(tmp_path, capsys):
     assert f"sv_count: {sv}" in out
 
 
+def test_inspect_linear_kernel_model(tmp_path, capsys):
+    data = write(tmp_path, "pair.csv", TRIVIAL_CSV)
+    model_path = str(tmp_path / "pair.mcm.json")
+    run(capsys, "train", "--data", data, "--variant", "kernel", "--kernel", "linear",
+        "--C", "1", "--out", model_path)
+    code, out, _ = run(capsys, "inspect", "--model", model_path)
+    assert code == 0
+    members = [line for line in out.splitlines() if line.startswith("member ")]
+    assert len(members) == 2 and all("; kernel: linear; " in line for line in members)
+
+
 def test_inspect_corrupt_file(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{not json")
     code, _, err = run(capsys, "inspect", "--model", bad)
@@ -607,11 +644,27 @@ def test_bad_model_fields_fail_at_load(tmp_path, capsys):
     fractional["members"][1]["n"] = n + 0.5
     negative_c = json.loads(json.dumps(stored))
     negative_c["members"][0]["C"] = -3.0
+    wider = json.loads(json.dumps(stored))
+    wider["members"][1].update(n=n + 1, w=wider["members"][1]["w"] + [0.0])
+    kernel_member = {"format": "mcm-model", "version": 1, "type": "kernel", "n": n,
+                     "b": 0.0, "h": 1.0, "C": 1.0, "kernel": {"kind": "linear"},
+                     "lambda": [], "support_vectors": []}
+    mixed = dict(stored, members=[stored["members"][0], kernel_member])
+    kindless = dict(stored, members=[stored["members"][0],
+                                     dict(kernel_member, kernel={"gamma": 1.0})])
     for bad, message in (
             (nested, "model.members[0]: a one-versus-rest member must be "
                      "a linear or kernel model"),
             (fractional, "model.members[1]: field 'n' is not an integer"),
-            (negative_c, "model.members[0]: field 'C' must be positive")):
+            (negative_c, "model.members[0]: field 'C' must be positive"),
+            ([stored], "model: expected a JSON object"),
+            (dict(stored, format="svm-model"), "model: not a mcm-model file"),
+            (dict(stored, type="forest"), "model: unknown model type 'forest'"),
+            (dict(stored, classes=stored["classes"] + ["c"]),
+             "one member model per class label required"),
+            (wider, f"member models disagree on feature count: {{{n}, {n + 1}}}"),
+            (mixed, "member models must share one variant"),
+            (kindless, "model.members[1].kernel: missing field 'kind'")):
         model_path.write_text(json.dumps(bad), encoding="utf-8")
         for argv in (("inspect", "--model", str(model_path)),
                      ("predict", "--model", str(model_path), "--data", query)):
@@ -654,7 +707,7 @@ def test_dump_lp_is_the_program_the_fit_solves(tmp_path, capsys, monkeypatch):
     dataset = data_mod.load_csv(data)
     config = formulations.TrainConfig("kernel", C=1e4, kernel=KernelSpec("rbf", gamma=1.0))
     problem, layout = formulations.build_problem(
-        dataset.samples, data_mod.binarize(dataset, "-1")[1], config)
+        dataset.samples, np.where(np.array(dataset.labels) == "-1", 1.0, -1.0), config)
     assert lp_path.read_text() == lp.write_lp_text(problem, formulations.lp_names(layout, config))
 
 

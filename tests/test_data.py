@@ -55,8 +55,8 @@ def test_load_csv_ragged(tmp_path):
 def test_load_csv_header(tmp_path):
     path = write(tmp_path, "t.csv", "f1,f2,label\n1.0,2.0,A\n3.0,4.0,B\n")
     ds = data_mod.load_csv(path, label_column=2, has_header=True)
-    assert ds.feature_names == ["f1", "f2"]
-    assert ds.samples.shape[0] == 2
+    assert np.array_equal(ds.samples, [[1.0, 2.0], [3.0, 4.0]])
+    assert ds.labels == ["A", "B"]
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
@@ -79,22 +79,22 @@ def test_load_csv_first_bad_cell(tmp_path, text, label_column, message):
 def test_read_csv_features_only(tmp_path):
     # the last row's cells are finite although their sum overflows
     path = write(tmp_path, "t.csv", "1.0,2.0\n\n 3.0 ,4.0\n1e308,1e308\n")
-    samples, labels, names = data_mod.read_csv(path, label_column=None)
+    samples, labels = data_mod.read_csv(path, label_column=None)
     assert samples.tolist() == [[1.0, 2.0], [3.0, 4.0], [1e308, 1e308]]
-    assert labels is None and names is None
+    assert labels is None
 
 
 def test_read_csv_features_only_header(tmp_path):
     path = write(tmp_path, "t.csv", "f1, f2\n1.0,2.0\n")
-    samples, labels, names = data_mod.read_csv(path, label_column=None, has_header=True)
+    samples, labels = data_mod.read_csv(path, label_column=None, has_header=True)
     assert np.array_equal(samples, [[1.0, 2.0]])
-    assert names == ["f1", "f2"] and labels is None
+    assert labels is None
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "f1,f2\n"])
 def test_read_csv_features_only_empty(tmp_path, text):
     path = write(tmp_path, "t.csv", text)
-    samples, labels, _ = data_mod.read_csv(path, label_column=None, has_header=bool(text))
+    samples, labels = data_mod.read_csv(path, label_column=None, has_header=bool(text))
     assert samples.shape == (0, 0) and labels is None
 
 
@@ -135,13 +135,12 @@ CSV_TEXT = ("f1, f2 ,f3,class\n"  # any column can be the label
 @pytest.mark.parametrize("label_column", [None, 0, 1, -1])
 def test_read_csv_one_pass_matches_row_loop(tmp_path, label_column):
     path = write(tmp_path, "t.csv", CSV_TEXT)
-    samples, labels, names = data_mod.read_csv(path, label_column, has_header=True)
-    loop_samples, loop_labels, loop_names = oracles.csv_row_loop(path, label_column,
-                                                                 has_header=True)
+    samples, labels = data_mod.read_csv(path, label_column, has_header=True)
+    loop_samples, loop_labels = oracles.csv_row_loop(path, label_column, has_header=True)
     assert samples.shape == loop_samples.shape == (4, 4 - (label_column is not None))
     assert samples.dtype == loop_samples.dtype and samples.flags.c_contiguous
     assert samples.tobytes() == loop_samples.tobytes()
-    assert (labels, names) == (loop_labels, loop_names)
+    assert labels == loop_labels
 
 
 def block_csv(rows, header=False, blank_every=0):
@@ -169,11 +168,11 @@ def test_read_csv_blocks_match_row_loop(tmp_path, monkeypatch, block, rows, head
     monkeypatch.setattr(data_mod, "CSV_BLOCK_LINES", block)
     path = write(tmp_path, "t.csv", block_csv(rows, header, blank_every))
     for label_column in (None, 0, 1, -1):
-        samples, labels, names = data_mod.read_csv(path, label_column, header)
+        samples, labels = data_mod.read_csv(path, label_column, header)
         loop = oracles.csv_row_loop(path, label_column, header)
         assert samples.shape == loop[0].shape == (rows, 4 - (label_column is not None))
         assert samples.flags.c_contiguous and samples.tobytes() == loop[0].tobytes()
-        assert (labels, names) == loop[1:]
+        assert labels == loop[1]
 
 
 @pytest.mark.parametrize("bad_lines, message", [
@@ -213,7 +212,7 @@ def test_read_csv_holds_one_block_of_cells(tmp_path):
 
 def test_read_csv_label_only_rows(tmp_path):
     path = write(tmp_path, "t.csv", "a\nb\n")
-    samples, labels, _ = data_mod.read_csv(path, label_column=0)
+    samples, labels = data_mod.read_csv(path, label_column=0)
     assert samples.shape == (2, 0) and labels == ["a", "b"]
 
 
@@ -242,6 +241,53 @@ def test_load_libsvm_bad_pair(tmp_path):
         data_mod.load_libsvm(path)
 
 
+def test_load_libsvm_skips_blank_lines(tmp_path):
+    path = write(tmp_path, "t.svm", "+1 1:0.5\n\n  \n-1 2:1.0\n")
+    ds = data_mod.load_libsvm(path)
+    assert np.array_equal(ds.samples, [[0.5, 0.0], [0.0, 1.0]])
+    assert ds.labels == ["+1", "-1"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("+1 1:0.5 1:2\n", "line 1: index 1 after index 1 (indices must ascend)"),
+    ("+1 1:0.5\n\n-1 3:1 2:4\n", "line 3: index 2 after index 3 (indices must ascend)"),
+    ("+1 1:0.5\n-1 5\n", "line 2: expected index:value, got '5'"),
+    ("+1 2:1 1:inf\n", "line 1: index 1 after index 2 (indices must ascend)"),
+    ("+1 1:1 2:inf\n", "line 1: non-finite value '2:inf'"),
+], ids=["repeated-index", "descending-index", "no-colon", "descending-before-non-finite",
+        "non-finite"])
+def test_load_libsvm_names_the_bad_line(tmp_path, text, message):
+    path = write(tmp_path, "t.svm", text)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        data_mod.load_libsvm(path)
+
+
+def test_load_libsvm_refuses_an_array_over_the_budget_before_allocating(tmp_path):
+    # densified, the two rows would take 16 TB
+    path = write(tmp_path, "t.svm", "a 1:0\nb 1000000000000:1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=(
+                r"^line 2: index 1000000000000 densifies 2 rows to 16000000000000 bytes, "
+                r"over the budget of 1073741824 bytes$")):
+            data_mod.load_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_load_libsvm_budget_is_the_lp_budget(tmp_path, monkeypatch):
+    # 2 rows of 3 features take 48 bytes, 2 rows of 4 take 64
+    monkeypatch.setattr(data_mod.lp, "_MAX_TABLEAU_BYTES", 48)
+    ds = data_mod.load_libsvm(write(tmp_path, "fits.svm", "a 3:1\nb 1:2 2:3\n"))
+    assert np.array_equal(ds.samples, [[0.0, 0.0, 1.0], [2.0, 3.0, 0.0]])
+    path = write(tmp_path, "over.svm", "a 1:1 4:1\nb 2:1 4:2\n")
+    with pytest.raises(ParseError, match=r"^line 1: index 4 densifies 2 rows to 64 bytes, "
+                                         r"over the budget of 48 bytes$"):
+        data_mod.load_libsvm(path)
+
+
 @pytest.mark.parametrize("samples, labels", [
     (np.arange(6.0), ["a", "b", "c"]),          # 1-d: was reshaped to 3 x 2
     (np.zeros((1, 2, 3)), ["a"]),               # 3-d: was reshaped to 1 x 6
@@ -256,22 +302,17 @@ def test_dataset_requires_one_2d_row_per_label(samples, labels):
         data_mod.Dataset(samples, labels)
 
 
+def test_dataset_features_must_be_finite():
+    with pytest.raises(McmError, match="^features must be finite$"):
+        data_mod.Dataset(np.array([[1.0, np.inf], [0.0, 1.0]]), ["a", "b"])
+
+
 def test_dataset_of_an_empty_file_loads(tmp_path):
     ds = data_mod.load_csv(write(tmp_path, "empty.csv", ""))
     assert ds.samples.shape == (0, 0) and ds.labels == []
 
 
-# --- binarize / scaling ---
-
-def test_binarize():
-    ds = data_mod.Dataset(np.zeros((3, 1)), ["a", "b", "a"])
-    _, y = data_mod.binarize(ds, "a")
-    assert y.tolist() == [1.0, -1.0, 1.0]
-    _, y_first = data_mod.binarize(ds, ds.classes()[0])
-    assert y_first.tolist() == [1.0, -1.0, 1.0]
-    with pytest.raises(McmError, match="^label 'missing' not present in dataset$"):
-        data_mod.binarize(ds, "missing")
-
+# --- scaling ---
 
 def test_minmax_scale():
     X = np.array([[2.0, 5.0], [4.0, 5.0]])

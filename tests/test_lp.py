@@ -59,6 +59,20 @@ def test_dimension_mismatch_rejected():
         lp.solve(lp.LpProblem([1.0], [[1.0]], ["!!"], [1.0], [False]))
 
 
+@pytest.mark.parametrize("problem, message", [
+    (lp.LpProblem([np.inf, 1.0], [[1.0, 1.0]], ["<="], [1.0], [False, False]),
+     "objective must be a finite 1-d vector"),
+    (lp.LpProblem([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [False]), "1 bounds for 2 variables"),
+    (lp.LpProblem([1.0, 1.0], [[1.0, np.nan]], ["<="], [1.0], [False, False]),
+     "constraints have non-finite entries"),
+    (lp.LpProblem([1.0, 1.0], [[1.0, 1.0]], ["<="], [-np.inf], [False, False]),
+     "constraints have non-finite entries"),
+], ids=["objective", "free-mask", "matrix", "rhs"])
+def test_malformed_problem_rejected(problem, message):
+    with pytest.raises(McmError, match=f"^{message}$"):
+        lp.solve(problem)
+
+
 def test_random_lp_matches_vertex_enumeration():
     # 8 variables, 11 constraints (76k candidate bases): an exact oracle that
     # needs no scipy; the HiGHS oracle covers a 15-constraint instance
@@ -289,6 +303,16 @@ def test_lp_text_round_trip():
     a = lp.solve(problem)
     b = lp.solve(reparsed)
     assert b.objective_value == pytest.approx(a.objective_value, abs=1e-6)
+
+
+def test_lp_text_names_and_zero_objective():
+    problem = lp.LpProblem([0.0, 0.0], [[1.0, -2.0]], [">="], [1.0], [False, True])
+    with pytest.raises(McmError, match="^1 names for 2 variables$"):
+        lp.write_lp_text(problem, ["a"])
+    assert lp.write_lp_text(problem, ["a", "b"]) == (
+        "Minimize\n obj: 0.000000000000 a\nSubject To\n"
+        " c1: 1.000000000000 a - 2.000000000000 b >= 1.000000000000\n"
+        "Bounds\n b free\nEnd\n")
 
 
 def _dense_pivot(tab, row, col, sign=1.0):

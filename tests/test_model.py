@@ -398,6 +398,16 @@ def count_cross_gram(monkeypatch) -> list:
     return calls
 
 
+def test_a_bundle_is_not_a_binary_model(tmp_path):
+    ovr = OvrModel(("a", "b"), (SOFT, negated(SOFT)))
+    with pytest.raises(McmError, match="^no decision function for OvrModel$"):
+        decision_many(OvrModel(("x", "y"), (ovr, ovr)), np.zeros((1, 2)))
+    with pytest.raises(McmError, match="^cannot negate OvrModel$"):
+        negated(ovr)
+    with pytest.raises(McmError, match="^cannot serialize str$"):
+        save_model("model", tmp_path / "m.json")
+
+
 def test_ovr_decision_is_stack_of_member_decisions():
     rng = np.random.default_rng(9)
     members = tuple(LinearModel(rng.normal(size=3), rng.normal(), 1.0) for _ in range(3))
