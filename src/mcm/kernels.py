@@ -61,6 +61,8 @@ class KernelSpec:
     @classmethod
     def from_dict(cls, spec: dict, context: str) -> KernelSpec:
         """Inverse of to_dict; `context` names the object in parse errors."""
+        if not isinstance(spec, dict):
+            raise ParseError(f"{context}: expected a JSON object")
         if "kind" not in spec:
             raise ParseError(f"{context}: missing field 'kind'")
         degree = spec.get("degree", 3)

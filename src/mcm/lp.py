@@ -2,8 +2,11 @@
 
 An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
 ``A x {<=,>=,=} rhs`` row by row, with each variable nonnegative or free (a
-boolean mask).  ``solve`` standardizes it (inequalities slacked), runs
-phase 1 with artificial variables where no slack can seed the basis, then
+boolean mask).  ``solve`` starts phase 1 from the slack basis: a row is
+basic on its slack where that slack's entry is +1 once the row is flipped to
+a nonnegative rhs, on an artificial variable elsewhere.  That start reads
+only the senses and the rhs, so the memory budget is checked before the
+problem is standardized (inequalities slacked); then come phase 1 and
 phase 2 on the original costs.  Each phase's tableau is one allocation:
 C-ordered in phase 1, a Fortran-ordered column selection of it in phase 2,
 which releases phase 1's.  Beside it a solve holds one copy of the program,
@@ -298,7 +301,7 @@ _PIVOT_TOL = 1e-10       # reduced costs and pivot entries within this count as 
 _STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
-_MAX_TABLEAU_BYTES = 2**30  # phase-1 tableau and its originals, together
+_MAX_TABLEAU_BYTES = 2**30  # the phase-1 tableau, counted twice (check_budget)
 
 
 def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
@@ -449,40 +452,18 @@ def _ratio_test(tab: _Tableau, col: np.ndarray, bland: bool,
     return int(window[pivots.argmax()])
 
 
-def _seed_basis(A: np.ndarray, flip: np.ndarray, free: np.ndarray,
-                n_orig: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis and signs seeded from the unit columns of ``A * flip[:, None]``,
-    with basis -1 on the rows none seeds.  The columns with one nonzero entry
-    are taken in the split form's order, and the first whose entry is 1 in
-    its direction seeds that row; so a free column whose one entry is -1
-    seeds in its negative direction."""
-    m = A.shape[0]
-    entries = A != 0
-    single = (np.count_nonzero(entries, axis=0) == 1).nonzero()[0]
-    # row i of entries.T[single] has its one True at flat index i * m + (its row)
-    single_row = entries.T[single].ravel().nonzero()[0] - m * np.arange(single.size)
-    split = single.searchsorted(n_orig)
-    negatives = free[single].nonzero()[0]
-    order = np.concatenate([np.arange(split), negatives, np.arange(split, single.size)])
-    cand, row = single[order], single_row[order]
-    cand_sign = np.repeat([1.0, -1.0, 1.0], [split, negatives.size, single.size - split])
-    unit = cand_sign * flip[row] * A[row, cand] == 1.0
-    seeded, first = np.unique(row[unit], return_index=True)
-    basis, sign = np.full(m, -1), np.ones(m)
-    basis[seeded], sign[seeded] = cand[unit][first], cand_sign[unit][first]
-    return basis, sign
-
-
 def check_budget(rows: int, columns: int) -> None:
     """Raise McmError when a phase-1 tableau of ``rows`` rows and ``columns``
     columns (slacks and artificials included), counted twice, would take more
-    than _MAX_TABLEAU_BYTES.  A solve holds it, the flipped standardized matrix
-    and, at the switch, the phase-2 copy: on linear_cv's LPs 25% above that."""
+    than _MAX_TABLEAU_BYTES.  The doubling stands for what a solve holds
+    beside the tableau: the flipped standardized originals, the phase-2 copy
+    at the switch, the caller's LP and a kernel fit's Gram matrix.  It does
+    not count them, since counting them would refuse fits that run today."""
     nbytes = 8 * rows * (columns + 1)
     if 2 * nbytes > _MAX_TABLEAU_BYTES:
         raise McmError(f"an LP of {rows} rows and {columns} columns needs {nbytes} bytes "
-                       f"for its phase-1 tableau and {nbytes} for its originals, over "
-                       f"the budget of {_MAX_TABLEAU_BYTES} bytes")
+                       f"for its phase-1 tableau; twice that is over the budget of "
+                       f"{_MAX_TABLEAU_BYTES} bytes")
 
 
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
@@ -490,25 +471,29 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     max_iterations caps the pivots of both phases together (None: 50 times
     the standardized rows plus columns); running out gives ITERATION_LIMIT.
-    Raises McmError (``check_budget``) before allocating the phase-1 tableau
-    or flipping the standardized matrix into its originals.
+    The starting basis depends only on the senses and the signs of the rhs,
+    so ``check_budget`` raises McmError before ``standardize`` allocates.
     """
+    problem.validate()
+    senses, m, n_orig = problem.senses, problem.n_constraints, problem.n_vars
+    # phase 1, on rows flipped to a nonnegative rhs, starts a row on its slack
+    # where that slack's entry is +1, on an artificial elsewhere: no training
+    # LP has a one-nonzero column to start a row instead (each weight, b and
+    # q_i sits in both rows of a sample that uses it, h in all M >= 2 cap rows)
+    flip = np.where(problem.rhs < 0, -1.0, 1.0)
+    ineq = senses != EQUAL
+    on_slack = np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
+    needs_artificial = (~on_slack).nonzero()[0]
+    n, n_art = n_orig + int(ineq.sum()), needs_artificial.size
+    check_budget(m, n + n_art)
+
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
-    m, n = A.shape
-    n_orig = problem.n_vars
     budget = 50 * (m + n) if max_iterations is None else max_iterations
-
-    # phase 1, on rows flipped to a nonnegative rhs: unit columns (slacks)
-    # seed the starting basis where they can, artificials the other rows
-    flip = np.where(b < 0, -1.0, 1.0)
-    basis, sign = _seed_basis(A, flip, free, n_orig)
-    needs_artificial = (basis < 0).nonzero()[0]
-    n_art = needs_artificial.size
-    basis[needs_artificial] = n + np.arange(n_art)
-    check_budget(m, n + n_art)
+    basis = np.where(on_slack, n_orig + np.cumsum(ineq) - 1, n + np.cumsum(~on_slack) - 1)
     np.multiply(A, flip[:, None], out=A)  # standardize's own copy: now the originals
-    tab = _Tableau(None, (A, b * flip), basis, sign, free.nonzero()[0], n_orig, needs_artificial)
+    tab = _Tableau(None, (A, b * flip), basis, np.ones(m), free.nonzero()[0], n_orig,
+                   needs_artificial)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
     status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
     assert status is not LpStatus.UNBOUNDED  # phase 1 is bounded below by 0

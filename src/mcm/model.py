@@ -285,8 +285,9 @@ def model_from_json(text: str):
 
 
 def save_model(model, path) -> None:
+    text = model_to_json(model)  # before open, which empties an existing file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(model_to_json(model))
+        handle.write(text)
 
 
 def load_model(path):

@@ -222,25 +222,25 @@ def ratio_test_full_length(tab, col: np.ndarray, bland: bool, artificial_start):
     return int(window[np.argmax(np.abs(col[window]))])
 
 
-def seed_basis_loop(A: np.ndarray, flip: np.ndarray, free: np.ndarray, n_orig: int):
-    """The phase-1 starting basis found one candidate column at a time, as
-    lp.solve once did: (basis, sign) with basis -1 on rows left for an
-    artificial.  Candidates are the columns of A * flip[:, None] with one
-    nonzero entry, in the split form's order (originals in the positive
-    direction, free ones in the negative direction, then the rest); the
-    first whose entry in its direction is 1 takes that entry's row."""
-    A = A * flip[:, None]
-    m, n = A.shape
-    basis, sign = np.full(m, -1), np.ones(m)
-    single = [j for j in range(n) if np.count_nonzero(A[:, j]) == 1]
-    candidates = ([(j, 1.0) for j in single if j < n_orig]
-                  + [(j, -1.0) for j in single if free[j]]
-                  + [(j, 1.0) for j in single if j >= n_orig])
-    for j, s in candidates:
-        row = int(np.flatnonzero(A[:, j])[0])
-        if basis[row] < 0 and s * A[row, j] == 1.0:
-            basis[row], sign[row] = j, s
-    return basis, sign
+def phase1_starts(monkeypatch) -> tuple[list, list]:
+    """Spy on lp.solve from here on: lists filled with each check_budget
+    call's (rows, columns) and each phase-1 start (basis, signs, tableau
+    columns without the rhs), as solve hands them over."""
+    budgets, starts = [], []
+    check_budget, run_simplex = lp.check_budget, lp._run_simplex
+
+    def recording_budget(rows, columns):
+        budgets.append((rows, columns))
+        check_budget(rows, columns)
+
+    def recording_run(tab, costs, budget, artificial_start=None):
+        if artificial_start is not None:
+            starts.append((tab.basis.tolist(), tab.sign.tolist(), tab.T.shape[1] - 1))
+        return run_simplex(tab, costs, budget, artificial_start)
+
+    monkeypatch.setattr(lp, "check_budget", recording_budget)
+    monkeypatch.setattr(lp, "_run_simplex", recording_run)
+    return budgets, starts
 
 
 def mcm_program(scores: np.ndarray, y: np.ndarray, C: float | None = None):

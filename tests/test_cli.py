@@ -652,6 +652,10 @@ def test_bad_model_fields_fail_at_load(tmp_path, capsys):
     mixed = dict(stored, members=[stored["members"][0], kernel_member])
     kindless = dict(stored, members=[stored["members"][0],
                                      dict(kernel_member, kernel={"gamma": 1.0})])
+    # "kind" in spec holds for both: only a type check makes these parse errors
+    string_kernel, list_kernel = (
+        dict(stored, members=[dict(kernel_member, kernel=kernel), kernel_member])
+        for kernel in ("kind", ["kind"]))
     for bad, message in (
             (nested, "model.members[0]: a one-versus-rest member must be "
                      "a linear or kernel model"),
@@ -664,7 +668,9 @@ def test_bad_model_fields_fail_at_load(tmp_path, capsys):
              "one member model per class label required"),
             (wider, f"member models disagree on feature count: {{{n}, {n + 1}}}"),
             (mixed, "member models must share one variant"),
-            (kindless, "model.members[1].kernel: missing field 'kind'")):
+            (kindless, "model.members[1].kernel: missing field 'kind'"),
+            (string_kernel, "model.members[0].kernel: expected a JSON object"),
+            (list_kernel, "model.members[0].kernel: expected a JSON object")):
         model_path.write_text(json.dumps(bad), encoding="utf-8")
         for argv in (("inspect", "--model", str(model_path)),
                      ("predict", "--model", str(model_path), "--data", query)):

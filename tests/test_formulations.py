@@ -72,6 +72,44 @@ def test_build_problem_checks_the_budget_lp_solve_checks(monkeypatch, config):
     assert len(calls) == 2 and calls[0] == calls[1]
 
 
+def _nine_samples():
+    # a zero feature column, and samples 3 and 4 the same point with one label
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(9, 3))
+    X[:, 1] = 0.0
+    X[4] = X[3]
+    return X, np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("config", [
+    HARD, soft(0.3),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("rbf", gamma=0.125)),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("rbf", gamma=1e5)),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("poly", degree=2)),
+    formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("linear")),
+], ids=["hard-linear", "soft-linear", "rbf", "rbf-underflow", "poly", "linear-kernel"])
+@pytest.mark.parametrize("samples", [lambda: (PAIR_X, PAIR_Y), _nine_samples],
+                         ids=["M=2", "M=9"])
+def test_training_lp_starts_on_cap_slacks_and_floor_artificials(monkeypatch, config, samples):
+    # no column of a training LP has one nonzero entry, so none could start
+    # a row: each cap row starts on its slack, each floor row on an
+    # artificial, and build_problem's budget count is the one solve makes
+    X, y = samples()
+    M = y.size
+    problem, layout = formulations.build_problem(X, y, config)
+    if config.kernel is not None and config.kernel.gamma == 1e5:
+        off_diagonal = layout.scores[~np.eye(M, dtype=bool)]
+        assert np.count_nonzero(off_diagonal) == (2 if M == 9 else 0)  # the duplicates
+    assert not (np.count_nonzero(problem.A, axis=0) == 1).any()
+    _, starts = oracles.phase1_starts(monkeypatch)
+    lp.solve(problem)
+    (basis, _, columns), = starts
+    n = problem.n_vars + 2 * M  # structural columns and one slack per row
+    assert basis[0::2] == list(range(problem.n_vars, n, 2))
+    assert basis[1::2] == list(range(n, n + M))
+    assert columns == problem.n_vars + 3 * M  # as build_problem counts them
+
+
 def test_over_budget_fit_is_refused_before_its_gram_matrix(monkeypatch):
     X, y = oracles.blobs(0, 30, 2, 1.0)
     config = formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5))

@@ -7,6 +7,7 @@ import pytest
 
 from mcm import lp
 from mcm.errors import McmError
+from mcm.kernels import KernelSpec
 
 import oracles
 
@@ -34,18 +35,35 @@ def test_unbounded_certified():
 
 def test_memory_budget_is_checked_before_allocating(monkeypatch):
     # 2 rows of 2 variables, a slack, a surplus and one artificial: the
-    # tableau [A0 | b0] and its originals take 8 * 2 * 6 = 96 bytes each
+    # phase-1 tableau takes 8 * 2 * 6 = 96 bytes, counted twice
     problem = oracles.make_problem(
         [-1.0, -2.0], [([1.0, 1.0], "<=", 1.0), ([1.0, 0.0], ">=", 0.5)], ["nonneg"] * 2)
     monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 191)
     with pytest.raises(McmError, match=r"^an LP of 2 rows and 5 columns needs 96 bytes for "
-                                       r"its phase-1 tableau and 96 for its originals, over "
-                                       r"the budget of 191 bytes$"):
+                                       r"its phase-1 tableau; twice that is over the budget "
+                                       r"of 191 bytes$"):
         lp.solve(problem)
     monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 192)
     sol = lp.solve(problem)
     assert sol.status is lp.LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("sense", ["<=", ">=", "="])
+@pytest.mark.parametrize("rhs", [2.0, 0.0, -0.0, -2.0])
+def test_a_row_starts_on_its_slack_only_where_that_slack_is_plus_one(monkeypatch, sense, rhs):
+    # x (column 0) has one nonzero entry, 1 in row 0, and would be a unit
+    # column there once the row is flipped to a nonnegative rhs; it takes no
+    # row.  Row 1, y <= 5, always starts on its slack.
+    problem = oracles.make_problem(
+        [1.0, 1.0], [([1.0, 1.0], sense, rhs), ([0.0, 1.0], "<=", 5.0)], ["nonneg"] * 2)
+    budgets, starts = oracles.phase1_starts(monkeypatch)
+    lp.solve(problem)
+    on_slack = (sense, rhs < 0) in (("<=", False), (">=", True))
+    n = 2 + (sense != "=") + 1  # x, y, row 0's slack if any, row 1's slack
+    assert budgets == [(2, n + (not on_slack))]
+    row0 = 2 if on_slack else n  # row 0's slack, or the first artificial
+    assert starts == [([row0, n - 1], [1.0, 1.0], n + (not on_slack))]
 
 
 def test_dimension_mismatch_rejected():
@@ -555,11 +573,14 @@ def test_solve_leaves_its_problem_unchanged():
 
 def _flipped_originals(problem):
     """The flipped standardized [A | artificials] and b of problem, built in
-    full: the originals the tableau rebuilds its artificial columns of."""
+    full: the originals the tableau rebuilds its artificial columns of.  A
+    row has an artificial unless it starts on its slack: a <= row with a
+    nonnegative rhs, or a >= row with a negative one."""
     std = lp.standardize(problem).problem
     m, n = std.A.shape
     flip = np.where(std.rhs < 0, -1.0, 1.0)
-    rows = (lp._seed_basis(std.A, flip, std.free, problem.n_vars)[0] < 0).nonzero()[0]
+    on_slack = np.where(flip > 0, problem.senses == "<=", problem.senses == ">=")
+    rows = (~on_slack).nonzero()[0]
     full = np.zeros((m, n + rows.size))
     full[:, :n] = std.A * flip[:, None]
     full[rows, n + np.arange(rows.size)] = 1.0
@@ -636,6 +657,24 @@ def test_dropped_rows_match_the_flipped_originals(monkeypatch):
     checks = _compare_to_flipped_originals(problem, monkeypatch)
     assert checks == [("drop", 2 + 1 + 3 + 1, False)]
     assert len(drops) == 1 and -1 in drops[0] and sorted(drops[0])[1:] == [0, 1]
+
+
+def test_refused_solve_allocates_less_than_its_program(monkeypatch):
+    # the budget is checked before standardize copies the program
+    from mcm import formulations
+
+    X, y = oracles.blobs(5, 200, 2, 1.0)
+    problem, _ = formulations.build_problem(
+        X, y, formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5)))
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(McmError, match="^an LP of 400 rows and 1002 columns needs "):
+            lp.solve(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < problem.A.nbytes
 
 
 def test_solve_holds_one_copy_of_the_program():

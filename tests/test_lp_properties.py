@@ -1,8 +1,6 @@
-"""Property tests of two vectorized simplex steps against the loop
-references in oracles.py: the ratio test, which reads only the rows where
-the entering column is positive, and the phase-1 starting basis, seeded from
-the singleton columns in one pass.  Skipped when hypothesis is not
-installed."""
+"""Property test of the vectorized ratio test, which reads only the rows
+where the entering column is positive, against the full-length loop
+reference in oracles.py.  Skipped when hypothesis is not installed."""
 
 import numpy as np
 import pytest
@@ -67,42 +65,3 @@ def test_ratio_test_matches_the_full_length_reference(case):
     col = np.array(col)
     expected = oracles.ratio_test_full_length(tab, col, bland, artificial_start)
     assert lp._ratio_test(tab, col, bland, artificial_start) == expected
-
-
-@st.composite
-def seeding_cases(draw):
-    m = draw(st.integers(0, 6))
-    n_orig = draw(st.integers(1, 5))
-    n = n_orig + draw(st.integers(0, 5))
-    entries = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.5])
-    A = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n)),
-                 dtype=float).reshape(m, n)
-    free = np.zeros(n, dtype=bool)
-    free[:n_orig] = draw(st.lists(st.booleans(), min_size=n_orig, max_size=n_orig))
-    flip = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m, max_size=m)))
-    return A, flip, free, n_orig
-
-
-def _case(A, flip, free, n_orig):
-    A = np.array(A, dtype=float).reshape(len(flip), len(free))
-    return A, np.array(flip, dtype=float), np.array(free, dtype=bool), n_orig
-
-
-@derandomized
-@given(case=seeding_cases())
-# no rows
-@example(case=_case([], [], [True, False], 1))
-# two singleton columns on row 0, and row 1 only a singleton 3: an artificial
-@example(case=_case([[1.0, 1.0, 0.0], [0.0, 0.0, 3.0]], [1.0, 1.0], [False] * 3, 3))
-# a free column whose only entry is -1 seeds row 0 in its negative direction,
-# before the slack; a flipped row turns the -1 of column 2 into a 1
-@example(case=_case([[-1.0, 1.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]], [1.0, -1.0],
-                    [True, False, False, False], 3))
-# singletons of 2 and -0.5 seed nothing
-@example(case=_case([[2.0, 0.0, 1.0], [0.0, -0.5, 1.0]], [1.0, 1.0], [False] * 3, 2))
-def test_seeded_basis_matches_the_loop_reference(case):
-    A, flip, free, n_orig = case
-    basis, sign = lp._seed_basis(A, flip, free, n_orig)
-    expected_basis, expected_sign = oracles.seed_basis_loop(A, flip, free, n_orig)
-    assert basis.tolist() == expected_basis.tolist()
-    assert sign.tolist() == expected_sign.tolist()

@@ -404,8 +404,12 @@ def test_a_bundle_is_not_a_binary_model(tmp_path):
         decision_many(OvrModel(("x", "y"), (ovr, ovr)), np.zeros((1, 2)))
     with pytest.raises(McmError, match="^cannot negate OvrModel$"):
         negated(ovr)
+    path = tmp_path / "m.json"
+    save_model(SOFT, path)
+    before = path.read_bytes()
     with pytest.raises(McmError, match="^cannot serialize str$"):
-        save_model("model", tmp_path / "m.json")
+        save_model("model", path)
+    assert path.read_bytes() == before  # serialized before the file is opened
 
 
 def test_ovr_decision_is_stack_of_member_decisions():

@@ -153,14 +153,17 @@ def test_unbounded_free_direction_replays_split_form(monkeypatch):
     assert solution.status is lp.LpStatus.UNBOUNDED
 
 
-def test_free_variable_seeds_its_row_in_the_negative_direction(monkeypatch):
-    # x appears in one row only, with coefficient -1: its negative direction
-    # is a unit column and starts basic, as the split form's x- did
+def test_free_variable_enters_its_row_in_the_negative_direction(monkeypatch):
+    # x appears in one row only, with coefficient -1; that row is an equality,
+    # so it starts on an artificial, and phase 1's one pivot brings x in there
+    # in its negative direction (split index 2), as it brings in the split
+    # form's x-
     problem = oracles.make_problem(
         [1.0, 2.0], [([-1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 4.0)], ["free", "nonneg"])
     solution = assert_replays_split_form(problem, monkeypatch)
     assert solution.status is lp.LpStatus.OPTIMAL
     assert solution.primal_values.tolist() == [-2.0, 0.0]
+    assert _solve_recording(problem, monkeypatch)[1] == [(0, 2)]
 
 
 def test_driving_out_artificials_prices_both_directions():
