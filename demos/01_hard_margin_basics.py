@@ -8,7 +8,7 @@ band of margins: the classifier is as simple as the data allows.
 
 import numpy as np
 
-from mcm import TrainConfig, capacity_report, decision_many, train
+from mcm import TrainConfig, capacity_report, decision_many, radius_margin_ratio, train
 
 # two points, one per class, equidistant from the origin: the classic
 # sanity check where the optimum is w=1, b=0 and every margin equals 1
@@ -37,7 +37,7 @@ print(f"  h = {model.h:.4f} = largest/smallest margin")
 
 report = capacity_report(model, X, y)
 print(f"  h^2 = {report.h_squared:.4f}  (the capacity bound the LP minimized)")
-print(f"  R/d = {report.radius_margin_ratio:.4f}  (geometric ceiling for h)")
+print(f"  R/d = {radius_margin_ratio(X, model.w, model.b):.4f}  (geometric ceiling for h)")
 
 print(f"\nLP solved in {result.lp_iterations} simplex iterations, "
       f"{result.seconds * 1e3:.2f} ms")

@@ -4,9 +4,9 @@ h is the ratio of the largest to the smallest signed margin y_i f(x_i) over a
 training set; it is only meaningful when the hyperplane separates correctly
 with positive margin, and is reported as undefined (None) otherwise.  h is
 bounded above by the radius/margin ratio R/d computed on origin-augmented
-coordinates, and h^2 is the capacity bound the trainers minimize.  The report
-also carries support-vector statistics and the expected-error bound
-sv_count / M for kernel models.
+coordinates, itself None when a sample lies on the hyperplane.  h^2 is the
+capacity bound the trainers minimize.  The report carries h, h^2, the
+support-vector count and the expected-error bound sv_count / M.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMargin, McmError
+from .errors import McmError
 from .model import KernelModel, LinearModel, decision_many
 
 MARGIN_EPS = 1e-10      # smallest signed margin for which the ratio is trusted
@@ -26,10 +26,8 @@ DISTANCE_EPS = 1e-12    # samples closer than this to the hyperplane are degener
 class CapacityReport:
     h: float | None
     h_squared: float | None
-    radius_margin_ratio: float | None
-    sv_count: int
+    sv_count: int  # M for linear models, where every sample backs w
     expected_error_bound: float
-    sv_applicable: bool  # False for linear models, where every sample backs w
 
 
 def _ratio(values: np.ndarray) -> float | None:
@@ -52,23 +50,21 @@ def compute_h(samples, labels, w, b) -> float | None:
     return _ratio(y * (X @ w + b))
 
 
-def radius_margin_ratio(samples, w, b) -> float:
+def radius_margin_ratio(samples, w, b) -> float | None:
     """R/d on augmented coordinates: samples gain a constant-1 feature, the
     hyperplane normal gains the offset, and the plane passes through the
     origin.  R is the largest augmented sample norm, d the smallest
-    point-to-plane distance."""
+    point-to-plane distance.  None when a sample lies on the plane, as every
+    sample does on the zero plane."""
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     w = np.asarray(w, dtype=float)
     u = np.concatenate([w, [float(b)]])
-    norm_u = float(np.linalg.norm(u))
-    if norm_u == 0.0:
-        raise DegenerateMargin("hyperplane has zero normal and zero offset")
     augmented = np.hstack([X, np.ones((X.shape[0], 1))])
     projections = np.abs(augmented @ u)
     if projections.min() < DISTANCE_EPS:
-        raise DegenerateMargin("a sample lies on the hyperplane")
+        return None
     radius = float(np.linalg.norm(augmented, axis=1).max())
-    margin = float(projections.min()) / norm_u
+    margin = float(projections.min()) / float(np.linalg.norm(u))
     return radius / margin
 
 
@@ -76,25 +72,14 @@ def capacity_report(model, train_samples, train_labels) -> CapacityReport:
     """Capacity diagnostics of a trained binary model on its training set."""
     X = np.atleast_2d(np.asarray(train_samples, dtype=float))
     y = np.asarray(train_labels, dtype=float)
+    if not isinstance(model, (LinearModel, KernelModel)):
+        raise McmError(f"no capacity report for {type(model).__name__}")
     M = X.shape[0]
     h = _ratio(y * decision_many(model, X))
-    if isinstance(model, LinearModel):
-        try:
-            ratio_bound = radius_margin_ratio(X, model.w, model.b)
-        except DegenerateMargin:
-            ratio_bound = None
-        sv_count, applicable = M, False
-    elif isinstance(model, KernelModel):
-        ratio_bound = None  # no input-space normal to augment
-        sv_count, applicable = model.sv_count, True
-    else:
-        raise McmError(f"no capacity report for {type(model).__name__}")
-
+    sv_count = M if isinstance(model, LinearModel) else model.sv_count
     return CapacityReport(
         h=h,
         h_squared=None if h is None else h * h,
-        radius_margin_ratio=ratio_bound,
         sv_count=sv_count,
         expected_error_bound=sv_count / M if M else 0.0,
-        sv_applicable=applicable,
     )

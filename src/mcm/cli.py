@@ -147,9 +147,6 @@ def _load_dataset(args) -> data_mod.Dataset:
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     dataset = _load_dataset(args)
-    classes = dataset.classes()
-    if len(classes) < 2:
-        raise McmError("training data contains a single class")
 
     def dump_lp(problem, layout):
         # the first solve's LP: for multi-class data, the first class's member
@@ -231,8 +228,9 @@ def cmd_grid(args) -> int:
                     or data_mod.DEFAULT_GAMMA_GRID)
     # every C is checked before any gamma, and every gamma although only an
     # rbf kernel scans them; the cells are C-major, gamma-minor
+    placeholder = KernelSpec(LINEAR) if args.variant == formulations.SOFT_KERNEL else None
     for C in c_values:
-        formulations.TrainConfig(args.variant, C=C, kernel=KernelSpec(LINEAR))
+        formulations.TrainConfig(args.variant, C=C, kernel=placeholder)
     kernels = [_kernel_spec(RBF, gamma, args.degree, args.coef0) for gamma in gamma_values]
     if args.variant == formulations.SOFT_LINEAR:
         kernels = [None]

@@ -342,7 +342,7 @@ def train_ovr(samples, raw_labels, config: formulations.TrainConfig, classes=Non
     labels = np.asarray(list(raw_labels), dtype=object)
     classes = list(dict.fromkeys(labels) if classes is None else classes)
     if len(classes) < 2:
-        raise McmError("one-versus-rest needs at least two classes")
+        raise McmError("training data contains a single class")
     results = [formulations.train(samples, np.where(labels == cls, 1.0, -1.0), config,
                                   on_problem if k == 0 else None)
                for k, cls in enumerate(classes if len(classes) > 2 else classes[:1])]

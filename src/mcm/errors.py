@@ -3,8 +3,7 @@ takes.
 
 ``mcm`` maps them to exit codes: ``HardMarginInfeasible`` exits 2,
 ``SolverFailure`` exits 3, and every other ``McmError`` (with ``OSError``)
-exits 1.  ``capacity_report`` catches ``DegenerateMargin`` and reports the
-radius/margin ratio as undefined.
+exits 1.  Undefined values (h, R/d) are returned as None, not raised.
 """
 
 
@@ -23,8 +22,3 @@ class HardMarginInfeasible(McmError):
 
 class SolverFailure(McmError):
     """The LP solver returned an unusable status for a training problem."""
-
-
-class DegenerateMargin(McmError):
-    """The hyperplane is degenerate (zero normal and offset) or a sample lies
-    numerically on it; the distance ratio is undefined."""

@@ -53,6 +53,8 @@ class TrainConfig:
                 raise McmError(f"variant {self.variant!r} requires a finite C")
         if self.variant == SOFT_KERNEL and self.kernel is None:
             raise McmError("kernel variant requires a KernelSpec")
+        if self.variant != SOFT_KERNEL and self.kernel is not None:
+            raise McmError(f"variant {self.variant!r} takes no kernel")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,9 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     n_weights = M if config.variant == SOFT_KERNEL else X.shape[1]
     with_slack = config.variant != HARD_LINEAR
     n_cols = n_weights + 2 + (M if with_slack else 0)
-    # lp.solve's phase-1 shape: one slack per row, one artificial per floor row
-    lp.check_budget(2 * M, n_cols + 3 * M)
+    senses = np.tile([lp.LESS_EQUAL, lp.GREATER_EQUAL], M)
+    rhs = np.tile([0.0, 1.0], M)
+    lp.check_budget(senses, rhs, n_cols)
     scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
 
     objective = np.zeros(n_cols)
@@ -124,8 +127,8 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     problem = lp.LpProblem(
         objective,
         rows.reshape(2 * M, n_cols),
-        np.tile([lp.LESS_EQUAL, lp.GREATER_EQUAL], M),
-        np.tile([0.0, 1.0], M),
+        senses,
+        rhs,
         np.arange(n_cols) < n_weights + 2,  # weights, b and h are free
     )
     layout = McmLpLayout(

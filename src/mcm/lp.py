@@ -5,9 +5,10 @@ An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
 boolean mask).  ``solve`` starts phase 1 from the slack basis: a row is
 basic on its slack where that slack's entry is +1 once the row is flipped to
 a nonnegative rhs, on an artificial variable elsewhere.  That start reads
-only the senses and the rhs, so the memory budget is checked before the
-problem is standardized (inequalities slacked); then come phase 1 and
-phase 2 on the original costs.  Each phase's tableau is one allocation:
+only the senses and the rhs, so ``check_budget`` counts the phase-1 tableau
+off them, for a builder before it fills its matrix and in ``standardize``
+(inequalities slacked) before it allocates; then come phase 1 and phase 2
+on the original costs.  Each phase's tableau is one allocation:
 C-ordered in phase 1, a Fortran-ordered column selection of it in phase 2,
 which releases phase 1's.  Beside it a solve holds one copy of the program,
 standardize's matrix flipped in place; artificial columns are built on the fly.
@@ -133,8 +134,10 @@ class StandardForm:
 
 
 def standardize(problem: LpProblem) -> StandardForm:
-    """Rewrite every row as an equality by adding a slack or surplus column."""
+    """Rewrite every row as an equality by adding a slack or surplus column,
+    after validating the problem and checking it against ``check_budget``."""
     problem.validate()
+    check_budget(problem.senses, problem.rhs, problem.n_vars)
     A0 = problem.A
     m, n = A0.shape
     ineq = np.flatnonzero(problem.senses != EQUAL)
@@ -452,13 +455,25 @@ def _ratio_test(tab: _Tableau, col: np.ndarray, bland: bool,
     return int(window[pivots.argmax()])
 
 
-def check_budget(rows: int, columns: int) -> None:
-    """Raise McmError when a phase-1 tableau of ``rows`` rows and ``columns``
-    columns (slacks and artificials included), counted twice, would take more
-    than _MAX_TABLEAU_BYTES.  The doubling stands for what a solve holds
+def _slack_start(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 1's start: each row is flipped to a nonnegative rhs (the +-1
+    flips) and starts on its slack where that slack's entry is then +1 (the
+    mask), on an artificial elsewhere."""
+    flip = np.where(rhs < 0, -1.0, 1.0)
+    return flip, np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
+
+
+def check_budget(senses: np.ndarray, rhs: np.ndarray, n_vars: int) -> None:
+    """Raise McmError when the phase-1 tableau of a program with these
+    senses and rhs over ``n_vars`` variables (a slack per inequality and an
+    artificial per row not started on its slack), counted twice, would take
+    more than _MAX_TABLEAU_BYTES.  The doubling stands for what a solve holds
     beside the tableau: the flipped standardized originals, the phase-2 copy
     at the switch, the caller's LP and a kernel fit's Gram matrix.  It does
     not count them, since counting them would refuse fits that run today."""
+    on_slack = _slack_start(senses, rhs)[1]
+    rows = senses.size
+    columns = n_vars + int((senses != EQUAL).sum()) + int((~on_slack).sum())
     nbytes = 8 * rows * (columns + 1)
     if 2 * nbytes > _MAX_TABLEAU_BYTES:
         raise McmError(f"an LP of {rows} rows and {columns} columns needs {nbytes} bytes "
@@ -471,24 +486,19 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     max_iterations caps the pivots of both phases together (None: 50 times
     the standardized rows plus columns); running out gives ITERATION_LIMIT.
-    The starting basis depends only on the senses and the signs of the rhs,
-    so ``check_budget`` raises McmError before ``standardize`` allocates.
+    ``standardize`` validates the problem and checks the budget before it
+    allocates.
     """
-    problem.validate()
-    senses, m, n_orig = problem.senses, problem.n_constraints, problem.n_vars
-    # phase 1, on rows flipped to a nonnegative rhs, starts a row on its slack
-    # where that slack's entry is +1, on an artificial elsewhere: no training
-    # LP has a one-nonzero column to start a row instead (each weight, b and
-    # q_i sits in both rows of a sample that uses it, h in all M >= 2 cap rows)
-    flip = np.where(problem.rhs < 0, -1.0, 1.0)
-    ineq = senses != EQUAL
-    on_slack = np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
-    needs_artificial = (~on_slack).nonzero()[0]
-    n, n_art = n_orig + int(ineq.sum()), needs_artificial.size
-    check_budget(m, n + n_art)
-
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
+    senses, m, n_orig = problem.senses, problem.n_constraints, problem.n_vars
+    # no training LP has a one-nonzero column to start a row instead of its
+    # slack or artificial (each weight, b and q_i sits in both rows of a
+    # sample that uses it, h in all M >= 2 cap rows)
+    flip, on_slack = _slack_start(senses, problem.rhs)
+    ineq = senses != EQUAL
+    needs_artificial = (~on_slack).nonzero()[0]
+    n, n_art = n_orig + int(ineq.sum()), needs_artificial.size
     budget = 50 * (m + n) if max_iterations is None else max_iterations
     basis = np.where(on_slack, n_orig + np.cumsum(ineq) - 1, n + np.cumsum(~on_slack) - 1)
     np.multiply(A, flip[:, None], out=A)  # standardize's own copy: now the originals

@@ -9,6 +9,7 @@ route to the same answer.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -223,15 +224,23 @@ def ratio_test_full_length(tab, col: np.ndarray, bland: bool, artificial_start):
 
 
 def phase1_starts(monkeypatch) -> tuple[list, list]:
-    """Spy on lp.solve from here on: lists filled with each check_budget
-    call's (rows, columns) and each phase-1 start (basis, signs, tableau
-    columns without the rhs), as solve hands them over."""
+    """Spy on lp.solve from here on: lists filled with the (rows, columns)
+    each check_budget call counts, read off the message it gives over a
+    budget of -1 bytes, and each phase-1 start (basis, signs, tableau columns
+    without the rhs), as solve hands them over."""
     budgets, starts = [], []
     check_budget, run_simplex = lp.check_budget, lp._run_simplex
 
-    def recording_budget(rows, columns):
-        budgets.append((rows, columns))
-        check_budget(rows, columns)
+    def recording_budget(senses, rhs, n_vars):
+        limit, lp._MAX_TABLEAU_BYTES = lp._MAX_TABLEAU_BYTES, -1
+        try:
+            check_budget(senses, rhs, n_vars)
+        except McmError as exc:
+            counted = re.match(r"an LP of (\d+) rows and (\d+) columns", str(exc))
+            budgets.append((int(counted[1]), int(counted[2])))
+        finally:
+            lp._MAX_TABLEAU_BYTES = limit
+        check_budget(senses, rhs, n_vars)
 
     def recording_run(tab, costs, budget, artificial_start=None):
         if artificial_start is not None:

@@ -3,7 +3,7 @@ import pytest
 
 from mcm import formulations
 from mcm.capacity import capacity_report, compute_h, radius_margin_ratio
-from mcm.errors import DegenerateMargin, McmError
+from mcm.errors import McmError
 from mcm.kernels import KernelSpec
 from mcm.model import LinearModel, OvrModel, negated
 
@@ -59,16 +59,17 @@ def test_radius_margin_ratio_homogeneous():
 
 
 def test_radius_margin_ratio_degenerate():
-    with pytest.raises(DegenerateMargin, match="^a sample lies on the hyperplane$"):
-        radius_margin_ratio(np.array([[1.0, 0.0]]), [0.0, 1.0], 0.0)
+    # a sample on the plane, or within DISTANCE_EPS of it
+    assert radius_margin_ratio(np.array([[1.0, 0.0]]), [0.0, 1.0], 0.0) is None
+    assert radius_margin_ratio(np.array([[1.0, 0.0], [2.0, 1.0]]), [0.0, 1.0], 1e-13) is None
 
 
 def test_zero_hyperplane_is_degenerate():
+    # every sample lies on the zero plane
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(DegenerateMargin, match="^hyperplane has zero normal and zero offset$"):
-        radius_margin_ratio(X, [0.0, 0.0], 0.0)
+    assert radius_margin_ratio(X, [0.0, 0.0], 0.0) is None
     report = capacity_report(LinearModel(w=[0.0, 0.0], b=0.0, h=1.0), X, [1.0, -1.0])
-    assert report.radius_margin_ratio is None and report.h is None
+    assert report.h is None
 
 
 def test_h_bounded_by_radius_margin_ratio():
@@ -102,8 +103,8 @@ def test_report_for_hard_linear_pair():
     report = capacity_report(result.model, PAIR_X, PAIR_Y)
     assert report.h == pytest.approx(1.0, abs=1e-8)
     assert report.h_squared == pytest.approx(1.0, abs=1e-8)
-    assert report.radius_margin_ratio == pytest.approx(np.sqrt(2.0), abs=1e-8)
-    assert not report.sv_applicable
+    model = result.model
+    assert radius_margin_ratio(PAIR_X, model.w, model.b) == pytest.approx(np.sqrt(2.0), abs=1e-8)
     assert report.sv_count == 2
     assert report.expected_error_bound == 1.0
 
@@ -115,10 +116,8 @@ def test_report_for_xor_kernel_model():
                                       kernel=KernelSpec("rbf", gamma=1.0))
     result = formulations.train(X, y, config)
     report = capacity_report(result.model, X, y)
-    assert report.sv_applicable
     assert report.sv_count == result.model.sv_count
     assert report.expected_error_bound == pytest.approx(report.sv_count / 4)
-    assert report.radius_margin_ratio is None
     assert report.h is not None and report.h >= 1.0 - 1e-8
 
 

@@ -500,7 +500,7 @@ def test_cross_validate_error_carries_fold_index():
 
 @pytest.mark.parametrize("labels, message", [
     (["a", "a", "b"], "training data contains a single class"),
-    (["a", "a", "b", "c"], "one-versus-rest needs at least two classes"),
+    (["a", "a", "b", "c"], "training data contains a single class"),
 ], ids=["two-class", "three-class"])
 def test_single_class_training_fold_message(labels, message):
     X = np.arange(len(labels), dtype=float)[:, None]

@@ -53,8 +53,8 @@ def test_layout_covers_columns():
     formulations.TrainConfig("kernel", C=2.0, kernel=KernelSpec("linear")),
 ], ids=["hard-linear", "soft-linear", "rbf", "poly", "linear-kernel"])
 def test_build_problem_checks_the_budget_lp_solve_checks(monkeypatch, config):
-    # the phase-1 shape build_problem predicts is the one lp.solve counts,
-    # a zero feature included
+    # build_problem checks the budget of the senses, rhs and columns that
+    # lp.solve checks, a zero feature included
     rng = np.random.default_rng(27)
     X = rng.normal(size=(9, 3))
     X[:, 1] = 0.0
@@ -62,9 +62,9 @@ def test_build_problem_checks_the_budget_lp_solve_checks(monkeypatch, config):
     real_check = lp.check_budget
     calls = []
 
-    def recording(rows, columns):
-        calls.append((rows, columns))
-        real_check(rows, columns)
+    def recording(senses, rhs, n_vars):
+        calls.append((list(senses), list(rhs), n_vars))
+        real_check(senses, rhs, n_vars)
 
     monkeypatch.setattr(lp, "check_budget", recording)
     problem, _ = formulations.build_problem(X, y, config)
@@ -374,6 +374,12 @@ def test_config_validation():
         formulations.TrainConfig("banana")
     with pytest.raises(McmError):
         soft(-2.0)
+
+
+@pytest.mark.parametrize("variant, C", [("hard-linear", None), ("soft-linear", 1.0)])
+def test_linear_variants_take_no_kernel(variant, C):
+    with pytest.raises(McmError, match=f"^variant '{variant}' takes no kernel$"):
+        formulations.TrainConfig(variant, C=C, kernel=KernelSpec("rbf", gamma=1.0))
 
 
 def test_bad_labels_rejected():

@@ -659,8 +659,9 @@ def test_dropped_rows_match_the_flipped_originals(monkeypatch):
     assert len(drops) == 1 and -1 in drops[0] and sorted(drops[0])[1:] == [0, 1]
 
 
-def test_refused_solve_allocates_less_than_its_program(monkeypatch):
-    # the budget is checked before standardize copies the program
+def _refused_peak(monkeypatch, call) -> tuple[int, int]:
+    """The traced peak of call on an over-budget 200-sample rbf program,
+    which must refuse it, and the bytes of that program's matrix."""
     from mcm import formulations
 
     X, y = oracles.blobs(5, 200, 2, 1.0)
@@ -670,11 +671,37 @@ def test_refused_solve_allocates_less_than_its_program(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(McmError, match="^an LP of 400 rows and 1002 columns needs "):
-            lp.solve(problem)
+            call(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < problem.A.nbytes
+    return peak, problem.A.nbytes
+
+
+def test_refused_solve_allocates_less_than_its_program(monkeypatch):
+    # the budget is checked before standardize copies the program
+    peak, nbytes = _refused_peak(monkeypatch, lp.solve)
+    assert peak < nbytes
+
+
+def test_refused_standardize_allocates_less_than_its_program(monkeypatch):
+    peak, nbytes = _refused_peak(monkeypatch, lp.standardize)
+    assert peak < nbytes
+
+
+def test_solve_validates_its_problem_once(monkeypatch):
+    validated = []
+    validate = lp.LpProblem.validate
+
+    def recording(problem):
+        validated.append(problem)
+        validate(problem)
+
+    monkeypatch.setattr(lp.LpProblem, "validate", recording)
+    problem = oracles.make_problem(
+        [-1.0, -2.0], [([1.0, 1.0], "<=", 1.0), ([1.0, 0.0], ">=", 0.5)], ["nonneg"] * 2)
+    assert lp.solve(problem).status is lp.LpStatus.OPTIMAL
+    assert len(validated) == 1 and validated[0] is problem
 
 
 def test_solve_holds_one_copy_of_the_program():
