@@ -31,7 +31,7 @@ class CapacityReport:
 
 
 def _ratio(values: np.ndarray) -> float | None:
-    smallest = float(values.min())
+    smallest = float(values.min()) if values.size else 0.0  # no samples: undefined
     if smallest <= MARGIN_EPS:
         return None
     return float(values.max()) / smallest

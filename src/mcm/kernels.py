@@ -96,7 +96,8 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
         for start in range(0, X.shape[0], step):
             Xt = np.ascontiguousarray(X[start:start + step].T)
             _sum_squares(Xt, Yt, 0, X.shape[1], dist[start:start + step])
-        dist *= -kernel.gamma
+        with np.errstate(over="ignore"):  # -inf, whose exp is the limit 0
+            dist *= -kernel.gamma
         return np.exp(dist, out=dist)
     return (X @ Y.T + kernel.coef0) ** kernel.degree
 

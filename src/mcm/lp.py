@@ -29,10 +29,10 @@ phase not ending ``OPTIMAL`` (``LpSolution.phase_iterations`` counts each
 phase's pivots): ``ITERATION_LIMIT`` when the budget runs out,
 ``NUMERICAL_FAILURE`` when the tableau or the cost row turns non-finite or a
 singular basis cannot be rebuilt, and ``UNBOUNDED`` only off a tableau
-rebuilt from the original data.  Optimal bases are re-solved against the
-original data, giving exact vertex coordinates with true zeros in degenerate
-positions.  The tolerances and the memory budget are module constants;
-``solve`` takes only the pivot budget.
+rebuilt from the original data, and never in phase 1, which is bounded below
+by 0 (there it ends ``NUMERICAL_FAILURE``).  An optimal basis is re-solved
+against the original data for its vertex, clamped at 0.  The tolerances and
+the memory budget are module constants; ``solve`` takes only the pivot budget.
 """
 
 from __future__ import annotations
@@ -290,12 +290,11 @@ class _Tableau:
         self._norms = None
 
     def basic_values(self) -> np.ndarray:
-        """Solve B x_B = b fresh off the original data for an exact vertex."""
+        """Solve B x_B = b fresh off the original data for the vertex, clamped at 0."""
         try:
             values = np.linalg.solve(self._basis_matrix(), self.b0)
         except np.linalg.LinAlgError:
             values = self.rhs.copy()
-        values[np.abs(values) < 1e-11] = 0.0
         return np.maximum(values, 0.0)
 
 
@@ -439,7 +438,8 @@ def _ratio_test(tab: _Tableau, col: np.ndarray, bland: bool,
     if not rows.size:
         return LpStatus.UNBOUNDED
     pivots = col[rows]
-    ratios = np.maximum(tab.rhs[rows], 0.0) / pivots
+    with np.errstate(over="ignore"):  # an overflowed ratio is never the minimum
+        ratios = np.maximum(tab.rhs[rows], 0.0) / pivots
     best = float(ratios.min())
     if not math.isfinite(best):
         return LpStatus.NUMERICAL_FAILURE
@@ -506,8 +506,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
                    needs_artificial)
     phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
     status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
-    assert status is not LpStatus.UNBOUNDED  # phase 1 is bounded below by 0
-    if status is not LpStatus.OPTIMAL:
+    if status is not LpStatus.OPTIMAL:  # phase 1 is bounded below by 0: UNBOUNDED is drift
+        status = LpStatus.NUMERICAL_FAILURE if status is LpStatus.UNBOUNDED else status
         return LpSolution(status, None, None, (phase1, 0))
 
     infeasibility = float(phase1_costs[tab.basis] @ tab.rhs)

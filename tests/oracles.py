@@ -169,6 +169,20 @@ def ill_scaled_blobs():
     return X, ["abc"[j] for j in labels]
 
 
+# four separable rows whose exact hard- and soft-linear weights are about
+# 2e-13; the same digits at 1e-11 give a hard-linear program whose phase 1
+# meets a column with no positive entry on a rebuilt tableau
+BIG4_CSV = "3.1e12,2.9e12,a\n-2.4e12,-2.9e12,b\n2.5e12,3.4e12,a\n-1.7e12,-2.1e12,b\n"
+TINY4_CSV = BIG4_CSV.replace("e12", "e-11")
+
+
+def labelled_rows(text: str):
+    """(X, y) of CSV text whose last column is "a" (+1) or "b" (-1)."""
+    rows = [line.split(",") for line in text.split()]
+    return (np.array([[float(v) for v in row[:-1]] for row in rows]),
+            np.array([1.0 if row[-1] == "a" else -1.0 for row in rows]))
+
+
 def split_free(problem: lp.LpProblem) -> lp.LpProblem:
     """The same LP with every free variable written as x+ - x-, two
     nonnegative columns: the originals (positive parts) first, then the

@@ -132,6 +132,14 @@ def test_report_undefined_h_for_misclassifying_soft_model():
     assert report.sv_count == 6  # linear model: every sample backs w
 
 
+def test_no_training_rows_leave_h_undefined():
+    model = LinearModel(w=np.array([1.0]), b=0.0, h=1.0)
+    assert compute_h(np.zeros((0, 1)), [], model.w, model.b) is None
+    report = capacity_report(model, np.zeros((0, 1)), [])
+    assert (report.h, report.h_squared, report.sv_count) == (None, None, 0)
+    assert report.expected_error_bound == 0.0
+
+
 def test_report_dimension_mismatch():
     result = formulations.train(PAIR_X, PAIR_Y, formulations.TrainConfig("hard-linear"))
     with pytest.raises(McmError, match="^3 features, model expects 1$"):

@@ -506,6 +506,21 @@ def test_non_finite_tableau_is_a_solver_failure(tmp_path, capsys):
     assert err == "error: fold 2: solver returned numerical_failure\n"
 
 
+def test_feature_scale_witnesses(tmp_path, capsys):
+    # features near 1e12 give weights near 2e-13, which the model keeps; near
+    # 1e-11 the hard-linear phase 1 drifts, an error and not a traceback
+    out_path = str(tmp_path / "scale.mcm.json")
+    big = write(tmp_path, "big4.csv", oracles.BIG4_CSV)
+    for flags in (["--variant", "hard-linear"], ["--variant", "soft-linear", "--C", "1"]):
+        code, out, err = run(capsys, "train", "--data", big, *flags, "--out", out_path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["training_accuracy"] == 1.0
+    tiny = write(tmp_path, "tiny4.csv", oracles.TINY4_CSV)
+    code, out, err = run(capsys, "train", "--data", tiny, "--variant", "hard-linear",
+                         "--out", out_path)
+    assert (code, out, err) == (3, "", "error: solver returned numerical_failure\n")
+
+
 def test_objective_below_one_is_a_solver_failure(tmp_path, capsys):
     # lp.solve ends this fold's solves OPTIMAL at 0.0 and 0.158, although
     # every feasible point has h >= 1

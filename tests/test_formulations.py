@@ -489,3 +489,35 @@ def test_singular_basis_does_not_certify_unboundedness(monkeypatch):
     assert rebuilt[-1] is None  # the last refactorization met a singular basis
     with pytest.raises(SolverFailure, match="numerical_failure"):
         formulations.train(X, y, config)
+
+
+@pytest.mark.parametrize("k", [11, 20, 100])
+def test_large_features_keep_their_small_weights(k):
+    # the weights of these fits are about 10^-k, below every solver
+    # tolerance; the vertex keeps them, so the hyperplane separates
+    y = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+    for config in (HARD, formulations.TrainConfig("soft-linear", C=1.0)):
+        for seed in range(6):
+            X = (np.random.default_rng(seed).normal(size=(30, 3)) + 3.0 * y[:, None]) * 10.0 ** k
+            model = formulations.train(X, y, config).model
+            assert np.any(model.w != 0.0)
+            assert np.array_equal(np.sign(decision_many(model, X)), y)
+
+
+def test_rounding_size_weights_are_the_vertex():
+    X, y = oracles.labelled_rows("1e300,0,a\n1e300,1,a\n-1e300,2,b\n-1e300,3,b\n")
+    for config in (HARD, formulations.TrainConfig("soft-linear", C=1.0)):
+        model = formulations.train(X, y, config).model
+        assert model.w.tolist() == [1e-300, 0.0] and model.b == 0.0
+
+
+def test_unbounded_phase_1_is_a_numerical_failure():
+    # phase 1 is bounded below by 0, so a column with no positive entry there,
+    # even on a rebuilt tableau, is drift and certifies nothing
+    X, y = oracles.labelled_rows(oracles.TINY4_CSV)
+    problem, _ = formulations.build_problem(X, y, HARD)
+    solution = lp.solve(problem)
+    assert solution.status is lp.LpStatus.NUMERICAL_FAILURE
+    assert solution.phase_iterations[1] == 0 and solution.primal_values is None
+    with pytest.raises(SolverFailure, match="^solver returned numerical_failure$"):
+        formulations.train(X, y, HARD)

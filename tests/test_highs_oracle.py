@@ -27,7 +27,9 @@ def highs(problem: lp.LpProblem):
                   A_eq=problem.A[eq] if eq.any() else None,
                   b_eq=problem.rhs[eq] if eq.any() else None,
                   bounds=[(None, None) if f else (0, None) for f in problem.free],
-                  method="highs")
+                  method="highs", options={"time_limit": 60.0})
+    if res.status == 1:
+        pytest.fail(f"HiGHS stopped early: {res.message}")
     return HIGHS_STATUS[res.status], (res.fun if res.status == 0 else None)
 
 

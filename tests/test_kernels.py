@@ -171,6 +171,13 @@ def test_chunked_gram_symmetric_with_unit_diagonal(monkeypatch):
     assert np.triu(K, 1).tobytes() == np.triu(full, 1).tobytes()
 
 
+def test_huge_rbf_gamma_gives_the_limit_without_a_warning():
+    # -gamma * d^2 overflows to -inf off the matching rows, and exp(-inf) = 0
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
+    K = cross_gram(KernelSpec("rbf", gamma=1e308), X, X[[2, 0]])
+    assert np.array_equal(K, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+
+
 def test_chunk_bound_from_shapes():
     # 10^4 query rows against 10^3 support vectors in 100 features would
     # need an 8 GB one-shot difference; a chunk holds seven accumulators and

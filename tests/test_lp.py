@@ -270,6 +270,14 @@ def test_non_finite_tableau_ends_in_numerical_failure():
     assert min(sol.phase_iterations) > 0  # it broke down in phase 2
 
 
+def test_overflowing_ratios_end_in_numerical_failure_without_a_warning():
+    # 1e300 / 1e-9 overflows: never the minimum, and here the only ratio
+    problem = lp.LpProblem([-1.0], [[1e-9]], ["<="], [1e300], [False])
+    solution = lp.solve(problem)
+    assert solution.status is lp.LpStatus.NUMERICAL_FAILURE
+    assert solution.phase_iterations == (0, 0)
+
+
 def test_standardize_free_split_round_trip():
     problem = oracles.make_problem([1.0], [([1.0], ">=", -3.0)], ["free"])
     std = lp.standardize(problem)
