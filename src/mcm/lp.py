@@ -8,10 +8,10 @@ a nonnegative rhs, on an artificial variable elsewhere.  That start reads
 only the senses and the rhs, so ``check_budget`` counts the phase-1 tableau
 off them, for a builder before it fills its matrix and in ``standardize``
 (inequalities slacked) before it allocates; then come phase 1 and phase 2
-on the original costs.  Each phase's tableau is one allocation:
-C-ordered in phase 1, a Fortran-ordered column selection of it in phase 2,
-which releases phase 1's.  Beside it a solve holds one copy of the program,
-standardize's matrix flipped in place; artificial columns are built on the fly.
+on the original costs.  Each phase's tableau is one Fortran-ordered
+allocation; phase 2's, a column selection of phase 1's, releases it.  Beside
+it a solve holds one copy of the program, standardize's matrix flipped in
+place; artificial columns are built on the fly.
 A free variable keeps one tableau column and may enter in either direction:
 each basic variable carries a sign, and the tableau holds the basis matrix
 with its columns scaled by those signs.  This makes the same pivots, bit for
@@ -23,7 +23,7 @@ Pricing is steepest edge; the ratio test reads only the rows where the
 entering column is positive and evicts on the largest pivot element among
 near-tied ratios; Bland's rule takes over whenever the objective stalls, so
 degenerate (cycling-prone) instances terminate.  Each pivot updates only the
-columns where the pivot row is nonzero, in the tableau's memory order, and
+columns where the pivot row is nonzero, a cache-sized block at a time, and
 refreshes the cached edge norms of just those.  ``solve`` stops at the first
 phase not ending ``OPTIMAL`` (``LpSolution.phase_iterations`` counts each
 phase's pivots): ``ITERATION_LIMIT`` when the budget runs out,
@@ -160,6 +160,9 @@ class _Tableau:
     A.shape[1] + k, an artificial, is the unit vector on row art_rows[k] (zero
     once that row is dropped), built where needed, never stored.  ``refactor``
     rebuilds T from the originals (A, b), as __init__ does when T is None.
+    T is stored Fortran-ordered; ``sum_order`` records how its norms, cost
+    row and objective sum: "F" as over a Fortran-ordered T for a T passed so
+    (phase 2's), else "C", row after row as over a C-ordered one.
 
     A free variable has one column and may be basic with either sign; every
     other basic variable has sign +1.  So a stored column always holds the
@@ -173,7 +176,8 @@ class _Tableau:
                  art_rows: np.ndarray = np.empty(0, dtype=int)):
         self.A0, self.b0 = originals
         self.art_rows = art_rows  # each artificial's unit row; -1 once dropped
-        self.T = self._stacked() if T is None else T  # updated in place by pivot
+        self.sum_order = "F" if T is not None and T.flags.f_contiguous else "C"
+        self.T = self._stacked() if T is None else np.asfortranarray(T)  # pivot updates it
         self.basis = basis
         self.sign = sign
         self.free_cols = free_cols  # ascending; all below n_orig
@@ -184,13 +188,23 @@ class _Tableau:
     def rhs(self) -> np.ndarray:
         return self.T[:, -1]
 
+    def for_sums(self, columns: np.ndarray) -> np.ndarray:
+        """columns (of T) laid out for ``sum_order``: for "C", a C-ordered copy
+        without its spare column, so einsum, matmul and dot sum each column
+        row after row, even a lone one (a contiguous one sums pairwise)."""
+        if self.sum_order == "F":
+            return columns
+        copy = np.empty((columns.shape[0], columns.shape[1] + 1))
+        copy[:, :-1] = columns
+        return copy[:, :-1]
+
     @property
     def norms(self) -> np.ndarray:
         """Squared steepest-edge norms of every column but the rhs (a negative
         direction has its column's); computed in full on first read, then
         kept current by ``pivot``.  Callers must not modify them."""
         if self._norms is None:
-            body = self.T[:, :-1]
+            body = self.for_sums(self.T[:, :-1])
             self._norms = np.einsum("ij,ij->j", body, body)
         return self._norms
 
@@ -213,46 +227,44 @@ class _Tableau:
         """Rank-one update restricted to the support of the pivot row; col
         enters in direction sign.
 
-        Only the columns where the pivot row is nonzero change.  They are
-        gathered, updated as ``T[i, j] - f_i * p_j`` with the product from
-        ``einsum("i,j->ij")`` and scattered back, in T's memory order: on a
-        Fortran-ordered T as rows of ``T.T``, with the product transposed to
-        match, and on a C-ordered T by ``take`` (``T[:, cols]`` would be
-        Fortran-ordered).  einsum then sums each touched column in the same
-        order as over the whole tableau, so the refreshed norms are
-        bit-identical to a full recomputation.  Negation is exact, so a free
-        column entering with sign -1 writes the split form's negative bits.
+        Only the columns where the pivot row is nonzero change.  In blocks
+        of at most ``_BLOCK_BYTES``, each in cache meanwhile, they are
+        gathered as rows of ``T.T``, updated as ``T[i, j] - f_i * p_j`` (the
+        product from ``einsum("i,j->ij")``), scattered back and their norms
+        refreshed, summed as over the whole T in ``sum_order``: bit-identical
+        to a full recomputation, whatever the block width.  The entering
+        column is written last.  Negation is exact, so a free column entering
+        with sign -1 writes the split form's negative bits.
         """
         T = self.T
         T[row] /= sign * T[row, col]
         cols = T[row].nonzero()[0]
         factors = sign * T[:, col]
         factors[row] = 0.0
-        if T.flags.f_contiguous:
-            block = T.T.take(cols, axis=0).T
-            block -= np.einsum("i,j->ij", block[row], factors).T
-        else:
-            block = T.take(cols, axis=1, mode="wrap")  # in range: wrap skips the check
-            block -= np.einsum("i,j->ij", factors, block[row])
-        entering = cols.searchsorted(col)
-        block[:, entering] = 0.0
-        block[row, entering] = sign
-        T[:, cols] = block
+        width = max(1, _BLOCK_BYTES // T[:, 0].nbytes)
+        for start in range(0, cols.size, width):
+            part = cols[start:start + width]
+            block = T.T.take(part, axis=0)
+            block -= np.einsum("i,j->ij", block[:, row], factors)
+            T.T[part] = block
+            if self._norms is not None:
+                structural = part.size - int(part[-1] == T.shape[1] - 1)
+                body = self.for_sums(block[:structural].T)
+                self._norms[part[:structural]] = np.einsum("ij,ij->j", body, body)
+        T[:, col] = 0.0
+        T[row, col] = sign
         # keep the rhs from drifting into tiny negatives after degenerate pivots
         rhs = T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
         self.basis[row] = col
         self.sign[row] = sign
         if self._norms is not None:
-            structural = cols.size - int(cols[-1] == T.shape[1] - 1)
-            body = block[:, :structural]
-            self._norms[cols[:structural]] = np.einsum("ij,ij->j", body, body)
             self._norms[col] = 1.0
 
     def _stacked(self) -> np.ndarray:
-        """A fresh C-ordered [A | artificials | b]: the originals as T's columns."""
+        """A fresh Fortran-ordered [A | artificials | b]: the originals as T's columns."""
         n = self.A0.shape[1]
-        stacked = np.zeros((self.A0.shape[0], n + self.art_rows.size + 1))
+        stacked = np.zeros((self.A0.shape[0], n + self.art_rows.size + 1), order="F")
         stacked[:, :n], stacked[:, -1] = self.A0, self.b0
         stacked[:, n:-1] = np.arange(stacked.shape[0])[:, None] == self.art_rows
         return stacked
@@ -268,22 +280,23 @@ class _Tableau:
     def refactor(self) -> bool | None:
         """Rebuild T from the original data: True once rebuilt, None if the
         basis matrix is singular (T is kept), False if the rebuilt T is
-        non-finite (a drifted basis, not one to resume)."""
+        non-finite (a drifted basis, not one to resume); rebuilt, T sums in "C"."""
         try:
             T = np.linalg.solve(self._basis_matrix(), self._stacked())
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(T)):
             return False
-        self.T, self._norms = T, None
+        self.T = T = np.asfortranarray(T)
         T[(T[:, -1] < 0.0) & (T[:, -1] > -1e-11), -1] = 0.0
+        self._norms, self.sum_order = None, "C"
         return True
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop every row not listed in keep (redundant constraints)."""
         dropped = ~np.isin(self.art_rows, keep)  # row -1: a zero column from now on
         self.art_rows = np.where(dropped, -1, keep.searchsorted(self.art_rows))
-        self.T = self.T[keep]
+        self.T = np.asfortranarray(self.T[keep])
         self.basis = self.basis[keep]
         self.sign = self.sign[keep]
         self.A0, self.b0 = self.A0[keep], self.b0[keep]
@@ -304,6 +317,7 @@ _STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
 _MAX_TABLEAU_BYTES = 2**30  # the phase-1 tableau, counted twice (check_budget)
+_BLOCK_BYTES = 2**18     # the columns a pivot updates at a time, about an L2 share
 
 
 def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
@@ -346,9 +360,10 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
     def refresh():
         """The exact cost row and objective, or None if either overflowed."""
         cost_basis = costs[tab.basis] * tab.sign
+        T = tab.for_sums(tab.T)
         with np.errstate(over="ignore", invalid="ignore"):  # reported as None
-            red = per_direction(costs[:ncols] - cost_basis @ tab.T[:, :ncols])
-            obj = float(cost_basis @ tab.rhs)
+            red = per_direction(costs[:ncols] - cost_basis @ T[:, :ncols])
+            obj = float(cost_basis @ T[:, -1])
         red[tab.split_index()] = 0.0
         return (red, obj) if math.isfinite(obj) and np.isfinite(red).all() else None
 
@@ -468,9 +483,9 @@ def check_budget(senses: np.ndarray, rhs: np.ndarray, n_vars: int) -> None:
     senses and rhs over ``n_vars`` variables (a slack per inequality and an
     artificial per row not started on its slack), counted twice, would take
     more than _MAX_TABLEAU_BYTES.  The doubling stands for what a solve holds
-    beside the tableau: the flipped standardized originals, the phase-2 copy
-    at the switch, the caller's LP and a kernel fit's Gram matrix.  It does
-    not count them, since counting them would refuse fits that run today."""
+    beside the tableau: the flipped originals, the phase-2 copy at the
+    switch, the C-ordered copy phase 1's sums read, the caller's LP and a
+    kernel fit's Gram matrix; counting them would refuse fits that run today."""
     on_slack = _slack_start(senses, rhs)[1]
     rows = senses.size
     columns = n_vars + int((senses != EQUAL).sum()) + int((~on_slack).sum())
@@ -510,7 +525,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         status = LpStatus.NUMERICAL_FAILURE if status is LpStatus.UNBOUNDED else status
         return LpSolution(status, None, None, (phase1, 0))
 
-    infeasibility = float(phase1_costs[tab.basis] @ tab.rhs)
+    infeasibility = float(phase1_costs[tab.basis] @ tab.for_sums(tab.T[:, -1:])[:, 0])
     if infeasibility > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
         return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
 
@@ -529,7 +544,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     values = tab2.basic_values()  # exact vertex off the original data
     # 0.0 - v, not -v: a zero value stays +0.0
     x[tab2.basis] = np.where(tab2.sign < 0, 0.0 - values, values)
-    x = x[:n_orig]
+    x = x[:n_orig].copy()  # owned: a view would keep all n values alive
     return LpSolution(LpStatus.OPTIMAL, x, float(problem.objective @ x), phases)
 
 

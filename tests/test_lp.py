@@ -365,7 +365,10 @@ def _same_bits(a, b):
 
 
 def _full_norms(tab):
-    return np.einsum("ij,ij->j", tab.T[:, :-1], tab.T[:, :-1])
+    """The squared norms over the whole tableau, summed in its recorded
+    order: over a C-ordered copy for "C", over T itself for "F"."""
+    body = (np.ascontiguousarray(tab.T) if tab.sum_order == "C" else tab.T)[:, :-1]
+    return np.einsum("ij,ij->j", body, body)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -383,6 +386,7 @@ def test_sparse_pivot_matches_dense_update_bitwise(order):
     sparse, dense = [lp._Tableau(np.hstack([A, b[:, None]]).copy(order=order), (A, b),
                                  np.arange(n, n + m), np.ones(m), np.array([3, 7]), n)
                      for _ in range(2)]
+    assert sparse.sum_order == order and sparse.T.flags.f_contiguous
 
     def step(row, col, sign=1.0):
         cached = sparse.norms
@@ -404,6 +408,7 @@ def test_sparse_pivot_matches_dense_update_bitwise(order):
         if k == 10:
             sparse.refactor()
             dense.refactor()
+            assert sparse.sum_order == "C"  # as any refactored tableau's
             assert _same_bits(sparse.T, dense.T)
         nonbasic = np.setdiff1d(np.arange(n + m), sparse.basis)
         col = int(rng.choice(nonbasic))
@@ -513,7 +518,7 @@ def test_sparse_pivot_matches_dense_update_bitwise_at_kernel_scale(monkeypatch):
     for _ in range(2):
         tab = lp._Tableau.__new__(lp._Tableau)
         tab.T, tab.basis, tab.sign = np.array(T0, order="F"), basis.copy(), sign.copy()
-        tab._norms = None
+        tab._norms, tab.sum_order = None, "F"  # phase 2's
         tabs.append(tab)
     sparse, dense = tabs
 
@@ -732,3 +737,70 @@ def test_solve_holds_one_copy_of_the_program():
     # the phase-1 tableau, the flipped standardized matrix and the phase-2
     # copy, plus two m x m arrays for the final basis solve
     assert peak <= 8 * m * ((n + n_art + 1) + n + (n + 1)) + 16 * m * m
+
+
+def test_solve_returns_an_owned_vertex():
+    problem = oracles.make_problem(
+        [-1.0, -2.0], [([1.0, 1.0], "<=", 1.0), ([1.0, 0.0], ">=", 0.5)], ["nonneg"] * 2)
+    solution = lp.solve(problem)
+    assert solution.status is lp.LpStatus.OPTIMAL
+    assert solution.primal_values.base is None  # not a view of the slacks' buffer
+
+
+def _invariance_programs():
+    """Seeded programs of every training variant, the poly-3 witness that
+    refactorizes, and an LP with a redundant row that is dropped."""
+    from mcm import formulations
+
+    kernel = oracles.blobs(13, 30, 2, 1.5)
+    configs = [
+        (oracles.blobs(11, 24, 2, 3.0), formulations.TrainConfig("hard-linear")),
+        (oracles.blobs(12, 40, 3, 1.0), formulations.TrainConfig("soft-linear", C=1.0)),
+        (kernel, formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.125))),
+        (kernel, formulations.TrainConfig("kernel", C=16.0, kernel=KernelSpec("rbf", gamma=2.0))),
+        (kernel, formulations.TrainConfig("kernel", C=1.0,
+                                          kernel=KernelSpec("poly", degree=2, coef0=1.0))),
+        (oracles.blobs(2, 34, 2, 8.0),  # the poly-3 witness
+         formulations.TrainConfig("kernel", C=1.0,
+                                  kernel=KernelSpec("poly", degree=3, coef0=1.0))),
+    ]
+    programs = [formulations.build_problem(X, y, config)[0] for (X, y), config in configs]
+    programs.append(oracles.make_problem(
+        [1.0, 2.0],
+        [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0), ([1.0, -1.0], "=", 0.0),
+         ([1.0, 0.0], "<=", 5.0)],
+        ["nonneg"] * 2))
+    return programs
+
+
+def test_solves_are_invariant_to_the_pivot_block_width(monkeypatch):
+    # one column per block, the default and one block per pivot make the
+    # same pivots and the same vertex bytes; T stays Fortran-ordered, and the
+    # cached norms keep the bits of a full recomputation
+    events = set()
+
+    def checked(name):
+        method = getattr(lp._Tableau, name)
+
+        def wrapper(tab, *args, **kwargs):
+            result = method(tab, *args, **kwargs)
+            assert tab.T.flags.f_contiguous, name
+            if tab._norms is not None:
+                assert tab._norms.tobytes() == _full_norms(tab).tobytes(), name
+            events.add(name)
+            return result
+        monkeypatch.setattr(lp._Tableau, name, wrapper)
+
+    for name in ("__init__", "pivot", "refactor", "keep_rows"):
+        checked(name)
+    programs = _invariance_programs()
+    runs = []
+    for block_bytes in (1, lp._BLOCK_BYTES, 2**62):
+        monkeypatch.setattr(lp, "_BLOCK_BYTES", block_bytes)
+        runs.append([(s.status, s.phase_iterations,
+                      None if s.primal_values is None else s.primal_values.tobytes())
+                     for s in map(lp.solve, programs)])
+    assert runs[0] == runs[1] == runs[2]
+    statuses = [status for status, _, _ in runs[1]]
+    assert statuses[0] is lp.LpStatus.OPTIMAL and lp.LpStatus.NUMERICAL_FAILURE in statuses
+    assert events == {"__init__", "pivot", "refactor", "keep_rows"}
