@@ -80,7 +80,9 @@ def integer(value) -> int | None:
 
 
 def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
-    """Rectangular kernel matrix K[i, j] = K(X[i], Y[j])."""
+    """Rectangular kernel matrix K[i, j] = K(X[i], Y[j]).  rbf takes X in
+    row chunks of chunk_rows rows and adds each entry's squared differences
+    in feature order, so every value has the same bits at any chunk size."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
@@ -95,7 +97,7 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
         step = chunk_rows(Y.shape[0], X.shape[1])
         for start in range(0, X.shape[0], step):
             Xt = np.ascontiguousarray(X[start:start + step].T)
-            _sum_squares(Xt, Yt, 0, X.shape[1], dist[start:start + step])
+            _sum_squares(Xt, Yt, dist[start:start + step])
         with np.errstate(over="ignore"):  # -inf, whose exp is the limit 0
             dist *= -kernel.gamma
         return np.exp(dist, out=dist)
@@ -104,68 +106,25 @@ def cross_gram(kernel: KernelSpec, X, Y) -> np.ndarray:
 
 def chunk_rows(columns: int, features: int) -> int:
     """Rows of X per rbf chunk: as many as fit CHUNK_BYTES, at least one.  A
-    row costs its transposed features and one row of each of the
-    (rows, columns) temporaries _sum_squares holds at once."""
-    per_row = 8 * (columns * _held(features) + features)
+    row costs its transposed features and one row of the (rows, columns)
+    term temporary of _sum_squares (none at 0 features)."""
+    per_row = 8 * (columns * min(features, 1) + features)
     return max(1, CHUNK_BYTES // max(1, per_row))
 
 
-def _held(n: int) -> int:
-    """The most (rows, |Y|) temporaries _sum_squares holds at once for n
-    features: a term below 8, seven more accumulators up to 128, and the
-    right half's sum while that half is summed above 128."""
-    if n > 128:
-        mid = _split(n)
-        return max(_held(mid), 1 + _held(n - mid))
-    return 0 if n == 0 else 1 if n < 8 else 8
-
-
-def _split(n: int) -> int:
-    """Where numpy's pairwise sum splits more than 128 terms."""
-    return n // 2 - n // 2 % 8
-
-
-def _sum_squares(Xt, Yt, lo: int, hi: int, out: np.ndarray) -> None:
-    """out[i, j] = sum of (Xt[f, i] - Yt[f, j]) ** 2 over features lo <= f < hi,
-    one feature at a time, added in the order of numpy's pairwise add.reduce
-    over a contiguous axis, so each entry has the bits of the broadcast's
-    ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2) with X = Xt.T, Y = Yt.T:
-
-    - fewer than 8 terms in sequence (numpy starts from 0.0, and 0.0 + t == t
-      for a square t);
-    - up to 128 terms in eight accumulators seeded by the first eight, each
-      taking every eighth term of the full blocks, combined as
-      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
-      in sequence;
-    - more than 128 as the sum of two halves split at n // 2 rounded down to
-      a multiple of 8, each summed by these rules.
-    """
-    n = hi - lo
-    if n > 128:
-        mid = lo + _split(n)
-        _sum_squares(Xt, Yt, lo, mid, out)
-        rest = np.empty_like(out)
-        _sum_squares(Xt, Yt, mid, hi, rest)
-        out += rest
-        return
-    if n == 0:
+def _sum_squares(Xt, Yt, out: np.ndarray) -> None:
+    """out[i, j] = sum over the features f of (Xt[f, i] - Yt[f, j]) ** 2,
+    added in feature order with one term temporary; the first square is
+    written straight into out (0.0 + t == t).  Below 8 features this is the
+    order numpy's sum takes, so each entry has the bits of the broadcast
+    ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2) with X = Xt.T,
+    Y = Yt.T; from 8 on numpy sums pairwise and the last bits may differ."""
+    if Xt.shape[0] == 0:
         out.fill(0.0)
         return
+    _square(Xt, Yt, 0, out)
     term = np.empty_like(out)
-    if n < 8:
-        _square(Xt, Yt, lo, out)
-        for f in range(lo + 1, hi):
-            out += _square(Xt, Yt, f, term)
-        return
-    acc = [out] + [np.empty_like(out) for _ in range(7)]
-    for j, into in enumerate(acc):
-        _square(Xt, Yt, lo + j, into)
-    tail = hi - n % 8
-    for f in range(lo + 8, tail):
-        acc[(f - lo) % 8] += _square(Xt, Yt, f, term)
-    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-        acc[a] += acc[b]
-    for f in range(tail, hi):
+    for f in range(1, Xt.shape[0]):
         out += _square(Xt, Yt, f, term)
 
 

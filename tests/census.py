@@ -9,9 +9,12 @@ unit noise), class 0 against the rest, and every feature scaled by one
 factor 10^U(-2, 2).  The configs cycle through hard- and soft-linear, rbf
 with gamma 0.125, 0.5 and 2, poly-2 and the linear kernel.
 
-It prints the count of each status per config and one SHA-256 over every
-solve's status, ``phase_iterations`` and vertex bytes.  A change meant to
-keep every pivot and bit must print the same digest before and after.
+It prints the count of each status per config, one line per fit that did
+not end optimal (its index, config, rows x features, status and
+``phase_iterations``; ``fit_data(i)`` rebuilds its samples), and one SHA-256
+over every solve's status, ``phase_iterations`` and vertex bytes.  A change
+meant to keep every pivot and bit must print the same digest before and
+after.
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -55,11 +58,16 @@ def fit_data(i: int) -> tuple[np.ndarray, np.ndarray]:
 def main(n_fits: int) -> None:
     digest = hashlib.sha256()
     counts = {name: Counter() for name, _ in CONFIGS}
+    not_optimal = []
     for i in range(n_fits):
         name, config = CONFIGS[i % len(CONFIGS)]
-        problem, _ = formulations.build_problem(*fit_data(i), config)
+        X, y = fit_data(i)
+        problem, _ = formulations.build_problem(X, y, config)
         solution = lp.solve(problem)
         counts[name][solution.status.value] += 1
+        if solution.status is not lp.LpStatus.OPTIMAL:
+            not_optimal.append(f"fit {i}  {name}  {X.shape[0]} x {X.shape[1]}  "
+                          f"{solution.status.value}  {solution.phase_iterations}")
         digest.update(f"{solution.status.value} {solution.phase_iterations}\n".encode())
         if solution.primal_values is not None:
             digest.update(solution.primal_values.tobytes())
@@ -68,6 +76,7 @@ def main(n_fits: int) -> None:
     print(f"{'config':<{width}}  " + "  ".join(statuses))
     for name, _ in CONFIGS:
         print(f"{name:<{width}}  " + "  ".join(f"{counts[name][s]:>{len(s)}}" for s in statuses))
+    print("\n".join(not_optimal) if not_optimal else "every fit optimal")
     print(f"fits: {n_fits}  sha256: {digest.hexdigest()}")
 
 

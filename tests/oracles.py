@@ -452,11 +452,30 @@ def parse_lp_text(text: str) -> lp.LpProblem:
     return make_problem(c, constraints, bounds)
 
 
+def squares_broadcast(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances in one broadcast: an |X| x |Y| x n difference
+    temporary, squared and summed over the feature axis by numpy (pairwise
+    from 8 features on)."""
+    return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+
+
+def squares_sequential(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances added from 0.0 one feature at a time, in feature
+    order."""
+    sq = np.zeros((X.shape[0], Y.shape[0]))
+    for f in range(X.shape[1]):
+        sq += (X[:, f, None] - Y[None, :, f]) ** 2
+    return sq
+
+
 def rbf_broadcast(gamma: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The rbf cross-Gram matrix in one broadcast: an |X| x |Y| x n
-    difference temporary, squared and summed over the feature axis."""
-    sq = (X[:, None, :] - Y[None, :, :]) ** 2
-    return np.exp(-gamma * sq.sum(axis=2))
+    """The rbf cross-Gram matrix of squares_broadcast."""
+    return np.exp(-gamma * squares_broadcast(X, Y))
+
+
+def rbf_sequential(gamma: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The rbf cross-Gram matrix of squares_sequential."""
+    return np.exp(-gamma * squares_sequential(X, Y))
 
 
 def kernel_eval(kernel: KernelSpec, p, q) -> float:

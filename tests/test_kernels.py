@@ -120,8 +120,8 @@ def test_cross_gram_rectangular():
 SMALL_CHUNK = 4096  # bytes, times n // 12 from 24 features on: a few rows per chunk
 
 
-# 8 to 128 features: eight accumulators; above 128: split in two halves, at
-# 96 rather than 100 for n = 200
+# below 8 features, where the sequential sum has the broadcast's bits, and
+# from 8, where numpy sums the broadcast pairwise, to 257
 @pytest.mark.parametrize("n", [3, 12, 1, 7, 8, 9, 16, 17, 129, 200, 257])
 @pytest.mark.parametrize("rows", ["one", "chunk", "chunk+1", "several", "empty", "wide"])
 def test_chunked_rbf_matches_broadcast_bits(rows, n, monkeypatch):
@@ -141,14 +141,14 @@ def test_chunked_rbf_matches_broadcast_bits(rows, n, monkeypatch):
     X = rng.normal(size=(m, n))
     K = cross_gram(KernelSpec(RBF, gamma=0.7), X, Y)
     assert K.shape == (m, Y.shape[0])
-    assert K.tobytes() == oracles.rbf_broadcast(0.7, X, Y).tobytes()
+    assert K.tobytes() == oracles.rbf_sequential(0.7, X, Y).tobytes()
 
 
 def test_zero_feature_rbf_is_all_ones():
     X, Y = np.zeros((4, 0)), np.zeros((3, 0))
     K = cross_gram(KernelSpec(RBF, gamma=0.7), X, Y)
     assert K.shape == (4, 3) and np.all(K == 1.0)
-    assert K.tobytes() == oracles.rbf_broadcast(0.7, X, Y).tobytes()
+    assert K.tobytes() == oracles.rbf_sequential(0.7, X, Y).tobytes()
 
 
 def test_rbf_at_module_chunk_size_matches_broadcast_bits():
@@ -156,7 +156,27 @@ def test_rbf_at_module_chunk_size_matches_broadcast_bits():
     Y = rng.normal(size=(200, 3))
     X = rng.normal(size=(kernels.chunk_rows(200, 3) + 1, 3))  # two real chunks
     K = cross_gram(KernelSpec(RBF, gamma=0.5), X, Y)
-    assert K.tobytes() == oracles.rbf_broadcast(0.5, X, Y).tobytes()
+    assert K.tobytes() == oracles.rbf_sequential(0.5, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_rbf_below_8_features_keeps_the_broadcast_bits(n, monkeypatch):
+    # every benchmark workload and CI fixture has 2 or 5 features
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", SMALL_CHUNK)
+    rng = np.random.default_rng(17)
+    X, Y = rng.normal(size=(90, n)), rng.normal(size=(9, n))
+    assert n == 0 or kernels.chunk_rows(9, n) < 90  # no temporary at 0 features
+    K = cross_gram(KernelSpec(RBF, gamma=0.7), X, Y)
+    assert K.tobytes() == oracles.rbf_broadcast(0.7, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 129, 200, 257])
+def test_sequential_squares_are_near_the_broadcast(n):
+    rng = np.random.default_rng(18)
+    X, Y = rng.normal(size=(40, n)), rng.normal(size=(30, n))
+    sequential = oracles.squares_sequential(X, Y)
+    broadcast = oracles.squares_broadcast(X, Y)
+    assert np.all(np.abs(sequential - broadcast) <= 2e-15 * broadcast)
 
 
 def test_chunked_gram_symmetric_with_unit_diagonal(monkeypatch):
@@ -167,7 +187,7 @@ def test_chunked_gram_symmetric_with_unit_diagonal(monkeypatch):
     K = gram(KernelSpec(RBF, gamma=0.2), X)
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == 1.0)
-    full = oracles.rbf_broadcast(0.2, X, X)
+    full = oracles.rbf_sequential(0.2, X, X)
     assert np.triu(K, 1).tobytes() == np.triu(full, 1).tobytes()
 
 
@@ -180,11 +200,11 @@ def test_huge_rbf_gamma_gives_the_limit_without_a_warning():
 
 def test_chunk_bound_from_shapes():
     # 10^4 query rows against 10^3 support vectors in 100 features would
-    # need an 8 GB one-shot difference; a chunk holds seven accumulators and
-    # a term per support vector, plus its transposed features, within the bound
+    # need an 8 GB one-shot difference; a chunk holds a term per support
+    # vector, plus its transposed features, within the bound
     columns, features = 1000, 100
     step = kernels.chunk_rows(columns, features)
-    per_row = (columns * 8 + features) * 8
+    per_row = (columns + features) * 8
     assert step * per_row <= kernels.CHUNK_BYTES < (step + 1) * per_row
     assert -(-10_000 // step) * step >= 10_000
     assert kernels.chunk_rows(10**6, 100) == 1  # a row wider than the bound
@@ -194,7 +214,8 @@ def test_chunk_bound_from_shapes():
 def test_chunked_rbf_peak_memory(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_BYTES", 64 * 1024)
     rng = np.random.default_rng(15)
-    # 8: the fewest features that take eight accumulators; 300: two splits
+    # 8: the fewest features numpy's broadcast sums pairwise; 300: more
+    # features than a chunk has rows
     for n, columns in ((10, 100), (8, 100), (300, 20)):
         X, Y = rng.normal(size=(2000, n)), rng.normal(size=(columns, n))
         out_bytes = 2000 * columns * 8  # the broadcast temporary would be n times this

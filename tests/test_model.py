@@ -512,11 +512,15 @@ def test_blocks_are_multiples_of_64_rows_with_no_one_row_tail(monkeypatch, count
     assert rows == blocks
 
 
-@pytest.mark.parametrize("count", BLOCKS)
-def test_blocked_binary_rbf_decision_has_one_shot_bits(monkeypatch, count):
+# 2 features, and 13: heart-statlog's width
+@pytest.mark.parametrize("count, features",
+                         [pytest.param(count, 2, id=str(count)) for count in BLOCKS]
+                         + [pytest.param(count, 13, id=f"{count}-13") for count in BLOCKS])
+def test_blocked_binary_rbf_decision_has_one_shot_bits(monkeypatch, count, features):
     rng = np.random.default_rng(14)
-    model = kernel_model(rng.normal(size=40), rng.normal(size=(40, 2)), b=-0.3, gamma=0.5)
-    X = rng.normal(scale=2.0, size=(count, 2))
+    model = kernel_model(rng.normal(size=40), rng.normal(size=(40, features)), b=-0.3,
+                         gamma=0.5, n=features)
+    X = rng.normal(scale=2.0, size=(count, features))
     values, _ = blocked(monkeypatch, model, X)
     assert values.shape == (count,)
     assert values.tobytes() == one_shot(model, X).tobytes()
@@ -547,17 +551,18 @@ def test_blocked_linear_decision_has_one_shot_bits(monkeypatch, count):
 
 
 def test_decision_memory_is_bounded_by_one_block():
-    """200 support vectors over 20 000 rows: the whole cross-Gram matrix
-    would take 32 MB, and one block's matrix and temporaries fit in
-    2 * CHUNK_BYTES."""
-    rng = np.random.default_rng(17)
-    model = KernelModel(rng.normal(size=200), rng.normal(size=(200, 5)), 0.1, 1.0,
-                        KernelSpec("rbf", gamma=0.5), 5)
-    X = rng.normal(size=(20_000, 5))
-    tracemalloc.start()
-    try:
-        values = decision_many(model, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * kernels.CHUNK_BYTES + values.nbytes + 2**18
+    """200 support vectors over 20 000 rows, in 5 and 13 features: the whole
+    cross-Gram matrix would take 32 MB, and one block's matrix and
+    temporaries fit in 2 * CHUNK_BYTES."""
+    for features in (5, 13):
+        rng = np.random.default_rng(17)
+        model = KernelModel(rng.normal(size=200), rng.normal(size=(200, features)), 0.1,
+                            1.0, KernelSpec("rbf", gamma=0.5), features)
+        X = rng.normal(size=(20_000, features))
+        tracemalloc.start()
+        try:
+            values = decision_many(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * kernels.CHUNK_BYTES + values.nbytes + 2**18
