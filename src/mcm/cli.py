@@ -1,7 +1,7 @@
 """Command line interface: train, predict, cv, grid, inspect.
 
-Exit codes: 0 success; 1 parse/IO/usage problems; 2 infeasible hard-margin
-training; 3 solver failure.  Data goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, else the error class's ``exit_code``, the one map
+(see ``errors``).  Data goes to stdout, diagnostics to stderr.
 JSON reports carry "report_version".  The cv and grid reports omit wall-clock
 fields, so reruns with the same seed are byte-identical; the train report
 carries "train_seconds".
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import formulations, lp
-from .errors import HardMarginInfeasible, McmError, SolverFailure
+from .errors import McmError
 from .kernels import LINEAR, POLY, RBF, KernelSpec
 from .model import (
     LinearModel,
@@ -42,6 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV column holding the label (default: last)")
         p.add_argument("--header", action="store_true",
                        help="CSV file starts with a header row")
+
+    def add_protocol_flags(p):
+        p.add_argument("--folds", type=int, default=5)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--scale", action="store_true",
+                       help="min-max scale features (fitted per training fold)")
+        p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
     def add_train_flags(p):
         p.add_argument("--variant", required=True,
@@ -77,11 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     add_data_flags(p)
     add_train_flags(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--scale", action="store_true",
-                   help="min-max scale features (fitted per training fold)")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    add_protocol_flags(p)
     p.set_defaults(handler=cmd_cv)
 
     p = sub.add_parser("grid", help="grid search over C (and gamma for rbf)")
@@ -93,10 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coef0", type=float, default=1.0)
     p.add_argument("--grid-c", default=None, help="comma-separated C values")
     p.add_argument("--grid-gamma", default=None, help="comma-separated gamma values")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--scale", action="store_true")
-    p.add_argument("--json", action="store_true")
+    add_protocol_flags(p)
     p.set_defaults(handler=cmd_grid)
 
     p = sub.add_parser("inspect", help="print a model-file summary")
@@ -284,15 +284,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except HardMarginInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (McmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, McmError) else 1
 
 
 def console_main() -> None:

@@ -135,13 +135,10 @@ def _square(Xt, Yt, f: int, out: np.ndarray) -> np.ndarray:
 
 
 def gram(kernel: KernelSpec, samples) -> np.ndarray:
-    """Full M x M kernel matrix; the upper triangle is mirrored in place so
-    the result is exactly symmetric, and the rbf diagonal is exactly one."""
+    """Full M x M kernel matrix cross_gram(X, X): exactly symmetric (X @ X.T
+    is, and rbf adds (a - b) ** 2 == (b - a) ** 2 in one feature order), with
+    an rbf diagonal of exactly exp(-gamma * 0) = 1."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     entries = cross_gram(kernel, samples, samples)
-    for i in range(1, entries.shape[0]):
-        entries[i, :i] = entries[:i, i]
-    entries += 0.0  # -0.0 reads +0.0, as in the sum triu(K) + triu(K, 1).T
-    if kernel.kind == RBF:
-        np.fill_diagonal(entries, 1.0)
+    entries += 0.0  # an odd poly power can underflow to -0.0; it reads +0.0
     return entries

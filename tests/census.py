@@ -9,12 +9,19 @@ unit noise), class 0 against the rest, and every feature scaled by one
 factor 10^U(-2, 2).  The configs cycle through hard- and soft-linear, rbf
 with gamma 0.125, 0.5 and 2, poly-2 and the linear kernel.
 
-It prints the count of each status per config, one line per fit that did
-not end optimal (its index, config, rows x features, status and
-``phase_iterations``; ``fit_data(i)`` rebuilds its samples), and one SHA-256
-over every solve's status, ``phase_iterations`` and vertex bytes.  A change
-meant to keep every pivot and bit must print the same digest before and
-after.
+Each optimal solve is classified on the original ``LpProblem``: "row
+broken" when its point breaks a row (``A``, ``senses``, ``rhs``) by more than
+1e-8 * (1 + max |rhs|), "below 1" when its objective is below
+1 - ``lp._FEAS_TOL`` (every feasible point has h >= 1), and "ok" when
+neither holds; a fit can count as both.
+
+It prints the count of each status and class per config, one line per fit
+that did not end optimal (its index, config, rows x features, status and
+``phase_iterations``; ``fit_data(i)`` rebuilds its samples), one line per
+optimal fit that is not ok (index, config, rows x features, classes, worst
+relative row violation and objective), and one SHA-256 over every solve's
+status, ``phase_iterations`` and vertex bytes.  A change meant to keep every
+pivot and bit must print the same digest before and after.
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -43,6 +50,8 @@ CONFIGS = [
     ("linear kernel C=2", formulations.TrainConfig("kernel", C=2.0,
                                                    kernel=KernelSpec("linear"))),
 ]
+CLASSES = ["ok", "row broken", "below 1"]
+ROW_TOL = 1e-8  # relative to 1 + max |rhs|
 
 
 def fit_data(i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,28 +64,54 @@ def fit_data(i: int) -> tuple[np.ndarray, np.ndarray]:
     return X, np.where(blob == 0, 1.0, -1.0)
 
 
+def worst_violation(problem: lp.LpProblem, x: np.ndarray) -> float:
+    """The most x breaks a row of problem by, over 1 + max |rhs|."""
+    residual = problem.A @ x - problem.rhs
+    broken = np.select([problem.senses == lp.LESS_EQUAL, problem.senses == lp.GREATER_EQUAL],
+                       [residual, -residual], np.abs(residual))
+    return float(broken.max(initial=0.0)) / (1.0 + float(np.abs(problem.rhs).max()))
+
+
+def classify(problem: lp.LpProblem, solution: lp.LpSolution) -> tuple[list[str], float]:
+    """The classes of an optimal solve (empty when ok), and its worst row."""
+    worst = worst_violation(problem, solution.primal_values)
+    classes = []
+    if worst > ROW_TOL:
+        classes.append("row broken")
+    if solution.objective_value < 1.0 - lp._FEAS_TOL:
+        classes.append("below 1")
+    return classes, worst
+
+
 def main(n_fits: int) -> None:
     digest = hashlib.sha256()
     counts = {name: Counter() for name, _ in CONFIGS}
-    not_optimal = []
+    not_optimal, not_ok = [], []
     for i in range(n_fits):
         name, config = CONFIGS[i % len(CONFIGS)]
         X, y = fit_data(i)
         problem, _ = formulations.build_problem(X, y, config)
         solution = lp.solve(problem)
         counts[name][solution.status.value] += 1
+        fit = f"fit {i}  {name}  {X.shape[0]} x {X.shape[1]}"
         if solution.status is not lp.LpStatus.OPTIMAL:
-            not_optimal.append(f"fit {i}  {name}  {X.shape[0]} x {X.shape[1]}  "
-                          f"{solution.status.value}  {solution.phase_iterations}")
+            not_optimal.append(f"{fit}  {solution.status.value}  {solution.phase_iterations}")
+        else:
+            classes, worst = classify(problem, solution)
+            counts[name].update(classes or ["ok"])
+            if classes:
+                not_ok.append(f"{fit}  {', '.join(classes)}  worst row {worst:.2g}  "
+                              f"objective {solution.objective_value:.6g}")
         digest.update(f"{solution.status.value} {solution.phase_iterations}\n".encode())
         if solution.primal_values is not None:
             digest.update(solution.primal_values.tobytes())
-    statuses = [status.value for status in lp.LpStatus]
+    columns = [status.value for status in lp.LpStatus] + CLASSES
     width = max(len(name) for name, _ in CONFIGS)
-    print(f"{'config':<{width}}  " + "  ".join(statuses))
+    print(f"{'config':<{width}}  " + "  ".join(columns))
     for name, _ in CONFIGS:
-        print(f"{name:<{width}}  " + "  ".join(f"{counts[name][s]:>{len(s)}}" for s in statuses))
+        print(f"{name:<{width}}  " + "  ".join(f"{counts[name][s]:>{len(s)}}" for s in columns))
     print("\n".join(not_optimal) if not_optimal else "every fit optimal")
+    print("\n".join(not_ok) if not_ok else "every optimal fit ok")
     print(f"fits: {n_fits}  sha256: {digest.hexdigest()}")
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mcm import data as data_mod
-from mcm import formulations, lp
+from mcm import cli, formulations, lp
 from mcm import model as model_mod
 from mcm.cli import main
+from mcm.errors import HardMarginInfeasible, McmError, ParseError, SolverFailure
 from mcm.kernels import KernelSpec, cross_gram, gram
 from mcm.model import LinearModel, OvrModel, decision_many, load_model, save_model
 
@@ -109,6 +110,19 @@ def test_train_inseparable_exits_2(tmp_path, capsys):
                        "--out", str(tmp_path / "m.json"))
     assert code == 2
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("error, code", [(McmError, 1), (ParseError, 1),
+                                         (HardMarginInfeasible, 2), (SolverFailure, 3),
+                                         (OSError, 1)])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    def handler(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect", handler)
+    if issubclass(error, McmError):
+        assert error.exit_code == code
+    assert run(capsys, "inspect", "--model", "m.mcm.json") == (code, "", "error: boom\n")
 
 
 def test_train_flag_validation(tmp_path, capsys):

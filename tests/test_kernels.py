@@ -92,7 +92,7 @@ def test_gram_symmetry_and_rbf_range():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(8, 4))
     K = gram(KernelSpec(RBF, gamma=1.3), X)
-    assert np.array_equal(K, K.T)  # mirrored, so exact
+    assert np.array_equal(K, K.T)  # exact: the squares add in one order
     assert np.all(np.diag(K) == 1.0)
     assert np.all(K > 0.0) and np.all(K <= 1.0)
 
@@ -234,13 +234,19 @@ def test_gram_mirror_has_the_bits_of_the_triangle_sum(spec):
     # p.q = -1.5e-200 underflows to -0.0 when cubed: the sum of the triangles
     # reads it as +0.0, in both triangles
     X = np.array([[1e-200, 0.0], [-1e-200, -0.0], [0.5, -2.0], [1.5, 0.25], [-1.0, 3.0]])
-    entries = cross_gram(spec, X, X)
     if spec.kind == "poly":
+        entries = cross_gram(spec, X, X)
         assert np.signbit(np.triu(entries, 1)[entries == 0.0]).any()
-    expected = np.triu(entries) + np.triu(entries, 1).T
-    if spec.kind == RBF:
-        np.fill_diagonal(expected, 1.0)
-    assert gram(spec, X).tobytes() == expected.tobytes()
+    # the same rows F-ordered and as a strided view, and a larger random X
+    strided = np.repeat(X, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous and np.array_equal(strided, X)
+    random = np.random.default_rng(17).normal(size=(200, 5))
+    for samples in (X, np.asfortranarray(X), strided, random):
+        entries = cross_gram(spec, samples, samples)
+        expected = np.triu(entries) + np.triu(entries, 1).T
+        if spec.kind == RBF:
+            np.fill_diagonal(expected, 1.0)
+        assert gram(spec, samples).tobytes() == expected.tobytes()
 
 
 def test_gram_peak_memory_is_the_matrix_and_one_chunk():
