@@ -6,7 +6,7 @@ with positive margin, and is reported as undefined (None) otherwise.  h is
 bounded above by the radius/margin ratio R/d computed on origin-augmented
 coordinates, itself None when a sample lies on the hyperplane.  h^2 is the
 capacity bound the trainers minimize.  The report carries h, h^2, the
-support-vector count and the expected-error bound sv_count / M.
+support-vector count (M for a linear model) and the bound sv_count / M.
 """
 
 from __future__ import annotations

@@ -113,17 +113,11 @@ def _config_from_args(args) -> formulations.TrainConfig:
     kind = args.kernel or RBF  # the kernel variant's default
     if args.gamma is not None and kind != RBF:
         raise McmError("--gamma requires --kernel rbf")
-    if variant == formulations.HARD_LINEAR:
-        if args.C is not None:
-            raise McmError("hard-linear takes no --C")
-        if args.kernel is not None or args.gamma is not None:
-            raise McmError("hard-linear takes no --kernel or --gamma")
-        return formulations.TrainConfig(variant)
-    if variant == formulations.SOFT_LINEAR:
-        # a missing or nonpositive C is reported before a stray kernel flag
+    if variant != formulations.SOFT_KERNEL:
+        # a refused or missing C is reported before a stray kernel flag
         config = formulations.TrainConfig(variant, C=args.C)
         if args.kernel is not None or args.gamma is not None:
-            raise McmError("soft-linear takes no --kernel or --gamma")
+            raise McmError(f"{variant} takes no --kernel or --gamma")
         return config
     return formulations.TrainConfig(
         variant, C=args.C, kernel=_kernel_spec(kind, args.gamma, args.degree, args.coef0))

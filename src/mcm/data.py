@@ -382,12 +382,6 @@ def evaluate_fold(X_train, labels_train, X_eval, labels_eval,
     return ovr, results, outcome
 
 
-def _annotate(exc: McmError, fold: int) -> McmError:
-    wrapped = type(exc)(f"fold {fold}: {exc}")
-    wrapped.__cause__ = exc
-    return wrapped
-
-
 def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
                    plan: FoldPlan, scale: bool = False) -> CvReport:
     labels = np.asarray(dataset.labels, dtype=object)
@@ -416,7 +410,7 @@ def cross_validate(dataset: Dataset, config: formulations.TrainConfig,
             _, _, outcome = evaluate_fold(X_train, labels[~test_mask], X_test,
                                           labels[test_mask], config, fold, order)
         except McmError as exc:
-            raise _annotate(exc, fold) from exc
+            raise type(exc)(f"fold {fold}: {exc}") from exc
         report.folds.append(outcome)
     return report
 

@@ -11,7 +11,12 @@ blocks per sample i with label y_i in {-1, +1} and decision value f(x_i):
 The slack q_i appears in both constraint blocks of the soft variants; that is
 the formulation trained here, not the conventional hinge relaxation.
 ``build_problem`` fills both blocks for every variant at once, straight into
-the array-form ``lp.LpProblem`` the solver reads.
+the array-form ``lp.LpProblem`` the solver reads.  No column has a single
+nonzero entry (each weight, b and q_i sits in both rows of a sample, h in
+every cap row), so phase 1 starts each row on its slack or an artificial.
+
+A kernel fit evaluates its Gram matrix once, for the LP rows, ``--dump-lp``
+and ``extract_kernel``'s pruning check alike.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ class TrainConfig:
                 raise McmError(f"variant {self.variant!r} requires C > 0")
             if not math.isfinite(self.C):
                 raise McmError(f"variant {self.variant!r} requires a finite C")
+        elif self.C is not None:
+            raise McmError(f"variant {self.variant!r} takes no C")
         if self.variant == SOFT_KERNEL and self.kernel is None:
             raise McmError("kernel variant requires a KernelSpec")
         if self.variant != SOFT_KERNEL and self.kernel is not None:
@@ -150,7 +157,7 @@ def extract_linear(solution: lp.LpSolution, layout: McmLpLayout,
         w=x[layout.weight_cols],
         b=float(x[layout.b_col]),
         h=float(x[layout.h_col]),
-        C=None if config.variant == HARD_LINEAR else config.C,
+        C=config.C,
     )
 
 

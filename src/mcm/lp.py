@@ -31,8 +31,9 @@ phase's pivots): ``ITERATION_LIMIT`` when the budget runs out,
 singular basis cannot be rebuilt, and ``UNBOUNDED`` only off a tableau
 rebuilt from the original data, and never in phase 1, which is bounded below
 by 0 (there it ends ``NUMERICAL_FAILURE``).  An optimal basis is re-solved
-against the original data for its vertex, clamped at 0.  The tolerances and
-the memory budget are module constants; ``solve`` takes only the pivot budget.
+against the original data for its vertex, clamped at 0 but never rounded
+(features near 1e12 train weights near 1e-13).  The tolerances and the memory
+budget are module constants; ``solve`` takes only the pivot budget.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ _PIVOT_TOL = 1e-10       # reduced costs and pivot entries within this count as 
 _STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
-_MAX_TABLEAU_BYTES = 2**30  # the phase-1 tableau, counted twice (check_budget)
+_MAX_TABLEAU_BYTES = 2**30  # phase-1 tableau x 2 (check_budget): 2591 kernel samples
 _BLOCK_BYTES = 2**18     # the columns a pivot updates at a time, about an L2 share
 
 

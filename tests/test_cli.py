@@ -330,11 +330,18 @@ def test_bad_libsvm_file_exits_1_with_one_line(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("train", "--variant", "hard-linear", "--C", "1"), "hard-linear takes no --C"),
+    (("train", "--variant", "hard-linear", "--C", "1"), "variant 'hard-linear' takes no C"),
+    (("train", "--variant", "hard-linear", "--gamma", "2"),
+     "hard-linear takes no --kernel or --gamma"),
+    (("cv", "--variant", "soft-linear", "--C", "1", "--kernel", "rbf"),
+     "soft-linear takes no --kernel or --gamma"),
+    (("cv", "--variant", "soft-linear", "--C", "0", "--kernel", "rbf"),
+     "variant 'soft-linear' requires C > 0"),
     (("train", "--variant", "soft-linear", "--C", "1"), "training data contains a single class"),
     (("cv", "--variant", "soft-linear", "--C", "1", "--folds", "2"),
      "cross-validation needs at least two classes"),
-], ids=["hard-linear-with-C", "train-one-class", "cv-one-class"])
+], ids=["hard-linear-with-C", "hard-linear-with-gamma", "soft-linear-with-kernel",
+        "soft-linear-zero-C-with-kernel", "train-one-class", "cv-one-class"])
 def test_one_class_and_hard_linear_c_exit_1_with_one_line(tmp_path, capsys, argv, message):
     data = write(tmp_path, "one.csv", "0,0,a\n1,0,a\n0,1,a\n")
     out = ("--out", str(tmp_path / "m.json")) if argv[0] == "train" else ()

@@ -7,7 +7,7 @@ import pytest
 from mcm import data as data_mod
 from mcm import formulations
 from mcm.capacity import capacity_report
-from mcm.errors import McmError, ParseError
+from mcm.errors import HardMarginInfeasible, McmError, ParseError
 from mcm.kernels import KernelSpec
 from mcm.model import negated, predict_many, predict_ovr_many
 
@@ -490,12 +490,21 @@ def test_cross_validate_singleton_class_keeps_binary_accuracy():
 
 
 def test_cross_validate_error_carries_fold_index():
-    # one class has a single sample; leave-one-out starves a training fold
-    X = np.array([[0.0], [0.1], [1.0]])
-    ds = data_mod.Dataset(X, ["a", "a", "b"])
-    plan = data_mod.make_folds(ds.labels, k=3, seed=0)
-    with pytest.raises(McmError, match="fold"):
-        data_mod.cross_validate(ds, formulations.TrainConfig("hard-linear"), plan)
+    cases = [
+        # one class has a single sample; leave-one-out starves a training fold
+        ([0.0, 0.1, 1.0], ["a", "a", "b"], 3, McmError,
+         "fold 2: ", "training data contains a single class"),
+        # fold 1 trains on a, b, a along a line
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], ["a", "b"] * 3, 2, HardMarginInfeasible,
+         "fold 1: ", "hard-margin program is infeasible; the data is not separable"),
+    ]
+    for X, labels, k, error, prefix, message in cases:
+        ds = data_mod.Dataset(np.array(X)[:, None], labels)
+        plan = data_mod.make_folds(ds.labels, k=k, seed=0)
+        with pytest.raises(McmError, match=f"^{prefix}{message}$") as info:
+            data_mod.cross_validate(ds, formulations.TrainConfig("hard-linear"), plan)
+        assert type(info.value) is error and type(info.value.__cause__) is error
+        assert str(info.value.__cause__) == message
 
 
 @pytest.mark.parametrize("labels, message", [

@@ -374,6 +374,8 @@ def test_config_validation():
         formulations.TrainConfig("banana")
     with pytest.raises(McmError):
         soft(-2.0)
+    with pytest.raises(McmError, match="^variant 'hard-linear' takes no C$"):
+        formulations.TrainConfig("hard-linear", C=1.0)
 
 
 @pytest.mark.parametrize("variant, C", [("hard-linear", None), ("soft-linear", 1.0)])

@@ -251,9 +251,11 @@ def test_model_file_text_is_pinned():
     assert model_to_json(OvrModel(("yes", "no"), (hard, negated(hard)))) == OVR_TEXT
 
 
-def test_hard_margin_fit_with_c_reloads_as_hard_margin():
+def test_hard_margin_config_refuses_c_and_reloads_as_hard_margin():
+    with pytest.raises(McmError, match="^variant 'hard-linear' takes no C$"):
+        TrainConfig("hard-linear", C=5.0)
     X = np.array([[2.0, 0.5], [1.5, -1.0], [-1.0, 0.0], [-2.0, 1.0]])
-    fit = train(X, [1, 1, -1, -1], TrainConfig("hard-linear", C=5.0)).model
+    fit = train(X, [1, 1, -1, -1], TrainConfig("hard-linear")).model
     clone = model_from_json(model_to_json(fit))
     assert fit.C is None and clone.C is None
     assert clone.variant == "hard-linear"
