@@ -8,12 +8,31 @@ blocks per sample i with label y_i in {-1, +1} and decision value f(x_i):
     soft linear:   min h + C sum q  s.t.  h >= y_i f(x_i) + q_i,      y_i f(x_i) + q_i >= 1,  q_i >= 0
     soft kernel:   same as soft linear with f(x) = sum_j lambda_j K(x, x_j) + b
 
-The slack q_i appears in both constraint blocks of the soft variants; that is
-the formulation trained here, not the conventional hinge relaxation.
+The slack q_i appears in both constraint blocks of the paper's soft
+programs, not only in the floor as in the conventional hinge relaxation.
+The kernel program is trained in that form.  The soft-linear one is trained
+in an equivalent form whose cap rows hold no slack, with h = 1 + t:
+
+    min t + C sum q  s.t.  y_i f(x_i) - t <= 1,  y_i f(x_i) + q_i >= 1,  q_i >= 0,  t >= 0
+
+Both programs have the same optimal value and, for C > 0, the same optimal
+(w, b, h, q).  A point of the paper's program is a point of this one with
+t = h - 1 and the same h + C sum q, since y_i f(x_i) <= h - q_i <= h and
+h >= y_i f(x_i) + q_i >= 1.  Conversely, setting each q_i of a point of this
+program to max(0, 1 - y_i f(x_i)), which is no larger, gives a point of the
+paper's at an objective no larger: its cap row reads
+y_i f(x_i) + q_i = max(y_i f(x_i), 1) <= 1 + t = h.  At an optimum with
+C > 0 each q_i already has that value, so the optima coincide.
+Here q_i is a column with a single +1, in its floor row, so ``lp.solve``
+starts on the identity basis (cap rows on their slacks, floor rows on q_i)
+and needs no phase 1.  The layout records the shift: ``McmLpLayout.restore``
+maps a solve back to the paper's point and objective h + C sum q.
+
 ``build_problem`` fills both blocks for every variant at once, straight into
-the array-form ``lp.LpProblem`` the solver reads.  No column has a single
-nonzero entry (each weight, b and q_i sits in both rows of a sample, h in
-every cap row), so phase 1 starts each row on its slack or an artificial.
+the array-form ``lp.LpProblem`` the solver reads.  Elsewhere no column has a
+single nonzero entry (each weight, b and q_i sits in both rows of a sample,
+h in every cap row), so phase 1 starts each row on its slack or an
+artificial; hard-linear's phase 1 is its separability test.
 
 A kernel fit evaluates its Gram matrix once, for the LP rows, ``--dump-lp``
 and ``extract_kernel``'s pruning check alike.
@@ -68,20 +87,34 @@ class TrainConfig:
 class McmLpLayout:
     """Column map of a training LP: weights (w or lambda), offset b, bound h,
     and slacks q for the soft variants; ``scores`` holds the rows s_i the
-    weights multiply (the samples, or the training Gram matrix)."""
+    weights multiply (the samples, or the training Gram matrix).  The h
+    column holds h - ``h_shift``: t = h - 1 for soft-linear, h elsewhere."""
 
     scores: np.ndarray
     weight_cols: np.ndarray
     b_col: int
     h_col: int
     q_cols: np.ndarray | None
+    h_shift: float = 0.0
+
+    def restore(self, solution: lp.LpSolution) -> tuple[np.ndarray, float]:
+        """The paper's point (weights, b, h[, q]) and objective h [+ C sum q]
+        of an optimal solve of this layout's LP: h = h_shift + x[h_col]."""
+        x, objective = solution.primal_values, solution.objective_value
+        if not self.h_shift:
+            return x, objective
+        x = x.copy()
+        x[self.h_col] += self.h_shift
+        return x, objective + self.h_shift
 
 
 def lp_names(layout: McmLpLayout, config: TrainConfig) -> list[str]:
     """The LP's column names in the layout's order: w1... (lam1... for the
-    kernel variant), b, h, then q1... for the soft variants."""
+    kernel variant), b, h (t = h - 1 for soft-linear), then q1... for the
+    soft variants."""
     prefix = "lam" if config.variant == SOFT_KERNEL else "w"
-    names = [f"{prefix}{j + 1}" for j in range(layout.weight_cols.size)] + ["b", "h"]
+    names = [f"{prefix}{j + 1}" for j in range(layout.weight_cols.size)]
+    names += ["b", "t" if layout.h_shift else "h"]
     if layout.q_cols is not None:
         names += [f"q{i + 1}" for i in range(layout.q_cols.size)]
     return names
@@ -104,10 +137,10 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     sample for the linear variants, the Gram row for the kernel one.  Each
     sample contributes two rows, in this order:
 
-        cap:    y_i s_i.w + y_i b - h [+ q_i] <= 0
+        cap:    y_i s_i.w + y_i b - h [+ q_i] <= 0   (soft-linear: y_i s_i.w + y_i b - t <= 1)
         floor:  y_i s_i.w + y_i b     [+ q_i] >= 1
 
-    Column order: weights, b, h[, q].
+    Column order: weights, b, h (soft-linear: t = h - 1 >= 0)[, q].
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     y = _check_labels(labels)
@@ -116,9 +149,10 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     M = X.shape[0]
     n_weights = M if config.variant == SOFT_KERNEL else X.shape[1]
     with_slack = config.variant != HARD_LINEAR
+    h_shift = 1.0 if config.variant == SOFT_LINEAR else 0.0
     n_cols = n_weights + 2 + (M if with_slack else 0)
     senses = np.tile([lp.LESS_EQUAL, lp.GREATER_EQUAL], M)
-    rhs = np.tile([0.0, 1.0], M)
+    rhs = np.tile([h_shift, 1.0], M)
     lp.check_budget(senses, rhs, n_cols)
     scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
 
@@ -130,20 +164,18 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     rows[:, 0, n_weights + 1] = -1.0    # h, cap row only
     if with_slack:
         objective[n_weights + 2:] = config.C
-        rows[np.arange(M), :, n_weights + 2 + np.arange(M)] = 1.0
-    problem = lp.LpProblem(
-        objective,
-        rows.reshape(2 * M, n_cols),
-        senses,
-        rhs,
-        np.arange(n_cols) < n_weights + 2,  # weights, b and h are free
-    )
+        q_rows = 1 if h_shift else slice(None)  # soft-linear: the floor row only
+        rows[np.arange(M), q_rows, n_weights + 2 + np.arange(M)] = 1.0
+    free = np.arange(n_cols) < n_weights + 2  # weights, b and h are free
+    free[n_weights + 1] = not h_shift         # t is not
+    problem = lp.LpProblem(objective, rows.reshape(2 * M, n_cols), senses, rhs, free)
     layout = McmLpLayout(
         scores=scores,
         weight_cols=np.arange(n_weights),
         b_col=n_weights,
         h_col=n_weights + 1,
         q_cols=np.arange(n_weights + 2, n_cols) if with_slack else None,
+        h_shift=h_shift,
     )
     return problem, layout
 
@@ -152,7 +184,7 @@ def extract_linear(solution: lp.LpSolution, layout: McmLpLayout,
                    config: TrainConfig) -> LinearModel:
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise McmError(f"solution status is {solution.status.value}")
-    x = solution.primal_values
+    x = layout.restore(solution)[0]
     return LinearModel(
         w=x[layout.weight_cols],
         b=float(x[layout.b_col]),
@@ -212,6 +244,7 @@ def train(samples, labels, config: TrainConfig, on_problem=None) -> TrainResult:
     ``on_problem``, if given, is called with the assembled (problem, layout)
     before the solve.
 
+    The result carries the paper's objective (``McmLpLayout.restore``).
     Every feasible point has h >= y_i f(x_i) [+ q_i] >= 1, so an optimal
     objective below 1 - ``lp._FEAS_TOL`` is a solver failure."""
     X = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -228,11 +261,12 @@ def train(samples, labels, config: TrainConfig, on_problem=None) -> TrainResult:
         raise SolverFailure("soft-margin program reported infeasible")
     if solution.status is not lp.LpStatus.OPTIMAL:
         raise SolverFailure(f"solver returned {solution.status.value}")
-    if solution.objective_value < 1.0 - lp._FEAS_TOL:
-        raise SolverFailure(f"solver returned objective {solution.objective_value!r}, "
+    objective = layout.restore(solution)[1]
+    if objective < 1.0 - lp._FEAS_TOL:
+        raise SolverFailure(f"solver returned objective {objective!r}, "
                             f"below 1, the least of any feasible point")
     if config.variant == SOFT_KERNEL:
         model = extract_kernel(solution, layout, config, X)
     else:
         model = extract_linear(solution, layout, config)
-    return TrainResult(model, solution.objective_value, seconds, solution.iterations)
+    return TrainResult(model, objective, seconds, solution.iterations)

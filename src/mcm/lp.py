@@ -2,13 +2,17 @@
 
 An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
 ``A x {<=,>=,=} rhs`` row by row, with each variable nonnegative or free (a
-boolean mask).  ``solve`` starts phase 1 from the slack basis: a row is
-basic on its slack where that slack's entry is +1 once the row is flipped to
-a nonnegative rhs, on an artificial variable elsewhere.  That start reads
-only the senses and the rhs, so ``check_budget`` counts the phase-1 tableau
-off them, for a builder before it fills its matrix and in ``standardize``
-(inequalities slacked) before it allocates; then come phase 1 and phase 2
-on the original costs.  Each phase's tableau is one Fortran-ordered
+boolean mask).  ``solve`` starts from an identity basis: once each row is
+flipped to a nonnegative rhs, a row is basic on its slack where that
+slack's entry is +1; elsewhere on the first direction, in the split form's
+order (below), whose column has a single nonzero entry, +1 in that row
+(soft-linear's q_i); and on an artificial variable where neither exists.
+``check_budget`` counts an artificial for every row off its slack, off the
+senses and the rhs alone, so that a builder can check before it fills its
+matrix and ``standardize`` (inequalities slacked) before it allocates.  A
+start with artificials runs phase 1 and then phase 2 on the original costs;
+a start without any is feasible and goes straight to phase 2, on the stacked
+tableau as it stands.  Each phase's tableau is one Fortran-ordered
 allocation; phase 2's, a column selection of phase 1's, releases it.  Beside
 it a solve holds one copy of the program, standardize's matrix flipped in
 place; artificial columns are built on the fly.
@@ -110,7 +114,7 @@ class LpSolution:
     status: LpStatus
     primal_values: np.ndarray | None
     objective_value: float | None
-    phase_iterations: tuple[int, int]  # pivots in phase 1, then in phase 2
+    phase_iterations: tuple[int, int]  # pivots in phase 1 (0 if skipped), then in phase 2
 
     @property
     def iterations(self) -> int:
@@ -163,7 +167,8 @@ class _Tableau:
     rebuilds T from the originals (A, b), as __init__ does when T is None.
     T is stored Fortran-ordered; ``sum_order`` records how its norms, cost
     row and objective sum: "F" as over a Fortran-ordered T for a T passed so
-    (phase 2's), else "C", row after row as over a C-ordered one.
+    (phase 2's) or a start that skips phase 1, else "C", row after row as
+    over a C-ordered one.
 
     A free variable has one column and may be basic with either sign; every
     other basic variable has sign +1.  So a stored column always holds the
@@ -472,9 +477,9 @@ def _ratio_test(tab: _Tableau, col: np.ndarray, bland: bool,
 
 
 def _slack_start(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 1's start: each row is flipped to a nonnegative rhs (the +-1
-    flips) and starts on its slack where that slack's entry is then +1 (the
-    mask), on an artificial elsewhere."""
+    """The start's first step: each row is flipped to a nonnegative rhs (the
+    +-1 flips) and starts on its slack where that slack's entry is then +1
+    (the mask); ``check_budget`` counts an artificial for every other row."""
     flip = np.where(rhs < 0, -1.0, 1.0)
     return flip, np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
 
@@ -483,7 +488,10 @@ def check_budget(senses: np.ndarray, rhs: np.ndarray, n_vars: int) -> None:
     """Raise McmError when the phase-1 tableau of a program with these
     senses and rhs over ``n_vars`` variables (a slack per inequality and an
     artificial per row not started on its slack), counted twice, would take
-    more than _MAX_TABLEAU_BYTES.  The doubling stands for what a solve holds
+    more than _MAX_TABLEAU_BYTES.  A row that starts on a +1 column instead
+    needs no artificial, so for such programs the count is an upper bound;
+    it reads no matrix, so a builder may call it before it fills one.  The
+    doubling stands for what a solve holds
     beside the tableau: the flipped originals, the phase-2 copy at the
     switch, the C-ordered copy phase 1's sums read, the caller's LP and a
     kernel fit's Gram matrix; counting them would refuse fits that run today."""
@@ -508,45 +516,73 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
     senses, m, n_orig = problem.senses, problem.n_constraints, problem.n_vars
-    # no training LP has a one-nonzero column to start a row instead of its
-    # slack or artificial (each weight, b and q_i sits in both rows of a
-    # sample that uses it, h in all M >= 2 cap rows)
     flip, on_slack = _slack_start(senses, problem.rhs)
     ineq = senses != EQUAL
-    needs_artificial = (~on_slack).nonzero()[0]
-    n, n_art = n_orig + int(ineq.sum()), needs_artificial.size
+    n = n_orig + int(ineq.sum())
     budget = 50 * (m + n) if max_iterations is None else max_iterations
-    basis = np.where(on_slack, n_orig + np.cumsum(ineq) - 1, n + np.cumsum(~on_slack) - 1)
     np.multiply(A, flip[:, None], out=A)  # standardize's own copy: now the originals
-    tab = _Tableau(None, (A, b * flip), basis, np.ones(m), free.nonzero()[0], n_orig,
+    # a row starts on its slack where that slack's entry is +1, else on a
+    # one-nonzero column's +1 direction (soft-linear's q_i), else on an artificial
+    basis = np.where(on_slack, n_orig + np.cumsum(ineq) - 1, -1)
+    sign = np.ones(m)
+    rows, cols, negative = _unit_directions(A[:, :n_orig], free[:n_orig], ~on_slack)
+    basis[rows], sign[rows[negative]] = cols, -1.0
+    needs_artificial = (basis < 0).nonzero()[0]
+    n_art = needs_artificial.size
+    basis[needs_artificial] = n + np.arange(n_art)
+    tab = _Tableau(None, (A, b * flip), basis, sign, free.nonzero()[0], n_orig,
                    needs_artificial)
-    phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
-    status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
-    if status is not LpStatus.OPTIMAL:  # phase 1 is bounded below by 0: UNBOUNDED is drift
-        status = LpStatus.NUMERICAL_FAILURE if status is LpStatus.UNBOUNDED else status
-        return LpSolution(status, None, None, (phase1, 0))
+    phase1 = 0
+    if n_art:
+        phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
+        status, phase1 = _run_simplex(tab, phase1_costs, budget, artificial_start=n)
+        if status is not LpStatus.OPTIMAL:  # phase 1 is bounded below by 0: UNBOUNDED is drift
+            status = LpStatus.NUMERICAL_FAILURE if status is LpStatus.UNBOUNDED else status
+            return LpSolution(status, None, None, (phase1, 0))
 
-    infeasibility = float(phase1_costs[tab.basis] @ tab.for_sums(tab.T[:, -1:])[:, 0])
-    if infeasibility > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-        return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
+        infeasibility = float(phase1_costs[tab.basis] @ tab.for_sums(tab.T[:, -1:])[:, 0])
+        if infeasibility > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
+            return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
 
-    _drive_out_artificials(tab, n)
-
-    # phase 2 on the structural columns and the rhs, a Fortran-ordered copy
-    keep = np.append(np.arange(n), tab.T.shape[1] - 1)
-    tab2 = _Tableau(tab.T[:, keep], (tab.A0, tab.b0), tab.basis, tab.sign, tab.free_cols, n_orig)
-    del tab  # the phase-1 tableau, once phase 2's copy exists
-    status, phase2 = _run_simplex(tab2, c, budget - phase1)
+        _drive_out_artificials(tab, n)
+        # phase 2 on the structural columns and the rhs, a Fortran-ordered
+        # copy; rebinding tab releases the phase-1 tableau
+        keep = np.append(np.arange(n), tab.T.shape[1] - 1)
+        tab = _Tableau(tab.T[:, keep], (tab.A0, tab.b0), tab.basis, tab.sign, tab.free_cols,
+                       n_orig)
+    else:  # a feasible start: phase 2 pivots the stacked tableau as it stands
+        tab.sum_order = "F"
+    status, phase2 = _run_simplex(tab, c, budget - phase1)
     phases = (phase1, phase2)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status, None, None, phases)
 
     x = np.zeros(n)
-    values = tab2.basic_values()  # exact vertex off the original data
+    values = tab.basic_values()  # exact vertex off the original data
     # 0.0 - v, not -v: a zero value stays +0.0
-    x[tab2.basis] = np.where(tab2.sign < 0, 0.0 - values, values)
+    x[tab.basis] = np.where(tab.sign < 0, 0.0 - values, values)
     x = x[:n_orig].copy()  # owned: a view would keep all n values alive
     return LpSolution(LpStatus.OPTIMAL, x, float(problem.objective @ x), phases)
+
+
+def _unit_directions(A: np.ndarray, free: np.ndarray,
+                     off_slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a row off its slack can start instead of on an artificial: a
+    direction whose column of the flipped originals A has one nonzero entry,
+    +1 in that row (-1 for the negative direction of a free column).  Each
+    such row takes the first one in the split form's order; returns the
+    rows, their columns and the mask of negative directions among them."""
+    single = (np.count_nonzero(A, axis=0) == 1).nonzero()[0]
+    rows, at = A[:, single].nonzero()  # one entry per column, row by row
+    cols = single[at]
+    entry = A[rows, cols]
+    negative = (entry == -1.0) & free[cols]
+    usable = ((entry == 1.0) | negative) & off_slack[rows]
+    rows, cols, negative = rows[usable], cols[usable], negative[usable]
+    # split-form index: originals first, then the free columns' negative directions
+    order = np.lexsort((cols + negative * A.shape[1], rows))
+    first = order[np.unique(rows[order], return_index=True)[1]]
+    return rows[first], cols[first], negative[first]
 
 
 def _drive_out_artificials(tab: _Tableau, n_struct: int) -> None:

@@ -9,9 +9,12 @@ unit noise), class 0 against the rest, and every feature scaled by one
 factor 10^U(-2, 2).  The configs cycle through hard- and soft-linear, rbf
 with gamma 0.125, 0.5 and 2, poly-2 and the linear kernel.
 
-Each optimal solve is classified on the original ``LpProblem``: "row
-broken" when its point breaks a row (``A``, ``senses``, ``rhs``) by more than
-1e-8 * (1 + max |rhs|), "below 1" when its objective is below
+Each optimal solve is classified on the paper's program
+(``oracles.paper_problem``), at the paper's point and objective that
+``McmLpLayout.restore`` maps it to; soft-linear is trained in an equivalent
+form with h = 1 + t, every other variant in the paper's.  A fit is "row
+broken" when that point breaks a row (``A``, ``senses``, ``rhs``) by more than
+1e-8 * (1 + max |rhs|), "below 1" when the objective is below
 1 - ``lp._FEAS_TOL`` (every feasible point has h >= 1), and "ok" when
 neither holds; a fit can count as both.
 
@@ -20,7 +23,8 @@ that did not end optimal (its index, config, rows x features, status and
 ``phase_iterations``; ``fit_data(i)`` rebuilds its samples), one line per
 optimal fit that is not ok (index, config, rows x features, classes, worst
 relative row violation and objective), and one SHA-256 over every solve's
-status, ``phase_iterations`` and vertex bytes.  A change meant to keep every
+status, ``phase_iterations`` and the bytes of the vertex ``lp.solve``
+returns.  A change meant to keep every
 pivot and bit must print the same digest before and after.
 pytest does not collect this file (its name does not start with ``test_``).
 """
@@ -35,6 +39,8 @@ import numpy as np
 
 from mcm import formulations, lp
 from mcm.kernels import KernelSpec
+
+import oracles
 
 CONFIGS = [
     ("hard-linear", formulations.TrainConfig("hard-linear")),
@@ -72,13 +78,14 @@ def worst_violation(problem: lp.LpProblem, x: np.ndarray) -> float:
     return float(broken.max(initial=0.0)) / (1.0 + float(np.abs(problem.rhs).max()))
 
 
-def classify(problem: lp.LpProblem, solution: lp.LpSolution) -> tuple[list[str], float]:
-    """The classes of an optimal solve (empty when ok), and its worst row."""
-    worst = worst_violation(problem, solution.primal_values)
+def classify(paper: lp.LpProblem, x: np.ndarray, objective: float) -> tuple[list[str], float]:
+    """The classes of the paper's point x and objective (empty when ok),
+    and its worst row of the paper's program."""
+    worst = worst_violation(paper, x)
     classes = []
     if worst > ROW_TOL:
         classes.append("row broken")
-    if solution.objective_value < 1.0 - lp._FEAS_TOL:
+    if objective < 1.0 - lp._FEAS_TOL:
         classes.append("below 1")
     return classes, worst
 
@@ -90,18 +97,20 @@ def main(n_fits: int) -> None:
     for i in range(n_fits):
         name, config = CONFIGS[i % len(CONFIGS)]
         X, y = fit_data(i)
-        problem, _ = formulations.build_problem(X, y, config)
+        problem, layout = formulations.build_problem(X, y, config)
         solution = lp.solve(problem)
         counts[name][solution.status.value] += 1
         fit = f"fit {i}  {name}  {X.shape[0]} x {X.shape[1]}"
         if solution.status is not lp.LpStatus.OPTIMAL:
             not_optimal.append(f"{fit}  {solution.status.value}  {solution.phase_iterations}")
         else:
-            classes, worst = classify(problem, solution)
+            x, objective = layout.restore(solution)
+            paper = oracles.paper_problem(layout.scores, y, config.C)
+            classes, worst = classify(paper, x, objective)
             counts[name].update(classes or ["ok"])
             if classes:
                 not_ok.append(f"{fit}  {', '.join(classes)}  worst row {worst:.2g}  "
-                              f"objective {solution.objective_value:.6g}")
+                              f"objective {objective:.6g}")
         digest.update(f"{solution.status.value} {solution.phase_iterations}\n".encode())
         if solution.primal_values is not None:
             digest.update(solution.primal_values.tobytes())

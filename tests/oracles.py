@@ -240,10 +240,11 @@ def ratio_test_full_length(tab, col: np.ndarray, bland: bool, artificial_start):
 def phase1_starts(monkeypatch) -> tuple[list, list]:
     """Spy on lp.solve from here on: lists filled with the (rows, columns)
     each check_budget call counts, read off the message it gives over a
-    budget of -1 bytes, and each phase-1 start (basis, signs, tableau columns
-    without the rhs), as solve hands them over."""
+    budget of -1 bytes, and each solve's start (basis, signs, tableau
+    columns without the rhs), as solve builds its first tableau.  A start
+    with no artificial column goes straight to phase 2."""
     budgets, starts = [], []
-    check_budget, run_simplex = lp.check_budget, lp._run_simplex
+    check_budget, init = lp.check_budget, lp._Tableau.__init__
 
     def recording_budget(senses, rhs, n_vars):
         limit, lp._MAX_TABLEAU_BYTES = lp._MAX_TABLEAU_BYTES, -1
@@ -256,13 +257,13 @@ def phase1_starts(monkeypatch) -> tuple[list, list]:
             lp._MAX_TABLEAU_BYTES = limit
         check_budget(senses, rhs, n_vars)
 
-    def recording_run(tab, costs, budget, artificial_start=None):
-        if artificial_start is not None:
+    def recording_init(tab, T, *args, **kwargs):
+        init(tab, T, *args, **kwargs)
+        if T is None:  # a start, not phase 2's copy
             starts.append((tab.basis.tolist(), tab.sign.tolist(), tab.T.shape[1] - 1))
-        return run_simplex(tab, costs, budget, artificial_start)
 
     monkeypatch.setattr(lp, "check_budget", recording_budget)
-    monkeypatch.setattr(lp, "_run_simplex", recording_run)
+    monkeypatch.setattr(lp._Tableau, "__init__", recording_init)
     return budgets, starts
 
 
@@ -301,6 +302,14 @@ def mcm_program(scores: np.ndarray, y: np.ndarray, C: float | None = None):
             senses.append(lp.LESS_EQUAL if bound else lp.GREATER_EQUAL)
             rhs.append(0.0 if bound else 1.0)
     return objective, np.array(A), np.array(senses), np.array(rhs), free
+
+
+def paper_problem(scores: np.ndarray, y: np.ndarray, C: float | None = None) -> lp.LpProblem:
+    """``mcm_program`` as an ``lp.LpProblem``: the paper's program of any
+    variant.  For soft-linear it is the q-in-both-rows program that
+    ``formulations`` trains in an equivalent form, with the bytes
+    ``build_problem`` gave it before."""
+    return lp.LpProblem(*mcm_program(scores, y, C))
 
 
 def _ratio_over_offsets(S: np.ndarray, y: np.ndarray, iters: int = 100):

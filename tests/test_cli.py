@@ -755,7 +755,7 @@ def test_dump_lp_is_the_program_the_fit_solves(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags, names", [
     (("--variant", "hard-linear"), "w1 w2 b h"),
-    (("--variant", "soft-linear", "--C", "1"), "w1 w2 b h q1 q2 q3 q4"),
+    (("--variant", "soft-linear", "--C", "1"), "w1 w2 b t q1 q2 q3 q4"),
     (("--variant", "kernel", "--kernel", "rbf", "--gamma", "1", "--C", "1"),
      "lam1 lam2 lam3 lam4 b h q1 q2 q3 q4"),
     (("--variant", "kernel", "--kernel", "poly", "--degree", "2", "--C", "1"),
@@ -768,12 +768,14 @@ def test_dump_lp_column_names(tmp_path, capsys, flags, names):
                      "--out", str(tmp_path / "m.json"), "--dump-lp", str(lp_path))
     assert code == 0
     lines = lp_path.read_text().splitlines()
-    # the free columns (weights, b, h) in column order, then the objective's
-    # slacks after h
+    # the free columns (weights, b, and h, but not soft-linear's t = h - 1)
+    # in column order, then the objective's columns that are not free: h or
+    # t leads the objective, the slacks follow it
     free = [line.split()[0] for line in lines[lines.index("Bounds") + 1:-1]]
     objective = lines[1].split()[2::3]
-    assert objective[0] == "h"
-    assert " ".join(free + objective[1:]) == names
+    columns = names.split()
+    assert objective[0] == columns[columns.index("b") + 1]
+    assert " ".join(free + [name for name in objective if name not in free]) == names
 
 
 def query_csv(tmp_path, rows=50, seed=54):

@@ -40,9 +40,10 @@ def test_layout_covers_columns():
     cols = np.concatenate([layout.weight_cols, [layout.b_col, layout.h_col],
                            layout.q_cols])
     assert sorted(cols.tolist()) == list(range(problem.n_vars))
-    # weights, b, h free; slacks nonnegative
+    # weights and b free; the h column holds t = h - 1 >= 0; slacks nonnegative
     assert problem.free[layout.weight_cols].all()
-    assert problem.free[[layout.b_col, layout.h_col]].all()
+    assert problem.free[layout.b_col] and not problem.free[layout.h_col]
+    assert layout.h_shift == 1.0
     assert not problem.free[layout.q_cols].any()
 
 
@@ -91,23 +92,43 @@ def _nine_samples():
 @pytest.mark.parametrize("samples", [lambda: (PAIR_X, PAIR_Y), _nine_samples],
                          ids=["M=2", "M=9"])
 def test_training_lp_starts_on_cap_slacks_and_floor_artificials(monkeypatch, config, samples):
-    # no column of a training LP has one nonzero entry, so none could start
-    # a row: each cap row starts on its slack, each floor row on an
+    # each cap row starts on its slack.  Soft-linear's q_i is a column with
+    # one nonzero entry, +1 in its floor row, which starts there: no
+    # artificial column is built and phase 1 never runs.  No other training
+    # LP has a one-nonzero column, so each other floor row starts on an
     # artificial, and build_problem's budget count is the one solve makes
+    # (an upper bound for soft-linear)
     X, y = samples()
     M = y.size
     problem, layout = formulations.build_problem(X, y, config)
     if config.kernel is not None and config.kernel.gamma == 1e5:
         off_diagonal = layout.scores[~np.eye(M, dtype=bool)]
         assert np.count_nonzero(off_diagonal) == (2 if M == 9 else 0)  # the duplicates
-    assert not (np.count_nonzero(problem.A, axis=0) == 1).any()
-    _, starts = oracles.phase1_starts(monkeypatch)
-    lp.solve(problem)
-    (basis, _, columns), = starts
+    budgets, starts = oracles.phase1_starts(monkeypatch)
+    phase_1_runs = []
+    run = lp._run_simplex
+
+    def spy(tab, costs, budget, artificial_start=None):
+        phase_1_runs.append(artificial_start is not None)
+        return run(tab, costs, budget, artificial_start)
+
+    monkeypatch.setattr(lp, "_run_simplex", spy)
+    solution = lp.solve(problem)
+    (basis, signs, columns), = starts
     n = problem.n_vars + 2 * M  # structural columns and one slack per row
+    assert budgets == [(2 * M, problem.n_vars + 3 * M)]
     assert basis[0::2] == list(range(problem.n_vars, n, 2))
-    assert basis[1::2] == list(range(n, n + M))
-    assert columns == problem.n_vars + 3 * M  # as build_problem counts them
+    assert signs == [1.0] * (2 * M)
+    singles = (np.count_nonzero(problem.A, axis=0) == 1).nonzero()[0]
+    if config.variant == "soft-linear":
+        assert singles.tolist() == basis[1::2] == layout.q_cols.tolist()
+        assert columns == n
+        assert phase_1_runs == [False] and solution.phase_iterations[0] == 0
+    else:
+        assert not singles.size
+        assert basis[1::2] == list(range(n, n + M))
+        assert columns == problem.n_vars + 3 * M
+        assert phase_1_runs[0]
 
 
 def test_over_budget_fit_is_refused_before_its_gram_matrix(monkeypatch):
@@ -132,6 +153,10 @@ def test_build_problem_matches_per_sample_reference(config):
     y = rng.permutation([-1.0] * 4 + [1.0] * 5)
     scores = X if config.kernel is None else gram(config.kernel, X)
     objective, A, senses, rhs, free = oracles.mcm_program(scores, y, config.C)
+    if config.variant == "soft-linear":
+        # trained with h = 1 + t: the cap rows drop q_i and read <= 1, t >= 0
+        q_cols = np.arange(X.shape[1] + 2, A.shape[1])
+        A[0::2, q_cols], rhs[0::2], free[X.shape[1] + 1] = 0.0, 1.0, False
     problem, _ = formulations.build_problem(X, y, config)
     assert problem.objective.tobytes() == objective.tobytes()
     assert problem.A.shape == A.shape and problem.A.tobytes() == A.tobytes()
@@ -198,7 +223,31 @@ def test_soft_linear_large_c_recovers_hard_margin():
     assert solution.status is lp.LpStatus.OPTIMAL
     slacks = solution.primal_values[layout.q_cols]
     assert np.all(slacks <= 1e-6)
-    assert solution.primal_values[layout.h_col] == pytest.approx(hard.model.h, abs=1e-4)
+    model = formulations.extract_linear(solution, layout, soft(1e6))
+    assert model.h == pytest.approx(hard.model.h, abs=1e-4)
+
+
+@pytest.mark.parametrize("fit", [1, 8, 22, 36])  # census draws of 123, 127, 62 and 27 rows
+def test_soft_linear_trains_the_paper_program(fit):
+    # the q-free program trained here and the paper's, with q_i in both rows
+    # of its sample, have the same optimum; the trained point, with h
+    # restored, meets the paper's rows
+    import census
+
+    X, y = census.fit_data(fit)
+    for C in (0.01, 1.0, 100.0):
+        paper = oracles.paper_problem(X, y, C)
+        reference = lp.solve(paper)
+        assert reference.status is lp.LpStatus.OPTIMAL and reference.phase_iterations[0] > 0
+        result = formulations.train(X, y, soft(C))
+        assert result.objective_value == pytest.approx(reference.objective_value, rel=1e-9)
+        problem, layout = formulations.build_problem(X, y, soft(C))
+        solution = lp.solve(problem)
+        assert solution.phase_iterations[0] == 0
+        x, objective = layout.restore(solution)
+        assert objective == result.objective_value
+        assert x[layout.h_col] == result.model.h == 1.0 + solution.primal_values[layout.h_col]
+        assert census.worst_violation(paper, x) <= 1e-8  # relative to 1 + max |rhs|
 
 
 def test_soft_linear_always_feasible():

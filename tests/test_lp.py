@@ -52,18 +52,23 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
 @pytest.mark.parametrize("sense", ["<=", ">=", "="])
 @pytest.mark.parametrize("rhs", [2.0, 0.0, -0.0, -2.0])
 def test_a_row_starts_on_its_slack_only_where_that_slack_is_plus_one(monkeypatch, sense, rhs):
-    # x (column 0) has one nonzero entry, 1 in row 0, and would be a unit
-    # column there once the row is flipped to a nonnegative rhs; it takes no
-    # row.  Row 1, y <= 5, always starts on its slack.
+    # x (column 0) has one nonzero entry, 1 in row 0, a unit column there
+    # unless the row is flipped to a nonnegative rhs.  Off its slack, row 0
+    # starts on x where it can, on an artificial elsewhere; check_budget
+    # counts an artificial either way.  Row 1, y <= 5, always starts on its
+    # slack.
     problem = oracles.make_problem(
         [1.0, 1.0], [([1.0, 1.0], sense, rhs), ([0.0, 1.0], "<=", 5.0)], ["nonneg"] * 2)
     budgets, starts = oracles.phase1_starts(monkeypatch)
-    lp.solve(problem)
+    solution = lp.solve(problem)
     on_slack = (sense, rhs < 0) in (("<=", False), (">=", True))
+    on_x = not on_slack and not rhs < 0
     n = 2 + (sense != "=") + 1  # x, y, row 0's slack if any, row 1's slack
     assert budgets == [(2, n + (not on_slack))]
-    row0 = 2 if on_slack else n  # row 0's slack, or the first artificial
-    assert starts == [([row0, n - 1], [1.0, 1.0], n + (not on_slack))]
+    row0 = 2 if on_slack else 0 if on_x else n  # row 0's slack, x, or the first artificial
+    artificial = not (on_slack or on_x)
+    assert starts == [([row0, n - 1], [1.0, 1.0], n + artificial)]
+    assert (solution.phase_iterations[0] == 0) or artificial
 
 
 def test_dimension_mismatch_rejected():
@@ -198,12 +203,9 @@ def test_iteration_limit_flag():
 def test_iteration_limit_in_phase_2_is_not_optimal(monkeypatch):
     # phase 1 finishes within the budget and phase 2 runs out: the point
     # reached so far is feasible but not optimal, so none is returned
-    from mcm import formulations
-
     rng = np.random.default_rng(37)
     X, y = _two_blobs(rng, 40, 1, 1.0)  # 43 phase-1 and 11 phase-2 pivots
-    problem, _ = formulations.build_problem(
-        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    problem = oracles.paper_problem(X, y, C=1.0)  # soft-linear in the paper's form
     full = lp.solve(problem)
     assert full.status is lp.LpStatus.OPTIMAL and full.iterations > 48
     phases = []
@@ -221,16 +223,18 @@ def test_iteration_limit_in_phase_2_is_not_optimal(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_lp_without_rows(n):
+def test_lp_without_rows(n, monkeypatch):
     # with no constraint rows nothing pivots: the minimum is the origin
     # unless some direction lowers the cost without end
     bounds_of = {"nonneg": False, "free": True}
+    _, starts = oracles.phase1_starts(monkeypatch)
     for objective in itertools.product([-1.0, 0.0, 1.0, 1e-11, -1e-11], repeat=n):
         for bounds in itertools.product(bounds_of, repeat=n):
             sol = lp.solve(oracles.make_problem(objective, [], bounds))
             c = np.array(objective)
             free = np.array([bounds_of[kind] for kind in bounds])
             assert sol.phase_iterations == (0, 0)
+            assert starts.pop() == ([], [], n)  # an empty basis, no artificial
             if np.any(c < -1e-10) or np.any(c[free] > 1e-10):
                 assert sol.status is lp.LpStatus.UNBOUNDED
                 assert sol.primal_values is None and sol.objective_value is None
@@ -539,11 +543,8 @@ def test_sparse_pivot_matches_dense_update_bitwise_at_kernel_scale(monkeypatch):
 
 
 def test_phase_iterations_split_the_pivot_count(monkeypatch):
-    from mcm import formulations
-
     X, y = _two_blobs(np.random.default_rng(37), 40, 1, 1.0)
-    problem, _ = formulations.build_problem(
-        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    problem = oracles.paper_problem(X, y, C=1.0)  # soft-linear in the paper's form
     used = []
     run = lp._run_simplex
 
@@ -637,12 +638,9 @@ def _compare_to_flipped_originals(problem, monkeypatch) -> list[tuple]:
 
 
 def test_refactors_match_the_flipped_originals(monkeypatch):
-    from mcm import formulations
-
     monkeypatch.setattr(lp, "_REFACTOR_EVERY", 10)
     X, y = _two_blobs(np.random.default_rng(37), 40, 1, 1.0)
-    problem, _ = formulations.build_problem(
-        X, y, formulations.TrainConfig("soft-linear", C=1.0))
+    problem = oracles.paper_problem(X, y, C=1.0)  # soft-linear in the paper's form
     n = lp.standardize(problem).problem.A.shape[1]
     checks = _compare_to_flipped_originals(problem, monkeypatch)
     # phase 1 (43 pivots) with artificials still basic, then phase 2 (11)

@@ -154,16 +154,25 @@ def test_unbounded_free_direction_replays_split_form(monkeypatch):
 
 
 def test_free_variable_enters_its_row_in_the_negative_direction(monkeypatch):
-    # x appears in one row only, with coefficient -1; that row is an equality,
-    # so it starts on an artificial, and phase 1's one pivot brings x in there
-    # in its negative direction (split index 2), as it brings in the split
-    # form's x-
+    # row 0 is an equality, so it starts on an artificial, and phase 1's one
+    # pivot brings x in there in its negative direction (split index 2), as
+    # it brings in the split form's x-
     problem = oracles.make_problem(
-        [1.0, 2.0], [([-1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 4.0)], ["free", "nonneg"])
+        [1.0, 2.0], [([-1.0, 0.5], "=", 2.0), ([1.0, 1.0], "<=", 4.0)], ["free", "nonneg"])
     solution = assert_replays_split_form(problem, monkeypatch)
     assert solution.status is lp.LpStatus.OPTIMAL
     assert solution.primal_values.tolist() == [-2.0, 0.0]
     assert _solve_recording(problem, monkeypatch)[1] == [(0, 2)]
+    # where x appears in row 0 only, with coefficient -1, its negative
+    # direction is a unit column there: row 0 starts on it, as on the split
+    # form's x-, and the start is optimal
+    problem = oracles.make_problem(
+        [1.0, 2.0], [([-1.0, 1.0], "=", 2.0), ([0.0, 1.0], "<=", 4.0)], ["free", "nonneg"])
+    _, starts = oracles.phase1_starts(monkeypatch)
+    solution = assert_replays_split_form(problem, monkeypatch)
+    assert solution.primal_values.tolist() == [-2.0, 0.0]
+    assert solution.phase_iterations == (0, 0)
+    assert starts == [([0, 2], [-1.0, 1.0], 3), ([2, 3], [1.0, 1.0], 4)]  # native, split
 
 
 def test_driving_out_artificials_prices_both_directions():
