@@ -153,7 +153,7 @@ def build_problem(samples, labels, config: TrainConfig) -> tuple[lp.LpProblem, M
     n_cols = n_weights + 2 + (M if with_slack else 0)
     senses = np.tile([lp.LESS_EQUAL, lp.GREATER_EQUAL], M)
     rhs = np.tile([h_shift, 1.0], M)
-    lp.check_budget(senses, rhs, n_cols)
+    lp.check_budget(senses, n_cols)
     scores = gram(config.kernel, X) if config.variant == SOFT_KERNEL else X
 
     objective = np.zeros(n_cols)

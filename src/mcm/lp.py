@@ -7,15 +7,14 @@ flipped to a nonnegative rhs, a row is basic on its slack where that
 slack's entry is +1; elsewhere on the first direction, in the split form's
 order (below), whose column has a single nonzero entry, +1 in that row
 (soft-linear's q_i); and on an artificial variable where neither exists.
-``check_budget`` counts an artificial for every row off its slack, off the
-senses and the rhs alone, so that a builder can check before it fills its
-matrix and ``standardize`` (inequalities slacked) before it allocates.  A
-start with artificials runs phase 1 and then phase 2 on the original costs;
-a start without any is feasible and goes straight to phase 2, on the stacked
-tableau as it stands.  Each phase's tableau is one Fortran-ordered
-allocation; phase 2's, a column selection of phase 1's, releases it.  Beside
-it a solve holds one copy of the program, standardize's matrix flipped in
-place; artificial columns are built on the fly.
+A start with artificials runs phase 1 and then phase 2 on the original
+costs; a start without any goes straight to phase 2.  Both phases pivot one
+Fortran-ordered tableau, B^-1 [A | b]: an artificial is a basis entry with
+no column, so one that leaves the basis is never priced again.  Beside it a
+solve holds one copy of the program, standardize's matrix flipped in place.
+``check_budget`` counts that tableau off the senses and the variable count
+alone, so that a builder can check before it fills its matrix and
+``standardize`` (inequalities slacked) before it allocates.
 A free variable keeps one tableau column and may enter in either direction:
 each basic variable carries a sign, and the tableau holds the basis matrix
 with its columns scaled by those signs.  This makes the same pivots, bit for
@@ -142,7 +141,7 @@ def standardize(problem: LpProblem) -> StandardForm:
     """Rewrite every row as an equality by adding a slack or surplus column,
     after validating the problem and checking it against ``check_budget``."""
     problem.validate()
-    check_budget(problem.senses, problem.rhs, problem.n_vars)
+    check_budget(problem.senses, problem.n_vars)
     A0 = problem.A
     m, n = A0.shape
     ineq = np.flatnonzero(problem.senses != EQUAL)
@@ -160,15 +159,14 @@ def standardize(problem: LpProblem) -> StandardForm:
 
 
 class _Tableau:
-    """Simplex state: T holds the rows of B^-1 [A | artificials | b], where
-    column i of B is the original column of basis[i] times sign[i].  Column
-    A.shape[1] + k, an artificial, is the unit vector on row art_rows[k] (zero
-    once that row is dropped), built where needed, never stored.  ``refactor``
-    rebuilds T from the originals (A, b), as __init__ does when T is None.
-    T is stored Fortran-ordered; ``sum_order`` records how its norms, cost
-    row and objective sum: "F" as over a Fortran-ordered T for a T passed so
-    (phase 2's) or a start that skips phase 1, else "C", row after row as
-    over a C-ordered one.
+    """Simplex state: T holds the rows of B^-1 [A | b], where column i of B
+    is the original column of basis[i] times sign[i].  An artificial has no
+    column: basis entry A.shape[1] + k stands for the unit vector on row
+    art_rows[k], which only the basis matrix holds.  __init__ builds T from
+    the originals (A, b) and ``refactor`` rebuilds it so.  T is stored
+    Fortran-ordered; ``sum_order`` records how its norms, cost row and
+    objective sum: "C", row after row as over a C-ordered T, after a build
+    or a rebuild, or "F", as over T itself, which ``solve`` sets for phase 2.
 
     A free variable has one column and may be basic with either sign; every
     other basic variable has sign +1.  So a stored column always holds the
@@ -177,13 +175,13 @@ class _Tableau:
     in the split form's column order (``directions``, ``split_index``).
     """
 
-    def __init__(self, T: np.ndarray, originals: tuple[np.ndarray, np.ndarray],
-                 basis: np.ndarray, sign: np.ndarray, free_cols: np.ndarray, n_orig: int,
+    def __init__(self, originals: tuple[np.ndarray, np.ndarray], basis: np.ndarray,
+                 sign: np.ndarray, free_cols: np.ndarray, n_orig: int,
                  art_rows: np.ndarray = np.empty(0, dtype=int)):
         self.A0, self.b0 = originals
-        self.art_rows = art_rows  # each artificial's unit row; -1 once dropped
-        self.sum_order = "F" if T is not None and T.flags.f_contiguous else "C"
-        self.T = self._stacked() if T is None else np.asfortranarray(T)  # pivot updates it
+        self.art_rows = art_rows  # each artificial's unit row
+        self.sum_order = "C"
+        self.T = self._stacked()  # pivot updates it
         self.basis = basis
         self.sign = sign
         self.free_cols = free_cols  # ascending; all below n_orig
@@ -268,11 +266,9 @@ class _Tableau:
             self._norms[col] = 1.0
 
     def _stacked(self) -> np.ndarray:
-        """A fresh Fortran-ordered [A | artificials | b]: the originals as T's columns."""
-        n = self.A0.shape[1]
-        stacked = np.zeros((self.A0.shape[0], n + self.art_rows.size + 1), order="F")
-        stacked[:, :n], stacked[:, -1] = self.A0, self.b0
-        stacked[:, n:-1] = np.arange(stacked.shape[0])[:, None] == self.art_rows
+        """A fresh Fortran-ordered [A | b]: the originals as T's columns."""
+        stacked = np.empty((self.A0.shape[0], self.A0.shape[1] + 1), order="F")
+        stacked[:, :-1], stacked[:, -1] = self.A0, self.b0
         return stacked
 
     def _basis_matrix(self) -> np.ndarray:
@@ -299,9 +295,8 @@ class _Tableau:
         return True
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        """Drop every row not listed in keep (redundant constraints)."""
-        dropped = ~np.isin(self.art_rows, keep)  # row -1: a zero column from now on
-        self.art_rows = np.where(dropped, -1, keep.searchsorted(self.art_rows))
+        """Drop every row not listed in keep (redundant constraints), once no
+        artificial is basic."""
         self.T = np.asfortranarray(self.T[keep])
         self.basis = self.basis[keep]
         self.sign = self.sign[keep]
@@ -322,7 +317,7 @@ _PIVOT_TOL = 1e-10       # reduced costs and pivot entries within this count as 
 _STALL_ITERATIONS = 50   # non-improving pivots before Bland's rule takes over
 _REFRESH_EVERY = 256     # recompute the carried cost row to shed float drift
 _REFACTOR_EVERY = 1000   # rebuild the whole tableau from the original data
-_MAX_TABLEAU_BYTES = 2**30  # phase-1 tableau x 2 (check_budget): 2591 kernel samples
+_MAX_TABLEAU_BYTES = 2**30  # tableau x 2 (check_budget): 2895 kernel samples
 _BLOCK_BYTES = 2**18     # the columns a pivot updates at a time, about an L2 share
 
 
@@ -342,12 +337,12 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
 
     Prices are kept per direction, in the split form's column order: every
     column's positive direction, with the negative directions of the free
-    columns between the originals and the rest.  A refresh prices a negative
-    direction at minus its column's reduced cost and zeroes only basic
-    directions.  After a refactorization a basic column is a unit vector only
-    to rounding, so the other direction of a basic free variable keeps a
-    rounding-sized price, and its two prices drift apart exactly as the split
-    form's two columns did.
+    columns between the originals and the rest; an artificial has none.  A
+    refresh prices a negative direction at minus its column's reduced cost
+    and zeroes only basic directions.  After a refactorization a basic
+    column is a unit vector only to rounding, so the other direction of a
+    basic free variable keeps a rounding-sized price, and its two prices
+    drift apart exactly as the split form's two columns did.
 
     Degenerate stretches switch pivoting to Bland's rule; a strict objective
     improvement switches back, with the patience doubling on every switch so a
@@ -370,7 +365,7 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
         with np.errstate(over="ignore", invalid="ignore"):  # reported as None
             red = per_direction(costs[:ncols] - cost_basis @ T[:, :ncols])
             obj = float(cost_basis @ T[:, -1])
-        red[tab.split_index()] = 0.0
+        red[tab.split_index((tab.basis < ncols).nonzero()[0])] = 0.0
         return (red, obj) if math.isfinite(obj) and np.isfinite(red).all() else None
 
     bland, stall, patience = False, 0, _STALL_ITERATIONS
@@ -476,32 +471,20 @@ def _ratio_test(tab: _Tableau, col: np.ndarray, bland: bool,
     return int(window[pivots.argmax()])
 
 
-def _slack_start(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start's first step: each row is flipped to a nonnegative rhs (the
-    +-1 flips) and starts on its slack where that slack's entry is then +1
-    (the mask); ``check_budget`` counts an artificial for every other row."""
-    flip = np.where(rhs < 0, -1.0, 1.0)
-    return flip, np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
-
-
-def check_budget(senses: np.ndarray, rhs: np.ndarray, n_vars: int) -> None:
-    """Raise McmError when the phase-1 tableau of a program with these
-    senses and rhs over ``n_vars`` variables (a slack per inequality and an
-    artificial per row not started on its slack), counted twice, would take
-    more than _MAX_TABLEAU_BYTES.  A row that starts on a +1 column instead
-    needs no artificial, so for such programs the count is an upper bound;
-    it reads no matrix, so a builder may call it before it fills one.  The
-    doubling stands for what a solve holds
-    beside the tableau: the flipped originals, the phase-2 copy at the
-    switch, the C-ordered copy phase 1's sums read, the caller's LP and a
+def check_budget(senses: np.ndarray, n_vars: int) -> None:
+    """Raise McmError when the tableau of a program with these senses over
+    ``n_vars`` variables (a column per variable and per inequality's slack,
+    and the rhs), counted twice, would take more than _MAX_TABLEAU_BYTES.
+    It reads no matrix, so a builder may call it before it fills one.  The
+    doubling stands for what a solve holds beside the tableau: the flipped
+    originals, the C-ordered copy phase 1's sums read, the caller's LP and a
     kernel fit's Gram matrix; counting them would refuse fits that run today."""
-    on_slack = _slack_start(senses, rhs)[1]
     rows = senses.size
-    columns = n_vars + int((senses != EQUAL).sum()) + int((~on_slack).sum())
+    columns = n_vars + int((senses != EQUAL).sum())
     nbytes = 8 * rows * (columns + 1)
     if 2 * nbytes > _MAX_TABLEAU_BYTES:
         raise McmError(f"an LP of {rows} rows and {columns} columns needs {nbytes} bytes "
-                       f"for its phase-1 tableau; twice that is over the budget of "
+                       f"for its tableau; twice that is over the budget of "
                        f"{_MAX_TABLEAU_BYTES} bytes")
 
 
@@ -516,13 +499,14 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     std = standardize(problem).problem
     A, b, c, free = std.A, std.rhs, std.objective, std.free
     senses, m, n_orig = problem.senses, problem.n_constraints, problem.n_vars
-    flip, on_slack = _slack_start(senses, problem.rhs)
     ineq = senses != EQUAL
     n = n_orig + int(ineq.sum())
     budget = 50 * (m + n) if max_iterations is None else max_iterations
+    flip = np.where(problem.rhs < 0, -1.0, 1.0)  # each row to a nonnegative rhs
     np.multiply(A, flip[:, None], out=A)  # standardize's own copy: now the originals
     # a row starts on its slack where that slack's entry is +1, else on a
     # one-nonzero column's +1 direction (soft-linear's q_i), else on an artificial
+    on_slack = np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
     basis = np.where(on_slack, n_orig + np.cumsum(ineq) - 1, -1)
     sign = np.ones(m)
     rows, cols, negative = _unit_directions(A[:, :n_orig], free[:n_orig], ~on_slack)
@@ -530,8 +514,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     needs_artificial = (basis < 0).nonzero()[0]
     n_art = needs_artificial.size
     basis[needs_artificial] = n + np.arange(n_art)
-    tab = _Tableau(None, (A, b * flip), basis, sign, free.nonzero()[0], n_orig,
-                   needs_artificial)
+    tab = _Tableau((A, b * flip), basis, sign, free.nonzero()[0], n_orig, needs_artificial)
     phase1 = 0
     if n_art:
         phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
@@ -543,15 +526,9 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         infeasibility = float(phase1_costs[tab.basis] @ tab.for_sums(tab.T[:, -1:])[:, 0])
         if infeasibility > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
             return LpSolution(LpStatus.INFEASIBLE, None, None, (phase1, 0))
-
-        _drive_out_artificials(tab, n)
-        # phase 2 on the structural columns and the rhs, a Fortran-ordered
-        # copy; rebinding tab releases the phase-1 tableau
-        keep = np.append(np.arange(n), tab.T.shape[1] - 1)
-        tab = _Tableau(tab.T[:, keep], (tab.A0, tab.b0), tab.basis, tab.sign, tab.free_cols,
-                       n_orig)
-    else:  # a feasible start: phase 2 pivots the stacked tableau as it stands
-        tab.sum_order = "F"
+        _drive_out_artificials(tab)
+    # phase 2 pivots the same tableau, summed as over T itself
+    tab.sum_order, tab._norms = "F", None
     status, phase2 = _run_simplex(tab, c, budget - phase1)
     phases = (phase1, phase2)
     if status is not LpStatus.OPTIMAL:
@@ -585,9 +562,10 @@ def _unit_directions(A: np.ndarray, free: np.ndarray,
     return rows[first], cols[first], negative[first]
 
 
-def _drive_out_artificials(tab: _Tableau, n_struct: int) -> None:
+def _drive_out_artificials(tab: _Tableau) -> None:
     """Pivot basic artificials onto structural directions, taking the
     largest entry first in the split form's order; drop redundant rows."""
+    n_struct = tab.T.shape[1] - 1
     columns, negative = tab.directions(n_struct)
     drop = []
     for row in range(tab.T.shape[0]):

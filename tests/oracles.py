@@ -241,26 +241,25 @@ def phase1_starts(monkeypatch) -> tuple[list, list]:
     """Spy on lp.solve from here on: lists filled with the (rows, columns)
     each check_budget call counts, read off the message it gives over a
     budget of -1 bytes, and each solve's start (basis, signs, tableau
-    columns without the rhs), as solve builds its first tableau.  A start
-    with no artificial column goes straight to phase 2."""
+    columns without the rhs), as solve builds its one tableau.  A start
+    with no artificial goes straight to phase 2."""
     budgets, starts = [], []
     check_budget, init = lp.check_budget, lp._Tableau.__init__
 
-    def recording_budget(senses, rhs, n_vars):
+    def recording_budget(senses, n_vars):
         limit, lp._MAX_TABLEAU_BYTES = lp._MAX_TABLEAU_BYTES, -1
         try:
-            check_budget(senses, rhs, n_vars)
+            check_budget(senses, n_vars)
         except McmError as exc:
             counted = re.match(r"an LP of (\d+) rows and (\d+) columns", str(exc))
             budgets.append((int(counted[1]), int(counted[2])))
         finally:
             lp._MAX_TABLEAU_BYTES = limit
-        check_budget(senses, rhs, n_vars)
+        check_budget(senses, n_vars)
 
-    def recording_init(tab, T, *args, **kwargs):
-        init(tab, T, *args, **kwargs)
-        if T is None:  # a start, not phase 2's copy
-            starts.append((tab.basis.tolist(), tab.sign.tolist(), tab.T.shape[1] - 1))
+    def recording_init(tab, *args, **kwargs):
+        init(tab, *args, **kwargs)
+        starts.append((tab.basis.tolist(), tab.sign.tolist(), tab.T.shape[1] - 1))
 
     monkeypatch.setattr(lp, "check_budget", recording_budget)
     monkeypatch.setattr(lp._Tableau, "__init__", recording_init)

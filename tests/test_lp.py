@@ -34,19 +34,37 @@ def test_unbounded_certified():
 
 
 def test_memory_budget_is_checked_before_allocating(monkeypatch):
-    # 2 rows of 2 variables, a slack, a surplus and one artificial: the
-    # phase-1 tableau takes 8 * 2 * 6 = 96 bytes, counted twice
+    # 2 rows of 2 variables, a slack and a surplus (the artificial the
+    # second row starts on has no column): the tableau takes 8 * 2 * 5 = 80
+    # bytes, counted twice
     problem = oracles.make_problem(
         [-1.0, -2.0], [([1.0, 1.0], "<=", 1.0), ([1.0, 0.0], ">=", 0.5)], ["nonneg"] * 2)
-    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 191)
-    with pytest.raises(McmError, match=r"^an LP of 2 rows and 5 columns needs 96 bytes for "
-                                       r"its phase-1 tableau; twice that is over the budget "
-                                       r"of 191 bytes$"):
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 159)
+    with pytest.raises(McmError, match=r"^an LP of 2 rows and 4 columns needs 80 bytes for "
+                                       r"its tableau; twice that is over the budget "
+                                       r"of 159 bytes$"):
         lp.solve(problem)
-    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 192)
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 160)
     sol = lp.solve(problem)
     assert sol.status is lp.LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-1.5, abs=1e-9)
+
+
+def test_budget_admits_the_largest_training_programs():
+    # the 1 GiB budget itself, checked off the senses and the variable count
+    # alone.  A training program of M samples has a cap and a floor row per
+    # sample, so 2M rows and a slack each; the kernel program has 2M + 2
+    # variables, a 2-feature soft-linear one M + 4
+    def check(M, n_vars):
+        lp.check_budget(np.tile([lp.LESS_EQUAL, lp.GREATER_EQUAL], M), n_vars)
+
+    check(2895, 2 * 2895 + 2)
+    with pytest.raises(McmError, match=r"^an LP of 5792 rows and 11586 columns needs "):
+        check(2896, 2 * 2896 + 2)
+    check(2896, 2896 + 4)
+    check(3343, 3343 + 4)
+    with pytest.raises(McmError, match=r"^an LP of 6688 rows and 10036 columns needs "):
+        check(3344, 3344 + 4)
 
 
 @pytest.mark.parametrize("sense", ["<=", ">=", "="])
@@ -54,9 +72,9 @@ def test_memory_budget_is_checked_before_allocating(monkeypatch):
 def test_a_row_starts_on_its_slack_only_where_that_slack_is_plus_one(monkeypatch, sense, rhs):
     # x (column 0) has one nonzero entry, 1 in row 0, a unit column there
     # unless the row is flipped to a nonnegative rhs.  Off its slack, row 0
-    # starts on x where it can, on an artificial elsewhere; check_budget
-    # counts an artificial either way.  Row 1, y <= 5, always starts on its
-    # slack.
+    # starts on x where it can, on an artificial elsewhere, which has no
+    # tableau column, so the budget counts the same tableau either way.  Row
+    # 1, y <= 5, always starts on its slack.
     problem = oracles.make_problem(
         [1.0, 1.0], [([1.0, 1.0], sense, rhs), ([0.0, 1.0], "<=", 5.0)], ["nonneg"] * 2)
     budgets, starts = oracles.phase1_starts(monkeypatch)
@@ -64,10 +82,10 @@ def test_a_row_starts_on_its_slack_only_where_that_slack_is_plus_one(monkeypatch
     on_slack = (sense, rhs < 0) in (("<=", False), (">=", True))
     on_x = not on_slack and not rhs < 0
     n = 2 + (sense != "=") + 1  # x, y, row 0's slack if any, row 1's slack
-    assert budgets == [(2, n + (not on_slack))]
+    assert budgets == [(2, n)]
     row0 = 2 if on_slack else 0 if on_x else n  # row 0's slack, x, or the first artificial
     artificial = not (on_slack or on_x)
-    assert starts == [([row0, n - 1], [1.0, 1.0], n + artificial)]
+    assert starts == [([row0, n - 1], [1.0, 1.0], n)]
     assert (solution.phase_iterations[0] == 0) or artificial
 
 
@@ -387,10 +405,10 @@ def test_sparse_pivot_matches_dense_update_bitwise(order):
     b[1] = 1.5     # a pivot row whose rhs entry is nonzero
     S[1, 7] = -0.75
     A = np.hstack([S, np.eye(m)])
-    sparse, dense = [lp._Tableau(np.hstack([A, b[:, None]]).copy(order=order), (A, b),
-                                 np.arange(n, n + m), np.ones(m), np.array([3, 7]), n)
+    sparse, dense = [lp._Tableau((A, b), np.arange(n, n + m), np.ones(m), np.array([3, 7]), n)
                      for _ in range(2)]
-    assert sparse.sum_order == order and sparse.T.flags.f_contiguous
+    assert sparse.sum_order == "C" and sparse.T.flags.f_contiguous
+    sparse.sum_order = dense.sum_order = order  # "F": phase 2's
 
     def step(row, col, sign=1.0):
         cached = sparse.norms
@@ -587,9 +605,9 @@ def test_solve_leaves_its_problem_unchanged():
 
 def _flipped_originals(problem):
     """The flipped standardized [A | artificials] and b of problem, built in
-    full: the originals the tableau rebuilds its artificial columns of.  A
-    row has an artificial unless it starts on its slack: a <= row with a
-    nonnegative rhs, or a >= row with a negative one."""
+    full: the originals the basis matrix takes its columns of.  A row has an
+    artificial unless it starts on its slack: a <= row with a nonnegative
+    rhs, or a >= row with a negative one."""
     std = lp.standardize(problem).problem
     m, n = std.A.shape
     flip = np.where(std.rhs < 0, -1.0, 1.0)
@@ -604,17 +622,17 @@ def _flipped_originals(problem):
 def _compare_to_flipped_originals(problem, monkeypatch) -> list[tuple]:
     """Solve problem, checking at every refactor and row drop that the basis
     matrix and the rebuilt tableau have the bits of the full flipped
-    originals' (rows dropped, the tableau's columns kept); return (event,
-    tableau width, an artificial is basic) of each check."""
+    originals' (rows dropped; the tableau has no artificial column); return
+    (event, tableau width, an artificial is basic) of each check."""
     full, b0, n = _flipped_originals(problem)
     kept = [np.arange(full.shape[0])]
     checks = []
     refactor, keep_rows = lp._Tableau.refactor, lp._Tableau.keep_rows
 
     def check(tab, event):
-        A = full[kept[0]][:, :tab.T.shape[1] - 1]
+        A = full[kept[0]]
         B = A[:, tab.basis] * tab.sign
-        T = np.linalg.solve(B, np.hstack([A, b0[kept[0], None]]))
+        T = np.linalg.solve(B, np.hstack([A[:, :n], b0[kept[0], None]]))
         T[(T[:, -1] < 0.0) & (T[:, -1] > -1e-11), -1] = 0.0
         assert tab._basis_matrix().tobytes() == B.tobytes()
         probe = copy.copy(tab)
@@ -643,15 +661,16 @@ def test_refactors_match_the_flipped_originals(monkeypatch):
     problem = oracles.paper_problem(X, y, C=1.0)  # soft-linear in the paper's form
     n = lp.standardize(problem).problem.A.shape[1]
     checks = _compare_to_flipped_originals(problem, monkeypatch)
-    # phase 1 (43 pivots) with artificials still basic, then phase 2 (11)
-    assert ("refactor", n + 40 + 1, True) in checks
+    # phase 1 (43 pivots) with artificials still basic, then phase 2 (11),
+    # on one tableau without artificial columns
+    assert ("refactor", n + 1, True) in checks
     assert ("refactor", n + 1, False) in checks
 
 
 def test_dropped_rows_match_the_flipped_originals(monkeypatch):
-    # the second row repeats the first, so one of their artificials stays
-    # basic on a row with no structural entry, and that row is dropped; the
-    # third row's artificial moves up a row, the dropped one's has none
+    # the second row repeats the first, so the first row's artificial stays
+    # basic on a row with no structural entry, and that row is dropped; no
+    # artificial stays basic on the three rows kept
     problem = oracles.make_problem(
         [1.0, 2.0],
         [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0), ([1.0, -1.0], "=", 0.0),
@@ -662,12 +681,12 @@ def test_dropped_rows_match_the_flipped_originals(monkeypatch):
 
     def recording(tab, keep):
         keep_rows(tab, keep)
-        drops.append(tab.art_rows.tolist())
+        drops.append(keep.tolist())
 
     monkeypatch.setattr(lp._Tableau, "keep_rows", recording)
     checks = _compare_to_flipped_originals(problem, monkeypatch)
-    assert checks == [("drop", 2 + 1 + 3 + 1, False)]
-    assert len(drops) == 1 and -1 in drops[0] and sorted(drops[0])[1:] == [0, 1]
+    assert checks == [("drop", 2 + 1 + 1, False)]
+    assert drops == [[1, 2, 3]]
 
 
 def _refused_peak(monkeypatch, call) -> tuple[int, int]:
@@ -681,7 +700,7 @@ def _refused_peak(monkeypatch, call) -> tuple[int, int]:
     monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 1)
     tracemalloc.start()
     try:
-        with pytest.raises(McmError, match="^an LP of 400 rows and 1002 columns needs "):
+        with pytest.raises(McmError, match="^an LP of 400 rows and 802 columns needs "):
             call(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -716,25 +735,32 @@ def test_solve_validates_its_problem_once(monkeypatch):
 
 
 def test_solve_holds_one_copy_of_the_program():
-    # one linear_cv fold's shape: 192 samples of 5 features, soft-linear
+    # one linear_cv fold's shape, 192 samples of 5 features soft-linear,
+    # which starts feasible; and rbf gamma = 0.5 on 100 samples, with 100
+    # artificials in its start, a phase 1 and no refactor
     from mcm import formulations
 
-    X, y = oracles.blobs(3, 192, 5, 2.0)
-    problem, _ = formulations.build_problem(
-        X, y, formulations.TrainConfig("soft-linear", C=1.0))
-    full, _, n = _flipped_originals(problem)
-    m, n_art = full.shape[0], full.shape[1] - n
-    del full
-    tracemalloc.start()
-    try:
-        solution = lp.solve(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert solution.status is lp.LpStatus.OPTIMAL
-    # the phase-1 tableau, the flipped standardized matrix and the phase-2
-    # copy, plus two m x m arrays for the final basis solve
-    assert peak <= 8 * m * ((n + n_art + 1) + n + (n + 1)) + 16 * m * m
+    fits = [(oracles.blobs(3, 192, 5, 2.0), formulations.TrainConfig("soft-linear", C=1.0)),
+            (oracles.blobs(3, 100, 2, 1.0),
+             formulations.TrainConfig("kernel", C=1.0, kernel=KernelSpec("rbf", gamma=0.5)))]
+    for (X, y), config in fits:
+        problem, _ = formulations.build_problem(X, y, config)
+        m, n = problem.n_constraints, problem.n_vars + int((problem.senses != lp.EQUAL).sum())
+        tracemalloc.start()
+        try:
+            solution = lp.solve(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solution.status is lp.LpStatus.OPTIMAL
+        assert (solution.phase_iterations[0] > 0) == (config.variant == "kernel")
+        assert solution.iterations < lp._REFACTOR_EVERY
+        # the tableau, which has no artificial column, and the flipped
+        # standardized matrix; beside them either the C-ordered copy phase
+        # 1's sums read or two m x m arrays for the final basis solve, and
+        # 128 KiB of vectors.  An artificial column in the tableau and its
+        # copy would add 16 * m bytes each: 320 kB for the kernel program
+        assert peak <= 8 * m * ((n + 1) + n) + max(8 * m * (n + 2), 16 * m * m) + 2**17
 
 
 def test_solve_returns_an_owned_vertex():

@@ -60,8 +60,8 @@ def test_ratio_test_matches_the_full_length_reference(case):
     m = len(rhs)
     T = np.zeros((m, n_orig + 2 * m + 1))
     T[:, -1] = rhs
-    tab = lp._Tableau(T, (T[:, :-1].copy(), T[:, -1].copy()), np.array(basis),
-                      np.array(sign), np.array(free_cols, dtype=int), n_orig)
+    tab = lp._Tableau((T[:, :-1], T[:, -1]), np.array(basis), np.array(sign),
+                      np.array(free_cols, dtype=int), n_orig)
     col = np.array(col)
     expected = oracles.ratio_test_full_length(tab, col, bland, artificial_start)
     assert lp._ratio_test(tab, col, bland, artificial_start) == expected

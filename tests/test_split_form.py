@@ -140,8 +140,10 @@ def test_refactorized_solve_replays_split_form(seed, monkeypatch):
     problem, _ = formulations.build_problem(X, y, config)
     solution = assert_replays_split_form(problem, monkeypatch)
     assert solution.status is lp.LpStatus.OPTIMAL
+    # each form's tableau has no artificial column, in either phase
     native_width = problem.n_vars + problem.n_constraints + 1
-    assert any(shape[1] == native_width for shape in refactors)  # the native phase 2
+    split_width = native_width + int(problem.free.sum())
+    assert {shape[1] for shape in refactors} == {native_width, split_width}
     assert len(refactors) >= 6
 
 
@@ -181,15 +183,14 @@ def test_driving_out_artificials_prices_both_directions():
     # split form zeroes only the basic x- there, so x+ is still the largest
     # entry of that row and enters; so must x, in its positive direction.
     def tableau(A, basis, sign, free_cols, n_orig):
-        A, b = np.array(A), np.zeros(2)
-        return lp._Tableau(np.hstack([A, b[:, None]]), (A, b), np.array(basis),
-                           np.array(sign), np.array(free_cols, dtype=int), n_orig)
+        A = np.array(A)
+        return lp._Tableau((A, np.zeros(2)), np.array(basis), np.array(sign),
+                           np.array(free_cols, dtype=int), n_orig, np.array([1]))
 
-    native = tableau([[-1.0, 0.0, 0.0], [1e-9, 5e-10, 1.0]], [0, 2], [-1.0, 1.0], [0], 2)
-    split = tableau([[-1.0, 0.0, 1.0, 0.0], [1e-9, 5e-10, -1e-9, 1.0]], [2, 3], [1.0, 1.0],
-                    [], 3)
-    lp._drive_out_artificials(native, 2)
-    lp._drive_out_artificials(split, 3)
+    native = tableau([[-1.0, 0.0], [1e-9, 5e-10]], [0, 2], [-1.0, 1.0], [0], 2)
+    split = tableau([[-1.0, 0.0, 1.0], [1e-9, 5e-10, -1e-9]], [2, 3], [1.0, 1.0], [], 3)
+    lp._drive_out_artificials(native)
+    lp._drive_out_artificials(split)
     assert native.split_index().tolist() == split.basis.tolist() == [2, 0]
     expanded = np.hstack([native.T[:, :2], -native.T[:, :1], native.T[:, 2:]])
     assert (expanded + 0.0).tobytes() == (split.T + 0.0).tobytes()
