@@ -4,9 +4,9 @@ An ``LpProblem`` is held in array form: ``minimize c.x`` subject to
 ``A x {<=,>=,=} rhs`` row by row, with each variable nonnegative or free (a
 boolean mask).  ``solve`` starts from an identity basis: once each row is
 flipped to a nonnegative rhs, a row is basic on its slack where that
-slack's entry is +1; elsewhere on the first direction, in the split form's
-order (below), whose column has a single nonzero entry, +1 in that row
-(soft-linear's q_i); and on an artificial variable where neither exists.
+slack's entry is +1; elsewhere on the first column whose single nonzero
+entry is +1 in that row (soft-linear's q_i); and on an artificial variable
+where neither exists.
 A start with artificials runs phase 1 and then phase 2 on the original
 costs; a start without any goes straight to phase 2.  Both phases pivot one
 Fortran-ordered tableau, B^-1 [A | b]: an artificial is a basis entry with
@@ -17,10 +17,12 @@ alone, so that a builder can check before it fills its matrix and
 ``standardize`` (inequalities slacked) before it allocates.
 A free variable keeps one tableau column and may enter in either direction:
 each basic variable carries a sign, and the tableau holds the basis matrix
-with its columns scaled by those signs.  This makes the same pivots, bit for
-bit, as splitting every free variable into two nonnegative parts; pricing
-and every tie-break read the columns in that split form's order (originals,
-the negative directions of the free ones, then slacks and artificials).
+with its columns scaled by those signs.  Pricing and Bland's leaving ties
+make the same choices, bit for bit, as splitting every free variable into
+two nonnegative parts: they read the directions in that split form's order
+(originals, the negative directions of the free ones, then slacks and
+artificials).  The start and the drive-out of artificials read plain
+column order and take only positive directions.
 
 Pricing is steepest edge; the ratio test reads only the rows where the
 entering column is positive and evicts on the largest pivot element among
@@ -172,7 +174,8 @@ class _Tableau:
     other basic variable has sign +1.  So a stored column always holds the
     positive direction of its variable, and the negative direction of a free
     one is its negation.  ``free_cols`` and ``n_orig`` place each direction
-    in the split form's column order (``directions``, ``split_index``).
+    in the split form's column order (``split_index``), which pricing,
+    ``refresh``'s zeroing of basic directions and Bland's leaving ties keep.
     """
 
     def __init__(self, originals: tuple[np.ndarray, np.ndarray], basis: np.ndarray,
@@ -212,16 +215,8 @@ class _Tableau:
             self._norms = np.einsum("ij,ij->j", body, body)
         return self._norms
 
-    def directions(self, ncols: int) -> tuple[np.ndarray, slice]:
-        """The column of every direction among the first ncols columns, in
-        the split form's order (originals, the negative directions of the
-        free columns, then the rest), and the slice of negative ones."""
-        columns = np.concatenate([np.arange(self.n_orig), self.free_cols,
-                                  np.arange(self.n_orig, ncols)])
-        return columns, slice(self.n_orig, self.n_orig + self.free_cols.size)
-
-    def split_index(self, rows=slice(None)) -> np.ndarray:
-        """Index of each row's basic direction in the split form's order."""
+    def split_index(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each listed row's basic direction in the split form's order."""
         cols = self.basis[rows]
         return np.where(self.sign[rows] < 0,
                         self.n_orig + self.free_cols.searchsorted(cols),
@@ -257,13 +252,16 @@ class _Tableau:
                 self._norms[part[:structural]] = np.einsum("ij,ij->j", body, body)
         T[:, col] = 0.0
         T[row, col] = sign
-        # keep the rhs from drifting into tiny negatives after degenerate pivots
-        rhs = T[:, -1]
-        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+        self._clamp_rhs()
         self.basis[row] = col
         self.sign[row] = sign
         if self._norms is not None:
             self._norms[col] = 1.0
+
+    def _clamp_rhs(self) -> None:
+        """Zero the rhs entries that degenerate pivots leave drifting in (-1e-11, 0)."""
+        rhs = self.T[:, -1]
+        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
 
     def _stacked(self) -> np.ndarray:
         """A fresh Fortran-ordered [A | b]: the originals as T's columns."""
@@ -289,8 +287,8 @@ class _Tableau:
             return None
         if not np.all(np.isfinite(T)):
             return False
-        self.T = T = np.asfortranarray(T)
-        T[(T[:, -1] < 0.0) & (T[:, -1] > -1e-11), -1] = 0.0
+        self.T = np.asfortranarray(T)
+        self._clamp_rhs()
         self._norms, self.sum_order = None, "C"
         return True
 
@@ -351,7 +349,9 @@ def _run_simplex(tab: _Tableau, costs: np.ndarray, budget: int,
     """
     tol = _PIVOT_TOL
     ncols = tab.T.shape[1] - 1
-    columns, negative = tab.directions(ncols)
+    columns = np.concatenate([np.arange(tab.n_orig), tab.free_cols,
+                              np.arange(tab.n_orig, ncols)])
+    negative = slice(tab.n_orig, tab.n_orig + tab.free_cols.size)
 
     def per_direction(values: np.ndarray) -> np.ndarray:
         out = values[columns]
@@ -505,16 +505,15 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     flip = np.where(problem.rhs < 0, -1.0, 1.0)  # each row to a nonnegative rhs
     np.multiply(A, flip[:, None], out=A)  # standardize's own copy: now the originals
     # a row starts on its slack where that slack's entry is +1, else on a
-    # one-nonzero column's +1 direction (soft-linear's q_i), else on an artificial
+    # column whose one nonzero is +1 there (soft-linear's q_i), else on an artificial
     on_slack = np.where(flip > 0, senses == LESS_EQUAL, senses == GREATER_EQUAL)
     basis = np.where(on_slack, n_orig + np.cumsum(ineq) - 1, -1)
-    sign = np.ones(m)
-    rows, cols, negative = _unit_directions(A[:, :n_orig], free[:n_orig], ~on_slack)
-    basis[rows], sign[rows[negative]] = cols, -1.0
+    rows, cols = _unit_directions(A[:, :n_orig], ~on_slack)
+    basis[rows] = cols
     needs_artificial = (basis < 0).nonzero()[0]
     n_art = needs_artificial.size
     basis[needs_artificial] = n + np.arange(n_art)
-    tab = _Tableau((A, b * flip), basis, sign, free.nonzero()[0], n_orig, needs_artificial)
+    tab = _Tableau((A, b * flip), basis, np.ones(m), free.nonzero()[0], n_orig, needs_artificial)
     phase1 = 0
     if n_art:
         phase1_costs = np.concatenate([np.zeros(n), np.ones(n_art)])
@@ -542,41 +541,36 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, x, float(problem.objective @ x), phases)
 
 
-def _unit_directions(A: np.ndarray, free: np.ndarray,
-                     off_slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_directions(A: np.ndarray, off_slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where a row off its slack can start instead of on an artificial: a
-    direction whose column of the flipped originals A has one nonzero entry,
-    +1 in that row (-1 for the negative direction of a free column).  Each
-    such row takes the first one in the split form's order; returns the
-    rows, their columns and the mask of negative directions among them."""
+    column of the flipped originals A whose one nonzero entry is +1 in that
+    row, entering in its positive direction.  Each such row takes the first
+    such column in column order; returns the rows and their columns."""
     single = (np.count_nonzero(A, axis=0) == 1).nonzero()[0]
-    rows, at = A[:, single].nonzero()  # one entry per column, row by row
+    rows, at = A[:, single].nonzero()  # row-major: each row's columns ascending
     cols = single[at]
-    entry = A[rows, cols]
-    negative = (entry == -1.0) & free[cols]
-    usable = ((entry == 1.0) | negative) & off_slack[rows]
-    rows, cols, negative = rows[usable], cols[usable], negative[usable]
-    # split-form index: originals first, then the free columns' negative directions
-    order = np.lexsort((cols + negative * A.shape[1], rows))
-    first = order[np.unique(rows[order], return_index=True)[1]]
-    return rows[first], cols[first], negative[first]
+    usable = (A[rows, cols] == 1.0) & off_slack[rows]
+    rows, cols = rows[usable], cols[usable]
+    first = np.unique(rows, return_index=True)[1]
+    return rows[first], cols[first]
 
 
 def _drive_out_artificials(tab: _Tableau) -> None:
-    """Pivot basic artificials onto structural directions, taking the
-    largest entry first in the split form's order; drop redundant rows."""
+    """Pivot each basic artificial out onto the nonbasic column with the
+    largest |entry| in its row, the first in column order among ties,
+    entering with sign +1; drop the rows that have none (redundant
+    constraints).  Every basic column is passed over, so none is ever basic
+    in two rows (Maros 2003)."""
     n_struct = tab.T.shape[1] - 1
-    columns, negative = tab.directions(n_struct)
     drop = []
     for row in range(tab.T.shape[0]):
         if tab.basis[row] < n_struct:
             continue
-        entries = np.abs(tab.T[row, columns])
-        entries[tab.split_index((tab.basis < n_struct).nonzero()[0])] = 0.0
-        direction = int(entries.argmax())
-        if entries[direction] > _PIVOT_TOL:
-            sign = -1.0 if negative.start <= direction < negative.stop else 1.0
-            tab.pivot(row, int(columns[direction]), sign)
+        entries = np.abs(tab.T[row, :n_struct])
+        entries[tab.basis[tab.basis < n_struct]] = 0.0
+        col = int(entries.argmax())
+        if entries[col] > _PIVOT_TOL:
+            tab.pivot(row, col)
         else:
             drop.append(row)
     if drop:

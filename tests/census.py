@@ -18,7 +18,8 @@ broken" when that point breaks a row (``A``, ``senses``, ``rhs``) by more than
 1 - ``lp._FEAS_TOL`` (every feasible point has h >= 1), and "ok" when
 neither holds; a fit can count as both.
 
-It prints the count of each status and class per config, one line per fit
+It prints the count of each status and class per config, with the config's
+total phase-1 and phase-2 pivots over every solve, one line per fit
 that did not end optimal (its index, config, rows x features, status and
 ``phase_iterations``; ``fit_data(i)`` rebuilds its samples), one line per
 optimal fit that is not ok (index, config, rows x features, classes, worst
@@ -57,6 +58,7 @@ CONFIGS = [
                                                    kernel=KernelSpec("linear"))),
 ]
 CLASSES = ["ok", "row broken", "below 1"]
+PIVOTS = ["phase-1 pivots", "phase-2 pivots"]
 ROW_TOL = 1e-8  # relative to 1 + max |rhs|
 
 
@@ -100,6 +102,7 @@ def main(n_fits: int) -> None:
         problem, layout = formulations.build_problem(X, y, config)
         solution = lp.solve(problem)
         counts[name][solution.status.value] += 1
+        counts[name].update(dict(zip(PIVOTS, solution.phase_iterations)))
         fit = f"fit {i}  {name}  {X.shape[0]} x {X.shape[1]}"
         if solution.status is not lp.LpStatus.OPTIMAL:
             not_optimal.append(f"{fit}  {solution.status.value}  {solution.phase_iterations}")
@@ -114,7 +117,7 @@ def main(n_fits: int) -> None:
         digest.update(f"{solution.status.value} {solution.phase_iterations}\n".encode())
         if solution.primal_values is not None:
             digest.update(solution.primal_values.tobytes())
-    columns = [status.value for status in lp.LpStatus] + CLASSES
+    columns = [status.value for status in lp.LpStatus] + CLASSES + PIVOTS
     width = max(len(name) for name, _ in CONFIGS)
     print(f"{'config':<{width}}  " + "  ".join(columns))
     for name, _ in CONFIGS:

@@ -514,14 +514,34 @@ def test_ill_conditioned_poly3_program_keeps_the_rank_bound(seed, m):
     assert model.sv_count <= np.linalg.matrix_rank(gram(config.kernel, X))
 
 
-@pytest.mark.xfail(strict=True, reason="poly-2 Gram matrix of 81 1-D samples scaled by "
-                   "10^U(-2, 2): lp.solve ends OPTIMAL at a point that breaks a row of the "
-                   "paper's program by 3.9e17 times 1 + max |rhs|, and training keeps it")
-def test_census_fit_5_meets_the_paper_rows_or_fails(monkeypatch):
-    # tests/census.py's fit 5: poly-2, C = 1, 81 samples of 1 feature
-    X, y = census.fit_data(5)
-    name, config = census.CONFIGS[5]
-    assert (name, X.shape) == ("poly-2 C=1", (81, 1))
+def _mixed_scale_data():
+    """40 rows of two features near 1e6 and 1e-6 side by side, each drawn
+    as N(0, 1) + y/2 and then scaled."""
+    rng = np.random.default_rng(0)
+    y = np.where(np.arange(40) % 2, 1.0, -1.0)
+    X = np.column_stack([1e6 * (rng.standard_normal(40) + 0.5 * y),
+                         1e-6 * (rng.standard_normal(40) + 0.5 * y)])
+    return X, y
+
+
+POLY2 = formulations.TrainConfig("kernel", C=1.0,
+                                 kernel=KernelSpec("poly", degree=2, coef0=1.0))
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(lambda: census.fit_data(5), id="census-fit-5", marks=pytest.mark.xfail(
+        strict=True, reason="tests/census.py's fit 5, the poly-2 Gram matrix of 81 1-D "
+        "samples scaled by 10^U(-2, 2): lp.solve ends OPTIMAL at a point that breaks a "
+        "row of the paper's program by 3.9e17 times 1 + max |rhs|, and training keeps it")),
+    pytest.param(_mixed_scale_data, id="mixed-scale", marks=pytest.mark.xfail(
+        strict=True, reason="the poly-2 Gram matrix of 40 rows with features near 1e6 "
+        "and 1e-6: lp.solve ends OPTIMAL after (72, 441) pivots at objective 7.12, at a "
+        "point that breaks a row of the paper's program by 1.5e18 times 1 + max |rhs|, "
+        "and training keeps it")),
+])
+def test_ill_scaled_poly2_fit_meets_the_paper_rows_or_fails(data, monkeypatch):
+    X, y = data()
+    assert census.CONFIGS[5] == ("poly-2 C=1", POLY2)
     layouts, solutions = [], []
     solve = lp.solve
 
@@ -531,11 +551,11 @@ def test_census_fit_5_meets_the_paper_rows_or_fails(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", recording)
     try:
-        formulations.train(X, y, config, on_problem=lambda _, layout: layouts.append(layout))
+        formulations.train(X, y, POLY2, on_problem=lambda _, layout: layouts.append(layout))
     except SolverFailure:
         return
     x, _ = layouts[0].restore(solutions[0])
-    paper = oracles.paper_problem(layouts[0].scores, y, config.C)
+    paper = oracles.paper_problem(layouts[0].scores, y, POLY2.C)
     assert census.worst_violation(paper, x) <= census.ROW_TOL
 
 

@@ -7,6 +7,7 @@ import pytest
 from mcm import formulations, lp
 from mcm.kernels import KernelSpec
 
+import census
 import oracles
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -34,11 +35,15 @@ def highs(problem: lp.LpProblem):
 
 
 def assert_agrees(problem):
+    """Same status as HiGHS; when optimal, the same objective, at a point of
+    ours that meets every row within ``census.ROW_TOL``.  HiGHS's own points
+    are not gated: they meet the rows only to its tolerance, about 1e-7."""
     ours = lp.solve(problem)
     status, objective = highs(problem)
     assert ours.status is status
     if status is lp.LpStatus.OPTIMAL:
         assert ours.objective_value == pytest.approx(objective, rel=1e-7, abs=1e-7)
+        assert census.worst_violation(problem, ours.primal_values) <= census.ROW_TOL
 
 
 CONFIGS = {
@@ -55,6 +60,20 @@ def test_mcm_programs_match_highs(name, gap):
         X, y = oracles.blobs(seed, 60, 3, gap)
         problem, _ = formulations.build_problem(X, y, CONFIGS[name])
         assert_agrees(problem)
+
+
+@pytest.mark.parametrize("name, gap", [("soft-linear", 1.0), ("hard-linear", 6.0)])
+def test_300_sample_linear_programs_match_highs(name, gap):
+    for seed in range(3):
+        X, y = oracles.blobs(seed, 300, 3, gap)
+        problem, _ = formulations.build_problem(X, y, CONFIGS[name])
+        assert_agrees(problem)
+
+
+def test_unbounded_program_matches_highs():
+    # minimize -x1 subject to x1 - x2 <= 1: x1 = x2 + 1 grows without limit
+    assert_agrees(oracles.make_problem([-1.0, 0.0], [([1.0, -1.0], "<=", 1.0)],
+                                       ["nonneg", "nonneg"]))
 
 
 def test_random_lps_match_highs():
